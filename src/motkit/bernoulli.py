@@ -23,6 +23,12 @@ import numpy as np
 
 from .lp import LpBuilder, LpError, solve
 from .model import Coupling, DiscreteAxis, DiscreteMeasure, Instance, MarginalConstraint
+from .transport import (
+    _add_marginal_rows,
+    _add_path_variables,
+    _add_static_leg_columns,
+    _superreplication_rows,
+)
 
 __all__ = [
     "BernoulliGapReport",
@@ -75,19 +81,12 @@ def tail_forced_dual_bound(depth: int) -> tuple[float, float, tuple[np.ndarray, 
     """
     instance = bernoulli_instance(depth)
     builder = LpBuilder("min")
-    m_var = builder.add_variable("m", lower=-np.inf, objective=1.0)
-    g_vars = [[builder.add_variable(f"g[{n},{j}]", lower=0.0, objective=0.5)
-               for j in range(2)] for n in range(depth)]
-    indices = instance.point_indices()
-    for i in range(instance.n_paths):
-        coeffs = [(m_var, 1.0)]
-        coeffs += [(g_vars[n][indices[n, i]], 1.0) for n in range(depth)]
-        builder.add_row(coeffs, ">=", 1.0, f"prefix[{i}]")
+    m_var, g_vars, _ = _add_static_leg_columns(builder, instance)
+    _superreplication_rows(builder, instance, np.ones(instance.n_paths), m_var, g_vars)
     sol = solve(builder.build())
     if sol.status != "optimal":
         raise LpError(f"tail-forced dual LP unexpectedly {sol.status}")
-    legs = tuple(np.array([sol.x[v] for v in g_vars[n]]) for n in range(depth))
-    return sol.value, float(sol.x[m_var]), legs
+    return sol.value, float(sol.x[m_var]), tuple(sol.x[ids] for ids in g_vars)
 
 
 def liminf_primal_value(depth: int) -> tuple[float, float]:
@@ -102,9 +101,7 @@ def liminf_primal_value(depth: int) -> tuple[float, float]:
     instance = mu_star.instance
     builder = LpBuilder("max")
     last = instance.coordinate_values(depth - 1)[:, 0]
-    path_vars = [builder.add_variable(f"mu[{i}]", lower=0.0, objective=float(last[i]))
-                 for i in range(instance.n_paths)]
-    from .transport import _add_marginal_rows
+    path_vars = _add_path_variables(builder, instance, last)
     _add_marginal_rows(builder, instance, path_vars)
     sol = solve(builder.build())
     if sol.status != "optimal":

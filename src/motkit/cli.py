@@ -23,17 +23,16 @@ from .documents import (
     render_result,
     write_output,
 )
-from .lp import write_mps
+from .lp import PIVOT_RULE, write_mps
 from .martingale import (
+    _arbitrage_reports,
     _build_superhedge,
+    _constant_table,
+    _duality_report,
     _mot_primal_builder,
-    classify_arbitrage,
-    ftap_check,
-    primal_mot,
-    superhedge_dual,
-    superhedging_duality_report,
+    _primal_mot,
+    _superhedge,
 )
-from .model import Payoff
 from .transport import _primal_builder, duality_report
 
 
@@ -52,8 +51,9 @@ def _load_document(path: str):
         doc = parse_instance(text)
     except DocumentError as exc:
         _fail(str(exc))
-    from . import lp as lp_module
-    lp_module.DEFAULT_PIVOT_RULE = doc.options.pivot_rule
+    # the document's pivot rule holds until this command's context closes
+    token = PIVOT_RULE.set(doc.options.pivot_rule)
+    click.get_current_context().call_on_close(lambda: PIVOT_RULE.reset(token))
     return doc
 
 
@@ -89,9 +89,10 @@ def _emit(command, status, values, optimizers, residuals, started, output, fmt):
     write_output(text, output)
 
 
-def _maybe_dump_lp(builder, dump_path):
+def _maybe_dump_lp(dump_path, make_builder):
+    """Write the LP of `make_builder()` as MPS; builds nothing without a path."""
     if dump_path:
-        write_output(write_mps(builder.build()), dump_path)
+        write_output(write_mps(make_builder().build()), dump_path)
 
 
 def _resolve_tol(tol, doc=None):
@@ -128,7 +129,7 @@ def solve_transport_cmd(input_path, output, fmt, tol, dump_lp):
     payoff = _need_payoff(doc)
     tol = _resolve_tol(tol, doc)
     report = duality_report(doc.instance, payoff)
-    _maybe_dump_lp(_primal_builder(doc.instance, payoff.table_for(doc.instance)), dump_lp)
+    _maybe_dump_lp(dump_lp, lambda: _primal_builder(doc.instance, payoff.table_for(doc.instance)))
     values = {
         "primal_value": report.primal_value,
         "dual_value": report.dual_value,
@@ -155,16 +156,17 @@ def solve_mot_cmd(input_path, output, fmt, tol, dump_lp):
     payoff = _need_payoff(doc)
     market = _need_market(doc)
     tol = _resolve_tol(tol, doc)
-    _maybe_dump_lp(_mot_primal_builder(market, payoff.table_for(market.instance)), dump_lp)
-    primal = primal_mot(market, payoff)
-    dual = superhedge_dual(market, payoff)
+    table = payoff.table_for(market.instance)
+    _maybe_dump_lp(dump_lp, lambda: _mot_primal_builder(market, table))
+    primal = _primal_mot(market, table)
+    dual = _superhedge(market, table)
     if primal.status != "optimal" or dual.status != "optimal":
         values = {"primal_status": primal.status, "dual_status": dual.status}
         residuals = {"detection_tolerance": 1e-9}
         _emit("solve-mot", "infeasible" if primal.status == "infeasible" else "arbitrage",
               values, {}, residuals, started, output, fmt)
         sys.exit(2)
-    report = superhedging_duality_report(market, payoff)
+    report = _duality_report(market, table, primal, dual)
     values = {
         "primal_value": report.primal_value,
         "dual_value": report.dual_value,
@@ -191,10 +193,8 @@ def check_arbitrage_cmd(input_path, output, fmt, tol, dump_lp):
     started = time.perf_counter()
     doc = _load_document(input_path)
     market = _need_market(doc)
-    zero = Payoff.constant(0.0, market.instance)
-    _maybe_dump_lp(_build_superhedge(market, zero.table_for(market.instance))[0], dump_lp)
-    verdict = classify_arbitrage(market)
-    ftap = ftap_check(market)
+    _maybe_dump_lp(dump_lp, lambda: _build_superhedge(market, _constant_table(market, 0.0))[0])
+    verdict, ftap = _arbitrage_reports(market)
     values = {
         "verdict": verdict.kind,
         "uniform_value": verdict.uniform_value,
@@ -232,13 +232,15 @@ def verify_duality_cmd(input_path, output, fmt, tol, dump_lp):
     tol = _resolve_tol(tol, doc)
     if doc.market is None:
         report = duality_report(doc.instance, payoff)
-        _maybe_dump_lp(_primal_builder(doc.instance, payoff.table_for(doc.instance)),
-                       dump_lp)
+        _maybe_dump_lp(dump_lp, lambda: _primal_builder(doc.instance,
+                                                        payoff.table_for(doc.instance)))
     else:
-        _maybe_dump_lp(_mot_primal_builder(doc.market, payoff.table_for(doc.instance)),
-                       dump_lp)
+        market = doc.market
+        table = payoff.table_for(market.instance)
+        _maybe_dump_lp(dump_lp, lambda: _mot_primal_builder(market, table))
         try:
-            report = superhedging_duality_report(doc.market, payoff)
+            report = _duality_report(market, table, _primal_mot(market, table),
+                                     _superhedge(market, table))
         except ValueError as exc:
             _emit("verify-duality", "arbitrage", {"detail": str(exc)}, {},
                   {"detection_tolerance": 1e-9}, started, output, fmt)

@@ -31,6 +31,7 @@ returning a wrong status.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -58,8 +59,8 @@ PIVOT_TOL = 1e-9
 # Residual level the engine promises on Optimal (absolute, per row).
 RESIDUAL_TOL = 1e-8
 # Rule used when solve() is called without an explicit pivot_rule; the CLI
-# sets this per process from the document's solver options.
-DEFAULT_PIVOT_RULE = "dantzig"
+# sets it from the document's solver options for the one command it runs.
+PIVOT_RULE: ContextVar[str] = ContextVar("motkit_pivot_rule", default="dantzig")
 
 
 class LpError(RuntimeError):
@@ -81,8 +82,6 @@ class LinearProgram:
     a: np.ndarray
     relations: tuple[str, ...]
     rhs: np.ndarray
-    variable_names: tuple[str, ...] = ()
-    row_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
@@ -130,7 +129,11 @@ class LinearProgram:
 
 
 class LpBuilder:
-    """Incremental LP assembly with stable variable/row ids."""
+    """Incremental LP assembly with stable variable/row ids.
+
+    Rows are kept as (row, column, value) triplets; a cell named more than
+    once sums its values in the order they were added.
+    """
 
     def __init__(self, sense: str):
         if sense not in ("min", "max"):
@@ -139,29 +142,49 @@ class LpBuilder:
         self._obj: list[float] = []
         self._lower: list[float] = []
         self._upper: list[float] = []
-        self._var_names: list[str] = []
-        self._rows: list[tuple[np.ndarray, np.ndarray, str, float, str]] = []
+        self._triplets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._relations: list[str] = []
+        self._rhs: list[float] = []
 
-    def add_variable(self, name: str = "", *, lower: float = 0.0,
-                     upper: float = np.inf, objective: float = 0.0) -> int:
-        vid = len(self._obj)
-        self._obj.append(float(objective))
-        self._lower.append(float(lower))
-        self._upper.append(float(upper))
-        self._var_names.append(name or f"x{vid}")
-        return vid
+    def add_variable(self, *, lower: float = 0.0, upper: float = np.inf,
+                     objective: float = 0.0) -> int:
+        return int(self.add_variables(1, lower=lower, upper=upper, objective=objective)[0])
+
+    def add_variables(self, count: int, *, lower=0.0, upper=np.inf,
+                      objective=0.0) -> np.ndarray:
+        """`count` variables at once; each keyword is a scalar or one value
+        per variable.  Returns their ids."""
+        columns = [np.asarray(v, dtype=float).tolist() if np.ndim(v) else [float(v)] * count
+                   for v in (objective, lower, upper)]
+        if any(len(column) != count for column in columns):
+            raise ValueError("each keyword needs a scalar or one value per variable")
+        first = len(self._obj)
+        for store, column in zip((self._obj, self._lower, self._upper), columns):
+            store.extend(column)
+        return np.arange(first, first + count)
 
     def add_row(self, coefficients: Mapping[int, float] | Sequence[tuple[int, float]],
-                relation: str, rhs: float, name: str = "") -> int:
+                relation: str, rhs: float) -> int:
+        items = list(coefficients.items() if isinstance(coefficients, Mapping) else coefficients)
+        cols, vals = zip(*items) if items else ((), ())
+        return int(self.add_rows(np.zeros(len(cols), dtype=np.intp), cols, vals, relation, rhs)[0])
+
+    def add_rows(self, rows, columns, values, relation: str, rhs) -> np.ndarray:
+        """len(rhs) rows sharing one relation, given as triplets: entry k puts
+        values[k] at (rows[k], columns[k]), rows counted from the first new
+        row.  Returns the new row ids."""
         if relation not in RELATIONS:
             raise ValueError(f"unknown relation {relation!r}")
-        items = coefficients.items() if isinstance(coefficients, Mapping) else coefficients
-        idx = np.fromiter((int(i) for i, _ in items), dtype=np.intp)
-        items = coefficients.items() if isinstance(coefficients, Mapping) else coefficients
-        val = np.fromiter((float(v) for _, v in items), dtype=float)
-        rid = len(self._rows)
-        self._rows.append((idx, val, relation, float(rhs), name or f"r{rid}"))
-        return rid
+        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.size and (rows.min() < 0 or rows.max() >= rhs.size):
+            raise ValueError("a triplet names a row outside the rows being added")
+        first = len(self._rhs)
+        self._triplets.append((first + rows, np.asarray(columns, dtype=np.intp),
+                               np.asarray(values, dtype=float)))
+        self._relations.extend([relation] * rhs.size)
+        self._rhs.extend(rhs.tolist())
+        return np.arange(first, first + rhs.size)
 
     @property
     def n_variables(self) -> int:
@@ -169,28 +192,20 @@ class LpBuilder:
 
     def build(self) -> LinearProgram:
         n = len(self._obj)
-        m = len(self._rows)
-        a = np.zeros((m, n))
-        relations = []
-        rhs = np.zeros(m)
-        row_names = []
-        for r, (idx, val, rel, b, name) in enumerate(self._rows):
-            if idx.size and (idx.min() < 0 or idx.max() >= n):
-                raise ValueError(f"row {name!r} references unknown variable")
-            np.add.at(a[r], idx, val)
-            relations.append(rel)
-            rhs[r] = b
-            row_names.append(name)
+        a = np.zeros((len(self._rhs), n))
+        if self._triplets:
+            rows, cols, vals = (np.concatenate(part) for part in zip(*self._triplets))
+            if cols.size and (cols.min() < 0 or cols.max() >= n):
+                raise ValueError("a row references an unknown variable")
+            np.add.at(a, (rows, cols), vals)
         return LinearProgram(
             sense=self.sense,
             objective=np.array(self._obj),
             lower=np.array(self._lower),
             upper=np.array(self._upper),
             a=a,
-            relations=tuple(relations),
-            rhs=rhs,
-            variable_names=tuple(self._var_names),
-            row_names=tuple(row_names),
+            relations=tuple(self._relations),
+            rhs=np.array(self._rhs),
         )
 
 
@@ -443,7 +458,7 @@ def solve(lp: LinearProgram, *, pivot_rule: str | None = None,
     Deterministic: identical inputs take identical pivot sequences.
     """
     if pivot_rule is None:
-        pivot_rule = DEFAULT_PIVOT_RULE
+        pivot_rule = PIVOT_RULE.get()
     if pivot_rule not in ("dantzig", "bland"):
         raise ValueError("pivot_rule must be 'dantzig' or 'bland'")
     std = _Standardizer(lp)

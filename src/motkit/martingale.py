@@ -198,39 +198,29 @@ class _StrategyColumns:
         for a in range(market.d):
             if market.epsilons[a] == 0.0 and not force_frictional:
                 for n in range(1, t_horizon + 1):
-                    count = instance.n_prefixes(n - 1)
-                    ids = np.array([builder.add_variable(f"h[{a},{n},{p}]", lower=-np.inf)
-                                    for p in range(count)])
-                    self.h_vars[(a, n)] = ids
+                    self.h_vars[(a, n)] = builder.add_variables(
+                        instance.n_prefixes(n - 1), lower=-np.inf)
             else:
                 for mat in range(1, t_horizon + 1):
                     for n in range(1, mat + 1):
                         count = instance.n_prefixes(n - 1)
-                        buys = np.array([builder.add_variable(
-                            f"buy[{a},{mat},{n},{p}]", lower=0.0) for p in range(count)])
-                        sells = np.array([builder.add_variable(
-                            f"sell[{a},{mat},{n},{p}]", lower=0.0) for p in range(count)])
-                        self.trade_vars[(a, mat, n)] = (buys, sells)
+                        self.trade_vars[(a, mat, n)] = (builder.add_variables(count),
+                                                        builder.add_variables(count))
 
-    def path_coefficients(self, i: int) -> list[tuple[int, float]]:
-        """Dynamic-outcome coefficients of path i for the superhedge rows."""
-        market = self.market
-        s = self.s
-        coeffs: list[tuple[int, float]] = []
+    def path_coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dynamic-outcome terms of the superhedge rows as (path, column,
+        value) triplets: each column block holds one term for every path."""
+        s, eps = self.s, self.market.epsilons
+        cols, vals = [], []
         for (a, n), ids in self.h_vars.items():
-            delta = s[n][i, a] - s[n - 1][i, a]
-            if delta != 0.0:
-                coeffs.append((int(ids[self.prefix[n - 1][i]]), delta))
+            cols.append(ids[self.prefix[n - 1]])
+            vals.append(s[n][:, a] - s[n - 1][:, a])
         for (a, mat, n), (buys, sells) in self.trade_vars.items():
-            e = market.epsilons[a]
-            buy_coef = s[mat][i, a] - (1.0 + e) * s[n - 1][i, a]
-            sell_coef = (1.0 - e) * s[n - 1][i, a] - s[mat][i, a]
-            p = self.prefix[n - 1][i]
-            if buy_coef != 0.0:
-                coeffs.append((int(buys[p]), buy_coef))
-            if sell_coef != 0.0:
-                coeffs.append((int(sells[p]), sell_coef))
-        return coeffs
+            cols += [buys[self.prefix[n - 1]], sells[self.prefix[n - 1]]]
+            vals += [s[mat][:, a] - (1.0 + eps[a]) * s[n - 1][:, a],
+                     (1.0 - eps[a]) * s[n - 1][:, a] - s[mat][:, a]]
+        paths = np.tile(np.arange(self.market.instance.n_paths), len(cols))
+        return paths, np.concatenate(cols), np.concatenate(vals)
 
     def extract_legs(self, x: np.ndarray) -> tuple[DynamicLeg, ...]:
         market = self.market
@@ -278,12 +268,12 @@ def _build_superhedge(market: Market, table: np.ndarray,
     m_var, g_vars, _ = _add_static_leg_columns(builder, market.instance)
     columns = _StrategyColumns(builder, market, force_frictional=force_frictional)
     _superreplication_rows(builder, market.instance, table, m_var, g_vars,
-                           extra_coeffs=columns.path_coefficients)
+                           extra=columns.path_coefficients())
     return builder, m_var, g_vars, columns
 
 
 def _strategy_from_vector(x: np.ndarray, m_var, g_vars, columns) -> SemiStaticStrategy:
-    g = tuple(np.array([x[v] for v in leg]) for leg in g_vars)
+    g = tuple(x[ids] for ids in g_vars)
     return SemiStaticStrategy(m=float(x[m_var]), g=g, legs=columns.extract_legs(x))
 
 
@@ -294,7 +284,11 @@ def superhedge_dual(market: Market, payoff: Payoff,
     Unbounded means a uniform arbitrage exists; the improving ray is
     returned as a strategy-space direction.
     """
-    table = payoff.table_for(market.instance)
+    return _superhedge(market, payoff.table_for(market.instance), force_frictional)
+
+
+def _superhedge(market: Market, table: np.ndarray,
+                force_frictional: bool = False) -> SuperhedgeResult:
     builder, m_var, g_vars, columns = _build_superhedge(
         market, table, force_frictional=force_frictional)
     sol = solve(builder.build())
@@ -324,36 +318,32 @@ def _mot_primal_builder(market: Market, table: np.ndarray) -> LpBuilder:
     for a in range(market.d):
         e = market.epsilons[a]
         if e == 0.0:
+            # one martingale row per prefix of every length n < T
             for n in range(t_horizon):
-                pid = instance.prefix_ids(n)
-                delta = s[n + 1][:, a] - s[n][:, a]
-                for p in range(instance.n_prefixes(n)):
-                    members = np.flatnonzero(pid == p)
-                    coeffs = [(path_vars[i], float(delta[i])) for i in members
-                              if delta[i] != 0.0]
-                    builder.add_row(coeffs, "=", 0.0, f"mart[{a},{n},{p}]")
+                builder.add_rows(instance.prefix_ids(n), path_vars, s[n + 1][:, a] - s[n][:, a],
+                                 "=", np.zeros(instance.n_prefixes(n)))
         else:
             for mat in range(1, t_horizon + 1):
                 for n in range(mat):
+                    # the ask row (2p) and the bid row (2p + 1) of every prefix p
                     pid = instance.prefix_ids(n)
-                    up = s[mat][:, a] - (1.0 + e) * s[n][:, a]
-                    dn = (1.0 - e) * s[n][:, a] - s[mat][:, a]
-                    for p in range(instance.n_prefixes(n)):
-                        members = np.flatnonzero(pid == p)
-                        builder.add_row([(path_vars[i], float(up[i])) for i in members],
-                                        "<=", 0.0, f"ask[{a},{mat},{n},{p}]")
-                        builder.add_row([(path_vars[i], float(dn[i])) for i in members],
-                                        "<=", 0.0, f"bid[{a},{mat},{n},{p}]")
+                    builder.add_rows(np.concatenate([2 * pid, 2 * pid + 1]),
+                                     np.concatenate([path_vars, path_vars]),
+                                     np.concatenate([s[mat][:, a] - (1.0 + e) * s[n][:, a],
+                                                     (1.0 - e) * s[n][:, a] - s[mat][:, a]]),
+                                     "<=", np.zeros(2 * instance.n_prefixes(n)))
     return builder
 
 
 def primal_mot(market: Market, payoff: Payoff) -> MotPrimalResult:
     """Maximize <f, mu> over marginal-feasible couplings that price the
     underlying consistently (martingale when eps = 0, bid-ask bands else)."""
+    return _primal_mot(market, payoff.table_for(market.instance))
+
+
+def _primal_mot(market: Market, table: np.ndarray) -> MotPrimalResult:
     instance = market.instance
-    table = payoff.table_for(instance)
-    builder = _mot_primal_builder(market, table)
-    sol = solve(builder.build())
+    sol = solve(_mot_primal_builder(market, table).build())
     if sol.status == "optimal":
         return MotPrimalResult("optimal", sol.value,
                                Coupling(instance, sol.x[: instance.n_paths]))
@@ -412,23 +402,30 @@ class ArbitrageVerdict:
         return self.kind != "no_arbitrage"
 
 
+def _constant_table(market: Market, value: float) -> np.ndarray:
+    return Payoff.constant(value, market.instance).table
+
+
+def _witness(result: SuperhedgeResult) -> SemiStaticStrategy | None:
+    return result.ray if result.status == "unbounded" else result.strategy
+
+
+def _verdict(ua: SuperhedgeResult, strict) -> ArbitrageVerdict:
+    """The verdict from superhedge(0) and superhedge(1); `strict()` gives
+    the latter and is called only when there is no uniform arbitrage."""
+    if ua.status == "unbounded" or ua.value < -ARBITRAGE_TOL:
+        return ArbitrageVerdict("uniform", _witness(ua), ua.value, -np.inf)
+    mia = strict()
+    if mia.status == "unbounded" or mia.value <= ARBITRAGE_TOL:
+        return ArbitrageVerdict("model_independent", _witness(mia), ua.value, mia.value)
+    return ArbitrageVerdict("no_arbitrage", None, ua.value, mia.value)
+
+
 def classify_arbitrage(market: Market) -> ArbitrageVerdict:
     """Uniform arbitrage first (cost < 0, outcome >= 0), then the
     model-independent surrogate (cost <= 0, outcome >= 1)."""
-    instance = market.instance
-    zero = Payoff.constant(0.0, instance)
-    ua = superhedge_dual(market, zero)
-    if ua.status == "unbounded" or ua.value < -ARBITRAGE_TOL:
-        witness = ua.ray if ua.status == "unbounded" else ua.strategy
-        return ArbitrageVerdict("uniform", witness, -np.inf if ua.status == "unbounded"
-                                else ua.value, -np.inf)
-    one = Payoff.constant(1.0, instance)
-    mia = superhedge_dual(market, one)
-    if mia.status == "unbounded" or mia.value <= ARBITRAGE_TOL:
-        witness = mia.ray if mia.status == "unbounded" else mia.strategy
-        return ArbitrageVerdict("model_independent", witness, ua.value,
-                                -np.inf if mia.status == "unbounded" else mia.value)
-    return ArbitrageVerdict("no_arbitrage", None, ua.value, mia.value)
+    return _verdict(_superhedge(market, _constant_table(market, 0.0)),
+                    lambda: _superhedge(market, _constant_table(market, 1.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,22 +440,20 @@ class FtapReport:
     witness: SemiStaticStrategy | None
 
 
-def ftap_check(market: Market) -> FtapReport:
-    """Evaluate the three no-arbitrage conditions independently and flag
-    any disagreement (each is checked by its own LP)."""
-    instance = market.instance
-    ua = superhedge_dual(market, Payoff.constant(0.0, instance))
-    mia = superhedge_dual(market, Payoff.constant(1.0, instance))
-    feas = primal_mot(market, Payoff.constant(0.0, instance))
-    no_uniform = ua.status == "optimal" and ua.value >= -ARBITRAGE_TOL
+def _arbitrage_reports(market: Market) -> tuple[ArbitrageVerdict, FtapReport]:
+    """The verdict of classify_arbitrage and the report of ftap_check, from
+    one solve each of superhedge(0), superhedge(1) and the zero-payoff
+    martingale primal."""
+    zero = _constant_table(market, 0.0)
+    ua = _superhedge(market, zero)
+    mia = _superhedge(market, _constant_table(market, 1.0))
+    feas = _primal_mot(market, zero)
+    verdict = _verdict(ua, lambda: mia)
+    no_uniform = verdict.kind != "uniform"
     no_mia = mia.status == "optimal" and mia.value > ARBITRAGE_TOL
     nonempty = feas.status == "optimal"
-    witness = None
-    if not no_uniform:
-        witness = ua.ray if ua.status == "unbounded" else ua.strategy
-    elif not no_mia:
-        witness = mia.ray if mia.status == "unbounded" else mia.strategy
-    return FtapReport(
+    # the verdict's witness is that of the first condition to fail
+    return verdict, FtapReport(
         no_model_independent=no_mia,
         no_uniform=no_uniform,
         martingale_set_nonempty=nonempty,
@@ -466,19 +461,30 @@ def ftap_check(market: Market) -> FtapReport:
         uniform_value=ua.value,
         strict_value=mia.value,
         coupling=feas.coupling,
-        witness=witness,
+        witness=verdict.strategy,
     )
+
+
+def ftap_check(market: Market) -> FtapReport:
+    """Evaluate the three no-arbitrage conditions independently and flag
+    any disagreement (each is checked by its own LP)."""
+    return _arbitrage_reports(market)[1]
 
 
 def superhedging_duality_report(market: Market, payoff: Payoff) -> DualityReport:
     """Primal martingale value vs superhedging cost; requires no arbitrage."""
-    primal = primal_mot(market, payoff)
-    dual = superhedge_dual(market, payoff)
+    table = payoff.table_for(market.instance)
+    return _duality_report(market, table, _primal_mot(market, table),
+                           _superhedge(market, table))
+
+
+def _duality_report(market: Market, table: np.ndarray, primal: MotPrimalResult,
+                    dual: SuperhedgeResult) -> DualityReport:
+    """superhedging_duality_report from the two solves of the payoff table."""
     if primal.status != "optimal" or dual.status != "optimal":
         raise ValueError(
             "superhedging duality needs an arbitrage-free market "
             f"(primal {primal.status}, dual {dual.status})")
-    table = payoff.table_for(market.instance)
     outcome = dual.strategy.outcome(market)
     residuals = {
         "superreplication_min": float((outcome - table).min()),

@@ -73,81 +73,69 @@ class DualityReport:
 # ---------------------------------------------------------------------------
 
 def _add_path_variables(builder: LpBuilder, instance: Instance,
-                        objective: np.ndarray) -> list[int]:
-    return [builder.add_variable(f"mu[{i}]", lower=0.0, objective=float(objective[i]))
-            for i in range(instance.n_paths)]
+                        objective: np.ndarray) -> np.ndarray:
+    return builder.add_variables(instance.n_paths, objective=objective)
 
 
 def _add_marginal_rows(builder: LpBuilder, instance: Instance,
-                       path_vars: list[int]) -> None:
-    """Marginal constraints on the coupling; hull marginals get mixture
-    variables lambda over the vertices."""
+                       path_vars: np.ndarray) -> None:
+    """Marginal constraints on the coupling, one row per axis point; hull
+    marginals get mixture variables lambda over the vertices."""
     indices = instance.point_indices()
+    ones = np.ones(indices.shape[1])
     for pos, constraint in enumerate(instance.constraints):
-        axis = instance.axes[pos]
         if constraint.is_exact:
-            nu = constraint.measures[0].weights
-            for j in range(axis.npoints):
-                coeffs = [(path_vars[i], 1.0) for i in np.flatnonzero(indices[pos] == j)]
-                builder.add_row(coeffs, "=", float(nu[j]), f"marg[{axis.index},{j}]")
-        else:
-            lams = [builder.add_variable(f"lam[{axis.index},{k}]", lower=0.0)
-                    for k in range(len(constraint.measures))]
-            for j in range(axis.npoints):
-                coeffs = [(path_vars[i], 1.0) for i in np.flatnonzero(indices[pos] == j)]
-                coeffs += [(lams[k], -float(constraint.measures[k].weights[j]))
-                           for k in range(len(lams))]
-                builder.add_row(coeffs, "=", 0.0, f"marg[{axis.index},{j}]")
-            builder.add_row([(l, 1.0) for l in lams], "=", 1.0, f"simplex[{axis.index}]")
+            builder.add_rows(indices[pos], path_vars, ones, "=",
+                             constraint.measures[0].weights)
+            continue
+        npts, k = instance.axes[pos].npoints, len(constraint.measures)
+        lams = builder.add_variables(k)
+        # row j: sum of the paths through point j - sum_k lambda_k nu_k(j) = 0
+        builder.add_rows(np.concatenate([indices[pos], np.repeat(np.arange(npts), k)]),
+                         np.concatenate([path_vars, np.tile(lams, npts)]),
+                         np.concatenate([ones, -constraint.vertex_matrix.T.ravel()]),
+                         "=", np.zeros(npts))
+        builder.add_row([(lam, 1.0) for lam in lams], "=", 1.0)
 
 
 def _add_static_leg_columns(builder: LpBuilder, instance: Instance):
     """Cash m plus per-axis legs g_n >= 0 priced at the sublinear price.
 
-    Returns (m_var, g_vars, epigraph_rows) where epigraph_rows[pos] is the
-    list of epigraph row ids for hull axes (None for exact axes); their
-    duals are the hull mixture weights.
+    Returns (m_var, g_vars, epigraph_rows) where g_vars[pos] holds the ids
+    of the legs on axis pos, and epigraph_rows[pos] the epigraph row ids for
+    hull axes (None for exact axes); their duals are the hull mixture
+    weights.
     """
-    m_var = builder.add_variable("m", lower=-np.inf, objective=1.0)
-    g_vars: list[list[int]] = []
+    m_var = builder.add_variable(lower=-np.inf, objective=1.0)
+    g_vars: list[np.ndarray] = []
     epigraph_rows: list[list[int] | None] = []
     for pos, constraint in enumerate(instance.constraints):
-        axis = instance.axes[pos]
+        npts = instance.axes[pos].npoints
         if constraint.is_exact:
-            nu = constraint.measures[0].weights
-            g_vars.append([builder.add_variable(f"g[{axis.index},{j}]", lower=0.0,
-                                                objective=float(nu[j]))
-                           for j in range(axis.npoints)])
+            g_vars.append(builder.add_variables(npts, objective=constraint.measures[0].weights))
             epigraph_rows.append(None)
         else:
-            t_var = builder.add_variable(f"t[{axis.index}]", lower=-np.inf, objective=1.0)
-            g_here = [builder.add_variable(f"g[{axis.index},{j}]", lower=0.0)
-                      for j in range(axis.npoints)]
-            rows = []
-            for k, nu in enumerate(constraint.measures):
-                coeffs = [(t_var, 1.0)] + [(g_here[j], -float(nu.weights[j]))
-                                           for j in range(axis.npoints)]
-                rows.append(builder.add_row(coeffs, ">=", 0.0,
-                                            f"epi[{axis.index},{k}]"))
-            g_vars.append(g_here)
-            epigraph_rows.append(rows)
+            t_var = builder.add_variable(lower=-np.inf, objective=1.0)
+            g_vars.append(builder.add_variables(npts))
+            epigraph_rows.append([
+                builder.add_row([(t_var, 1.0), *zip(g_vars[-1], -nu.weights)], ">=", 0.0)
+                for nu in constraint.measures])
     return m_var, g_vars, epigraph_rows
 
 
 def _superreplication_rows(builder: LpBuilder, instance: Instance, table: np.ndarray,
-                           m_var: int, g_vars: list[list[int]],
-                           extra_coeffs=None) -> list[int]:
-    """One row per path: m + sum_n g_n(x_n) + extra >= f(x)."""
+                           m_var: int, g_vars: list[np.ndarray], extra=None) -> None:
+    """One row per path: m + sum_n g_n(x_n) + extra >= f(x), where `extra`
+    is None or the (path, column, value) triplets of further terms."""
     indices = instance.point_indices()
-    rows = []
-    for i in range(instance.n_paths):
-        coeffs = [(m_var, 1.0)]
-        for pos in range(instance.horizon):
-            coeffs.append((g_vars[pos][indices[pos, i]], 1.0))
-        if extra_coeffs is not None:
-            coeffs.extend(extra_coeffs(i))
-        rows.append(builder.add_row(coeffs, ">=", float(table[i]), f"path[{i}]"))
-    return rows
+    n_paths = indices.shape[1]
+    rows = np.tile(np.arange(n_paths), instance.horizon + 1)
+    cols = np.concatenate([np.full(n_paths, m_var)] + [g_vars[pos][indices[pos]]
+                                                       for pos in range(instance.horizon)])
+    vals = np.ones(cols.size)
+    if extra is not None:
+        rows, cols, vals = (np.concatenate(pair) for pair in zip((rows, cols, vals), extra))
+    builder.add_rows(rows, cols, vals, ">=", table)
 
 
 # ---------------------------------------------------------------------------
@@ -161,38 +149,41 @@ def _primal_builder(instance: Instance, table: np.ndarray) -> LpBuilder:
     return builder
 
 
-def primal_transport(instance: Instance, payoff: Payoff) -> tuple[float, Coupling]:
-    """Maximize <f, mu> over the feasible couplings; returns an attaining one."""
-    table = payoff.table_for(instance)
-    builder = _primal_builder(instance, table)
-    sol = solve(builder.build())
+def _primal_transport(instance: Instance, table: np.ndarray) -> tuple[float, Coupling]:
+    sol = solve(_primal_builder(instance, table).build())
     if sol.status != "optimal":
         raise LpError(f"transport primal unexpectedly {sol.status}")
-    coupling = Coupling(instance, sol.x[: instance.n_paths])
-    return sol.value, coupling
+    return sol.value, Coupling(instance, sol.x[: instance.n_paths])
 
 
-def dual_transport(instance: Instance, payoff: Payoff) -> TransportDualSolution:
-    """Cheapest cash-plus-static superreplication of the payoff."""
-    table = payoff.table_for(instance)
+def primal_transport(instance: Instance, payoff: Payoff) -> tuple[float, Coupling]:
+    """Maximize <f, mu> over the feasible couplings; returns an attaining one."""
+    return _primal_transport(instance, payoff.table_for(instance))
+
+
+def _dual_transport(instance: Instance, table: np.ndarray) -> TransportDualSolution:
     builder = LpBuilder("min")
     m_var, g_vars, epigraph_rows = _add_static_leg_columns(builder, instance)
     _superreplication_rows(builder, instance, table, m_var, g_vars)
     sol = solve(builder.build())
     if sol.status != "optimal":
         raise LpError(f"transport dual unexpectedly {sol.status}")
-    g = tuple(np.array([sol.x[v] for v in g_vars[pos]])
-              for pos in range(instance.horizon))
     mixtures = []
-    for pos, rows in enumerate(epigraph_rows):
+    for rows in epigraph_rows:
         if rows is None:
             mixtures.append(np.array([1.0]))
         else:
-            lam = np.maximum(np.array([sol.duals[r] for r in rows]), 0.0)
+            lam = np.maximum(sol.duals[rows], 0.0)
             total = lam.sum()
             mixtures.append(lam / total if total > 0 else lam)
     return TransportDualSolution(value=sol.value, m=float(sol.x[m_var]),
-                                 g=g, mixtures=tuple(mixtures))
+                                 g=tuple(sol.x[ids] for ids in g_vars),
+                                 mixtures=tuple(mixtures))
+
+
+def dual_transport(instance: Instance, payoff: Payoff) -> TransportDualSolution:
+    """Cheapest cash-plus-static superreplication of the payoff."""
+    return _dual_transport(instance, payoff.table_for(instance))
 
 
 def dual_equivalent_split(instance: Instance, payoff: Payoff) -> float:
@@ -205,24 +196,15 @@ def dual_equivalent_split(instance: Instance, payoff: Payoff) -> float:
     table = payoff.table_for(instance)
     builder = LpBuilder("min")
     indices = instance.point_indices()
-    g1 = []
-    g2 = []
+    cols, vals = [], []
     for pos, constraint in enumerate(instance.constraints):
-        axis = instance.axes[pos]
         nu = constraint.measures[0].weights
-        g1.append([builder.add_variable(f"g1[{axis.index},{j}]", lower=0.0,
-                                        objective=float(nu[j]))
-                   for j in range(axis.npoints)])
-        g2.append([builder.add_variable(f"g2[{axis.index},{j}]", lower=0.0,
-                                        objective=-float(nu[j]))
-                   for j in range(axis.npoints)])
-    for i in range(instance.n_paths):
-        coeffs = []
-        for pos in range(instance.horizon):
-            j = indices[pos, i]
-            coeffs.append((g1[pos][j], 1.0))
-            coeffs.append((g2[pos][j], -1.0))
-        builder.add_row(coeffs, ">=", float(table[i]), f"path[{i}]")
+        g1 = builder.add_variables(nu.size, objective=nu)
+        g2 = builder.add_variables(nu.size, objective=-nu)
+        cols += [g1[indices[pos]], g2[indices[pos]]]
+        vals += [np.ones(instance.n_paths), -np.ones(instance.n_paths)]
+    builder.add_rows(np.tile(np.arange(instance.n_paths), len(cols)), np.concatenate(cols),
+                     np.concatenate(vals), ">=", table)
     sol = solve(builder.build())
     if sol.status != "optimal":
         raise LpError(f"split dual unexpectedly {sol.status}")
@@ -263,21 +245,16 @@ def _separation_value(constraint: MarginalConstraint, mu_weights: np.ndarray):
         nu = constraint.measures[0].weights
         g = (mu_weights > nu).astype(float)
         return float(np.maximum(mu_weights - nu, 0.0).sum()), g
-    npts = constraint.axis.npoints
     builder = LpBuilder("max")
-    g_vars = [builder.add_variable(f"g[{j}]", lower=0.0, upper=1.0,
-                                   objective=float(mu_weights[j]))
-              for j in range(npts)]
-    t_var = builder.add_variable("t", lower=-np.inf, objective=-1.0)
+    g_vars = builder.add_variables(constraint.axis.npoints, lower=0.0, upper=1.0,
+                                   objective=mu_weights)
+    t_var = builder.add_variable(lower=-np.inf, objective=-1.0)
     for nu in constraint.measures:
-        coeffs = [(t_var, 1.0)] + [(g_vars[j], -float(nu.weights[j]))
-                                   for j in range(npts)]
-        builder.add_row(coeffs, ">=", 0.0)
+        builder.add_row([(t_var, 1.0), *zip(g_vars, -nu.weights)], ">=", 0.0)
     sol = solve(builder.build())
     if sol.status != "optimal":
         raise LpError(f"separation LP unexpectedly {sol.status}")
-    g = np.array([sol.x[v] for v in g_vars])
-    return sol.value, g
+    return sol.value, sol.x[g_vars]
 
 
 def conjugate_membership(instance: Instance, mu: Coupling,
@@ -361,8 +338,8 @@ def functional_properties_check(instance: Instance, trials: int,
 def duality_report(instance: Instance, payoff: Payoff) -> DualityReport:
     """Primal and dual values side by side with certificate residuals."""
     table = payoff.table_for(instance)
-    primal_value, coupling = primal_transport(instance, payoff)
-    dual = dual_transport(instance, payoff)
+    primal_value, coupling = _primal_transport(instance, table)
+    dual = _dual_transport(instance, table)
     indices = instance.point_indices()
     static = dual.m + sum(dual.g[pos][indices[pos]] for pos in range(instance.horizon))
     superrep = float((static - table).min())

@@ -247,3 +247,69 @@ def hull_membership_exact(vertices, target) -> bool:
         if _feasible(rows, lam):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# path-by-path LP assembly: the reference the triplet assembly must match
+# ---------------------------------------------------------------------------
+
+def loop_superhedge_path_rows(market, n_variables, m_var, g_vars, columns) -> np.ndarray:
+    """The superreplication rows of the superhedge LP, one path at a time,
+    in the column order of the built LP (its epigraph rows come first)."""
+    inst = market.instance
+    idx = inst.point_indices()
+    s = market.price_paths()
+    a = np.zeros((inst.n_paths, n_variables))
+    for i in range(inst.n_paths):
+        a[i, m_var] = 1.0
+        for pos in range(inst.horizon):
+            a[i, g_vars[pos][idx[pos, i]]] = 1.0
+        for (k, n), ids in columns.h_vars.items():
+            a[i, ids[inst.prefix_ids(n - 1)[i]]] = s[n][i, k] - s[n - 1][i, k]
+        for (k, mat, n), (buys, sells) in columns.trade_vars.items():
+            e = market.epsilons[k]
+            p = inst.prefix_ids(n - 1)[i]
+            a[i, buys[p]] = s[mat][i, k] - (1.0 + e) * s[n - 1][i, k]
+            a[i, sells[p]] = (1.0 - e) * s[n - 1][i, k] - s[mat][i, k]
+    return a
+
+
+def loop_mot_primal_matrix(market, n_variables) -> np.ndarray:
+    """Constraint matrix of the martingale primal, one row at a time: the
+    marginal rows of each axis (hull axes add lambda columns after the
+    paths and a simplex row), then per asset the martingale rows, or the
+    ask and bid rows of every prefix."""
+    inst = market.instance
+    idx = inst.point_indices()
+    s = market.price_paths()
+    rows = []
+
+    def row(cols, values):
+        r = np.zeros(n_variables)
+        r[cols] = values
+        rows.append(r)
+
+    next_col = inst.n_paths
+    for pos, con in enumerate(inst.constraints):
+        lams = [] if con.is_exact else list(range(next_col, next_col + len(con.measures)))
+        next_col += len(lams)
+        for j in range(inst.axes[pos].npoints):
+            members = list(np.flatnonzero(idx[pos] == j))
+            weights = [-nu.weights[j] for nu in con.measures] if lams else []
+            row(members + lams, [1.0] * len(members) + weights)
+        if lams:
+            row(lams, 1.0)
+    for k in range(market.d):
+        e = market.epsilons[k]
+        steps = ([(n + 1, n) for n in range(inst.horizon)] if e == 0.0 else
+                 [(mat, n) for mat in range(1, inst.horizon + 1) for n in range(mat)])
+        for mat, n in steps:
+            pid = inst.prefix_ids(n)
+            for p in range(inst.n_prefixes(n)):
+                members = np.flatnonzero(pid == p)
+                if e == 0.0:
+                    row(members, s[mat][members, k] - s[n][members, k])
+                else:
+                    row(members, s[mat][members, k] - (1.0 + e) * s[n][members, k])
+                    row(members, (1.0 - e) * s[n][members, k] - s[mat][members, k])
+    return np.array(rows)

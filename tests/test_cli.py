@@ -1,16 +1,50 @@
 """CLI surface: exit codes, result documents, determinism, MPS dumps."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import motkit
+from motkit import lp as lp_module
 from motkit.cli import main
+from motkit.model import Payoff
 
 
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Counts solve() calls at every motkit binding of it, LpBuilder
+    constructions and payoff expansions."""
+    counts = Counter()
+    originals = {"solve": lp_module.solve, "builders": lp_module.LpBuilder.__init__,
+                 "expansions": Payoff.table_for}
+
+    def counting(key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return originals[key](*args, **kwargs)
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "motkit" and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is originals["solve"]:
+                    monkeypatch.setattr(module, attr, counting("solve"))
+    monkeypatch.setattr(lp_module.LpBuilder, "__init__", counting("builders"))
+    monkeypatch.setattr(Payoff, "table_for", counting("expansions"))
+    return counts
 
 
 def _straddle_market_doc(s0=1.0, epsilons=0.0, with_payoff=True):
@@ -83,6 +117,112 @@ class TestCounterexample:
     def test_bad_depth_is_input_error(self, runner):
         result = runner.invoke(main, ["counterexample", "--depth", "0"])
         assert result.exit_code == 1
+
+
+def _spot_mismatch_doc():
+    """Spot 0.9 below the barycenter 1 of the only marginal: uniform arbitrage."""
+    return {**_straddle_market_doc(s0=0.9, with_payoff=False),
+            "axes": [{"index": 1, "points": [[0.0], [2.0]]}],
+            "constraints": [{"kind": "exact", "weights": [0.5, 0.5]}]}
+
+
+def _mixed_market_doc():
+    """Two assets over two dates, one with costs, and a hull marginal."""
+    return {
+        "version": 1,
+        "axes": [{"index": 1, "points": [[1.0, 2.0]]},
+                 {"index": 2, "points": [[0.5, 1.0], [1.5, 3.0], [1.0, 2.0]]}],
+        "constraints": [{"kind": "exact", "weights": [1.0]},
+                        {"kind": "convex_hull",
+                         "weights": [[0.25, 0.25, 0.5], [0.5, 0.5, 0.0]]}],
+        "market": {"s0": [1.0, 2.0], "epsilons": [0.05, 0.0]},
+        "payoff": {"kind": "dense", "table": [0.5, 1.0, 0.0]},
+    }
+
+
+class TestSolveCounts:
+    @pytest.mark.parametrize("command, solves, expansions", [
+        ("solve-mot", 2, 1), ("check-arbitrage", 3, 0), ("verify-duality", 2, 1)])
+    def test_each_lp_solved_once(self, runner, tmp_path, lp_calls, command, solves,
+                                 expansions):
+        path = _write(tmp_path, "mot.json", _straddle_market_doc())
+        result = runner.invoke(main, [command, "-i", path])
+        assert result.exit_code == 0, result.output
+        assert lp_calls["solve"] == solves
+        assert lp_calls["builders"] == solves
+        assert lp_calls["expansions"] == expansions
+
+    def test_uniform_arbitrage_still_three_solves(self, runner, tmp_path, lp_calls):
+        path = _write(tmp_path, "arb.json", _spot_mismatch_doc())
+        result = runner.invoke(main, ["check-arbitrage", "-i", path])
+        assert result.exit_code == 2
+        assert json.loads(result.output)["values"]["verdict"] == "uniform"
+        assert lp_calls["solve"] == lp_calls["builders"] == 3
+
+
+class TestDumpLp:
+    # sha256 of the MPS text: the transport primal, the MOT primal, superhedge(0)
+    DIGESTS = {
+        "transport": "3f3ada6ddb6f7cc784c0b1bf79f6b5042cba2c016a92f5501b836c89895d5044",
+        "mot": "c687a998da53d46e97ff65d38edca2949db224a557cafa0c3522803277a61db9",
+        "superhedge": "65668a424b0468a5d6e90f559b638db6a16d688a9b6515bdbcdc67df0b3f668e",
+    }
+
+    @pytest.mark.parametrize("command, market, lp, solves", [
+        ("solve-transport", False, "transport", 2), ("verify-duality", False, "transport", 2),
+        ("solve-mot", True, "mot", 2), ("check-arbitrage", True, "superhedge", 3),
+        ("verify-duality", True, "mot", 2)])
+    def test_dump_is_the_pinned_lp_and_costs_a_builder_only_when_asked(
+            self, runner, tmp_path, lp_calls, command, market, lp, solves):
+        doc = _mixed_market_doc()
+        if not market:
+            doc.pop("market")
+        path = _write(tmp_path, "doc.json", doc)
+        plain = runner.invoke(main, [command, "-i", path])
+        assert plain.exit_code == 0, plain.output
+        assert lp_calls["builders"] == lp_calls["solve"] >= solves
+        built = lp_calls["builders"]
+        dump = tmp_path / "dump.mps"
+        dumped = runner.invoke(main, [command, "-i", path, "--dump-lp", str(dump)])
+        assert dumped.exit_code == 0, dumped.output
+        assert _payload_without_meta(dumped.output) == _payload_without_meta(plain.output)
+        assert lp_calls["builders"] == 2 * built + 1
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == self.DIGESTS[lp]
+
+
+class TestPivotRuleScope:
+    @pytest.mark.parametrize("command, doc, code", [
+        ("solve-transport", _transport_doc(), 0),
+        ("check-arbitrage", _spot_mismatch_doc(), 2)])
+    def test_document_rule_ends_with_its_command(self, runner, tmp_path, monkeypatch,
+                                                 command, doc, code):
+        rules = []
+        run_simplex = lp_module._run_simplex
+
+        def recording(tableau, basis, allowed, pivot_rule, *rest):
+            rules.append(pivot_rule)
+            return run_simplex(tableau, basis, allowed, pivot_rule, *rest)
+
+        monkeypatch.setattr(lp_module, "_run_simplex", recording)
+        path = _write(tmp_path, "bland.json", {**doc, "options": {"pivot_rule": "bland"}})
+        result = runner.invoke(main, [command, "-i", path])
+        assert result.exit_code == code, result.output
+        assert rules and set(rules) == {"bland"}
+        rules.clear()
+        lp = lp_module.LinearProgram("min", np.array([1.0]), np.array([0.0]),
+                                     np.array([np.inf]), np.array([[1.0]]), (">=",),
+                                     np.array([2.0]))
+        assert lp_module.solve(lp).value == pytest.approx(2.0)
+        assert rules and set(rules) == {"dantzig"}
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(motkit.__file__).resolve().parent.parent)
+    code = ("import sys, motkit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestSolveTransport:

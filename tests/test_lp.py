@@ -247,7 +247,7 @@ class TestDeterminismAndScaling:
 class TestBuilderAndMps:
     def test_builder_accumulates_duplicates(self):
         b = LpBuilder("min")
-        x = b.add_variable("x", objective=1.0)
+        x = b.add_variable(objective=1.0)
         b.add_row([(x, 1.0), (x, 1.0)], ">=", 2.0)
         lp = b.build()
         assert lp.a[0, x] == 2.0

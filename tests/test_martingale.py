@@ -5,7 +5,10 @@ import pytest
 
 from motkit.martingale import (
     Market,
+    _arbitrage_reports,
     _build_superhedge,
+    _duality_report,
+    _mot_primal_builder,
     classify_arbitrage,
     feasibility_residual,
     frictionless_limit_check,
@@ -24,7 +27,13 @@ from motkit.model import (
 )
 from motkit.transport import dual_transport
 
-from generators import arbitrage_free_market, random_market, random_payoff_table
+from generators import (
+    arbitrage_free_market,
+    binomial_market,
+    random_market,
+    random_payoff_table,
+)
+from oracles import loop_mot_primal_matrix, loop_superhedge_path_rows
 
 GAP_TOL = 1e-7
 
@@ -163,6 +172,67 @@ class TestFtap:
         report = ftap_check(market)
         assert report.equivalent
         assert report.martingale_set_nonempty
+
+
+class TestTripletAssembly:
+    def test_matrices_equal_path_by_path_assembly(self):
+        rng = np.random.default_rng(8)
+        for trial in range(12):
+            d = 2 if trial % 3 == 0 else 1
+            market = binomial_market(rng, horizon=2 if d == 2 else 1 + trial % 4, d=d,
+                                     epsilons=[[0.05, 0.0], [0.1], [0.0]][trial % 3],
+                                     hull_prob=0.5 if trial % 2 else 0.0)
+            table = random_payoff_table(rng, market.instance)
+            for forced in (False, True):
+                builder, m_var, g_vars, columns = _build_superhedge(market, table, forced)
+                lp = builder.build()
+                expected = loop_superhedge_path_rows(market, lp.n_variables, m_var, g_vars,
+                                                     columns)
+                assert np.array_equal(lp.a[-market.instance.n_paths:], expected)
+            lp = _mot_primal_builder(market, table).build()
+            assert np.array_equal(lp.a, loop_mot_primal_matrix(market, lp.n_variables))
+            assert np.array_equal(lp.objective[: market.instance.n_paths], table)
+
+
+class TestSharedSolves:
+    """The commands read every report off one solve per LP; fresh solves of
+    each LP, one public call apiece, are the oracle."""
+
+    def test_reports_equal_fresh_solves(self):
+        rng = np.random.default_rng(5)
+        for trial in range(12):
+            eps = [0.0, 0.01, 0.1][trial % 3]
+            d = 2 if trial % 4 == 0 else 1
+            if trial % 2 == 0:
+                market = arbitrage_free_market(rng, horizon=2, d=d, epsilons=np.full(d, eps),
+                                               hull_prob=0.4 if trial % 6 == 0 else 0.0)
+            else:
+                market = random_market(rng, horizon=2, d=d, epsilons=np.full(d, eps))
+            zero = Payoff.constant(0.0, market.instance)
+            ua = superhedge_dual(market, zero)
+            mia = superhedge_dual(market, Payoff.constant(1.0, market.instance))
+            feas = primal_mot(market, zero)
+            verdict, ftap = _arbitrage_reports(market)
+            assert (ftap.uniform_value, ftap.strict_value) == (ua.value, mia.value)
+            assert ftap.martingale_set_nonempty == (feas.status == "optimal")
+            if feas.coupling is not None:
+                assert np.array_equal(ftap.coupling.weights, feas.coupling.weights)
+            alone = classify_arbitrage(market)
+            assert (verdict.kind, verdict.uniform_value, verdict.strict_value) == (
+                alone.kind, alone.uniform_value, alone.strict_value)
+            if trial % 2 == 1:
+                continue
+            table = random_payoff_table(rng, market.instance)
+            primal = primal_mot(market, Payoff.dense(table))
+            dual = superhedge_dual(market, Payoff.dense(table))
+            report = _duality_report(market, table, primal, dual)
+            assert (report.primal_value, report.dual_value) == (primal.value, dual.value)
+            fresh = superhedging_duality_report(market, Payoff.dense(table))
+            assert (fresh.primal_value, fresh.dual_value) == (primal.value, dual.value)
+            assert fresh.residuals == report.residuals
+            assert np.array_equal(fresh.coupling.weights, report.coupling.weights)
+            assert fresh.dual.m == report.dual.m
+            assert all(np.array_equal(a, b) for a, b in zip(fresh.dual.g, report.dual.g))
 
 
 class TestSuperhedgingDuality:
