@@ -22,7 +22,6 @@ from .model import (
     marginal_of,
     sublinear_price,
     tightness_certificate,
-    translation_check,
 )
 from .lp import (
     LinearProgram,
@@ -39,7 +38,6 @@ from .transport import (
     DualityReport,
     TransportDualSolution,
     conjugate_membership,
-    dual_equivalent_split,
     dual_transport,
     duality_report,
     functional_properties_check,
@@ -47,6 +45,7 @@ from .transport import (
     verify_representation,
 )
 from .martingale import (
+    ArbitrageError,
     ArbitrageVerdict,
     FtapReport,
     Market,

@@ -25,13 +25,12 @@ from .documents import (
 )
 from .lp import PIVOT_RULE, write_mps
 from .martingale import (
+    ArbitrageError,
     _arbitrage_reports,
     _build_superhedge,
     _constant_table,
-    _duality_report,
     _mot_primal_builder,
-    _primal_mot,
-    _superhedge,
+    superhedging_duality_report,
 )
 from .transport import _primal_builder, duality_report
 
@@ -57,26 +56,16 @@ def _load_document(path: str):
     return doc
 
 
-def _need_payoff(doc):
-    if doc.payoff is None:
-        _fail("document has no payoff block")
-    return doc.payoff
-
-
-def _need_market(doc):
-    if doc.market is None:
-        _fail("document has no market block")
-    return doc.market
+def _need(doc, block: str):
+    if getattr(doc, block) is None:
+        _fail(f"document has no {block} block")
+    return getattr(doc, block)
 
 
 def _render_table(values: dict, residuals: dict) -> str:
     width = max(len(k) for k in list(values) + list(residuals))
-    lines = []
-    for k, v in values.items():
-        lines.append(f"{k:<{width}}  {v}")
-    lines.append("-" * (width + 2))
-    for k, v in residuals.items():
-        lines.append(f"{k:<{width}}  {v}")
+    lines = [f"{k:<{width}}  {v}" for k, v in values.items()] + ["-" * (width + 2)]
+    lines += [f"{k:<{width}}  {v}" for k, v in residuals.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -89,16 +78,27 @@ def _emit(command, status, values, optimizers, residuals, started, output, fmt):
     write_output(text, output)
 
 
-def _maybe_dump_lp(dump_path, make_builder):
-    """Write the LP of `make_builder()` as MPS; builds nothing without a path."""
+def _maybe_dump_primal(dump_path, instance, payoff, market=None):
+    """Write the one LP a duality report solves as MPS: the MOT primal of
+    `market`, else the transport primal.  Builds nothing without a path."""
     if dump_path:
-        write_output(write_mps(make_builder().build()), dump_path)
+        table = payoff.table_for(instance)
+        builder = (_primal_builder(instance, table) if market is None
+                   else _mot_primal_builder(market, table))[0]
+        write_output(write_mps(builder.build()), dump_path)
 
 
-def _resolve_tol(tol, doc=None):
-    if tol is not None:
-        return tol
-    return doc.options.tol if doc is not None else 1e-7
+def _duality_values(report, tol) -> dict:
+    return {
+        "primal_value": report.primal_value,
+        "dual_value": report.dual_value,
+        "gap": report.gap,
+        "gap_within_tol": bool(report.gap <= tol * max(1.0, abs(report.dual_value))),
+    }
+
+
+def _resolve_tol(tol, doc):
+    return doc.options.tol if tol is None else tol
 
 
 def _common_options(fn):
@@ -108,7 +108,7 @@ def _common_options(fn):
                       default="json", show_default=True)(fn)
     fn = click.option("--tol", type=float, default=None,
                       help="gap tolerance for pass/fail flags "
-                           "(default: the document's options.tol, else 1e-7)")(fn)
+                           "(default: the document's options.tol)")(fn)
     fn = click.option("--dump-lp", "dump_lp", default=None,
                       help="write the main LP in MPS format to this path")(fn)
     return fn
@@ -126,16 +126,11 @@ def solve_transport_cmd(input_path, output, fmt, tol, dump_lp):
     """Primal and dual transport values with certificates."""
     started = time.perf_counter()
     doc = _load_document(input_path)
-    payoff = _need_payoff(doc)
+    payoff = _need(doc, "payoff")
     tol = _resolve_tol(tol, doc)
     report = duality_report(doc.instance, payoff)
-    _maybe_dump_lp(dump_lp, lambda: _primal_builder(doc.instance, payoff.table_for(doc.instance)))
-    values = {
-        "primal_value": report.primal_value,
-        "dual_value": report.dual_value,
-        "gap": report.gap,
-        "gap_within_tol": bool(report.gap <= tol * max(1.0, abs(report.dual_value))),
-    }
+    _maybe_dump_primal(dump_lp, doc.instance, payoff)
+    values = _duality_values(report, tol)
     optimizers = {
         "coupling": report.coupling.weights,
         "m": report.dual.m,
@@ -153,26 +148,19 @@ def solve_mot_cmd(input_path, output, fmt, tol, dump_lp):
     """Martingale-constrained primal and semi-static superhedging dual."""
     started = time.perf_counter()
     doc = _load_document(input_path)
-    payoff = _need_payoff(doc)
-    market = _need_market(doc)
+    payoff = _need(doc, "payoff")
+    market = _need(doc, "market")
     tol = _resolve_tol(tol, doc)
-    table = payoff.table_for(market.instance)
-    _maybe_dump_lp(dump_lp, lambda: _mot_primal_builder(market, table))
-    primal = _primal_mot(market, table)
-    dual = _superhedge(market, table)
-    if primal.status != "optimal" or dual.status != "optimal":
-        values = {"primal_status": primal.status, "dual_status": dual.status}
+    _maybe_dump_primal(dump_lp, doc.instance, payoff, market)
+    try:
+        report = superhedging_duality_report(market, payoff)
+    except ArbitrageError as exc:
+        values = {"primal_status": exc.primal_status, "dual_status": exc.dual_status}
         residuals = {"detection_tolerance": 1e-9}
-        _emit("solve-mot", "infeasible" if primal.status == "infeasible" else "arbitrage",
+        _emit("solve-mot", "infeasible" if exc.primal_status == "infeasible" else "arbitrage",
               values, {}, residuals, started, output, fmt)
         sys.exit(2)
-    report = _duality_report(market, table, primal, dual)
-    values = {
-        "primal_value": report.primal_value,
-        "dual_value": report.dual_value,
-        "gap": report.gap,
-        "gap_within_tol": bool(report.gap <= tol * max(1.0, abs(report.dual_value))),
-    }
+    values = _duality_values(report, tol)
     optimizers = {
         "coupling": report.coupling.weights,
         "m": report.dual.m,
@@ -192,8 +180,10 @@ def check_arbitrage_cmd(input_path, output, fmt, tol, dump_lp):
     """Classify the market: none, uniform, or model-independent arbitrage."""
     started = time.perf_counter()
     doc = _load_document(input_path)
-    market = _need_market(doc)
-    _maybe_dump_lp(dump_lp, lambda: _build_superhedge(market, _constant_table(market, 0.0))[0])
+    market = _need(doc, "market")
+    if dump_lp:
+        lp = _build_superhedge(market, _constant_table(market, 0.0))[0].build()
+        write_output(write_mps(lp), dump_lp)
     verdict, ftap = _arbitrage_reports(market)
     values = {
         "verdict": verdict.kind,
@@ -228,30 +218,18 @@ def verify_duality_cmd(input_path, output, fmt, tol, dump_lp):
     document carries a market block."""
     started = time.perf_counter()
     doc = _load_document(input_path)
-    payoff = _need_payoff(doc)
+    payoff = _need(doc, "payoff")
     tol = _resolve_tol(tol, doc)
-    if doc.market is None:
-        report = duality_report(doc.instance, payoff)
-        _maybe_dump_lp(dump_lp, lambda: _primal_builder(doc.instance,
-                                                        payoff.table_for(doc.instance)))
-    else:
-        market = doc.market
-        table = payoff.table_for(market.instance)
-        _maybe_dump_lp(dump_lp, lambda: _mot_primal_builder(market, table))
-        try:
-            report = _duality_report(market, table, _primal_mot(market, table),
-                                     _superhedge(market, table))
-        except ValueError as exc:
-            _emit("verify-duality", "arbitrage", {"detail": str(exc)}, {},
-                  {"detection_tolerance": 1e-9}, started, output, fmt)
-            sys.exit(2)
-    ok = report.gap <= tol * max(1.0, abs(report.dual_value))
-    values = {
-        "primal_value": report.primal_value,
-        "dual_value": report.dual_value,
-        "gap": report.gap,
-        "gap_within_tol": bool(ok),
-    }
+    _maybe_dump_primal(dump_lp, doc.instance, payoff, doc.market)
+    try:
+        report = (duality_report(doc.instance, payoff) if doc.market is None
+                  else superhedging_duality_report(doc.market, payoff))
+    except ArbitrageError as exc:
+        _emit("verify-duality", "arbitrage", {"detail": str(exc)}, {},
+              {"detection_tolerance": 1e-9}, started, output, fmt)
+        sys.exit(2)
+    values = _duality_values(report, tol)
+    ok = values["gap_within_tol"]
     _emit("verify-duality", "ok" if ok else "gap", values, {}, report.residuals,
           started, output, fmt)
     if not ok:

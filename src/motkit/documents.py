@@ -255,11 +255,6 @@ def serialize_instance(doc: InstanceDocument) -> str:
     return json.dumps(out, indent=2, allow_nan=False) + "\n"
 
 
-def document_equal(a: InstanceDocument, b: InstanceDocument) -> bool:
-    """Structural equality, exact on every number."""
-    return serialize_instance(a) == serialize_instance(b)
-
-
 def jsonable(obj):
     """Recursively convert numpy containers for json.dumps."""
     if isinstance(obj, np.ndarray):

@@ -31,7 +31,6 @@ from .model import (
     Coupling,
     Instance,
     Payoff,
-    marginal_of,
     sublinear_price,
 )
 from .transport import (
@@ -39,7 +38,9 @@ from .transport import (
     _add_marginal_rows,
     _add_path_variables,
     _add_static_leg_columns,
-    _separation_value,
+    _certified,
+    _marginal_separation,
+    _static_side,
     _superreplication_rows,
 )
 
@@ -48,6 +49,7 @@ __all__ = [
     "DynamicLeg",
     "SemiStaticStrategy",
     "SuperhedgeResult",
+    "ArbitrageError",
     "MotPrimalResult",
     "ArbitrageVerdict",
     "FtapReport",
@@ -99,10 +101,6 @@ class Market:
     @property
     def horizon(self) -> int:
         return self.instance.horizon
-
-    @property
-    def frictionless(self) -> bool:
-        return bool(np.all(self.epsilons == 0.0))
 
     def with_epsilons(self, epsilons) -> "Market":
         return Market(self.instance, self.s0, np.asarray(epsilons, dtype=float))
@@ -157,7 +155,7 @@ class SemiStaticStrategy:
                     total -= np.einsum("pd,pd->p", u_n * eps, s[n - 1])
         return total
 
-    def outcome(self, market: Market, payoff_table=None) -> np.ndarray:
+    def outcome(self, market: Market) -> np.ndarray:
         """m + static legs + dynamic gains along every path."""
         instance = market.instance
         indices = instance.point_indices()
@@ -175,51 +173,56 @@ class SuperhedgeResult:
     ray: SemiStaticStrategy | None = None
 
 
+@dataclass(frozen=True, eq=False)
 class _StrategyColumns:
-    """Catalog of the dynamic-trading columns of the superhedge LP.
+    """Ids of a strategy's dynamic-trading terms: columns of the superhedge
+    LP, or the MOT primal rows whose multipliers they are.  ``h_vars[(a, n)]``
+    are the positions over period n per prefix of length n - 1 (frictionless
+    assets), ``trade_vars[(a, N, n)]`` the (buy, sell) trades opened at n - 1
+    and closed at N (frictional assets, ask and bid rows in the primal)."""
 
-    ``force_frictional`` routes zero-cost assets through the per-maturity
-    trade columns as well; the LP value is unchanged (a maturity-N trade is
-    a telescoping sum of one-step positions when trading is free), which is
-    exactly the frictionless-reduction check.
-    """
+    market: Market
+    h_vars: dict
+    trade_vars: dict
 
-    def __init__(self, builder: LpBuilder, market: Market,
-                 force_frictional: bool = False):
+    @classmethod
+    def allocate(cls, builder: LpBuilder, market: Market,
+                 force_frictional: bool = False) -> "_StrategyColumns":
+        """The superhedge LP's columns.  ``force_frictional`` routes zero-cost
+        assets through the per-maturity trades too; the LP value is unchanged
+        (a maturity-N trade telescopes into one-step positions when trading
+        is free), which is exactly the frictionless-reduction check."""
         instance = market.instance
         t_horizon = market.horizon
-        self.market = market
-        self.s = market.price_paths()
-        self.prefix = [instance.prefix_ids(level) for level in range(t_horizon)]
-        # frictionless assets: positions h[(asset, n)] -> ids per prefix
-        self.h_vars: dict[tuple[int, int], np.ndarray] = {}
-        # frictional assets: trades (asset, N, n) -> (buy ids, sell ids)
-        self.trade_vars: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        h_vars, trade_vars = {}, {}
         for a in range(market.d):
             if market.epsilons[a] == 0.0 and not force_frictional:
                 for n in range(1, t_horizon + 1):
-                    self.h_vars[(a, n)] = builder.add_variables(
+                    h_vars[(a, n)] = builder.add_variables(
                         instance.n_prefixes(n - 1), lower=-np.inf)
             else:
                 for mat in range(1, t_horizon + 1):
                     for n in range(1, mat + 1):
                         count = instance.n_prefixes(n - 1)
-                        self.trade_vars[(a, mat, n)] = (builder.add_variables(count),
-                                                        builder.add_variables(count))
+                        trade_vars[(a, mat, n)] = (builder.add_variables(count),
+                                                   builder.add_variables(count))
+        return cls(market, h_vars, trade_vars)
 
     def path_coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Dynamic-outcome terms of the superhedge rows as (path, column,
         value) triplets: each column block holds one term for every path."""
-        s, eps = self.s, self.market.epsilons
+        instance = self.market.instance
+        s, eps = self.market.price_paths(), self.market.epsilons
         cols, vals = [], []
         for (a, n), ids in self.h_vars.items():
-            cols.append(ids[self.prefix[n - 1]])
+            cols.append(ids[instance.prefix_ids(n - 1)])
             vals.append(s[n][:, a] - s[n - 1][:, a])
         for (a, mat, n), (buys, sells) in self.trade_vars.items():
-            cols += [buys[self.prefix[n - 1]], sells[self.prefix[n - 1]]]
+            prefix = instance.prefix_ids(n - 1)
+            cols += [buys[prefix], sells[prefix]]
             vals += [s[mat][:, a] - (1.0 + eps[a]) * s[n - 1][:, a],
                      (1.0 - eps[a]) * s[n - 1][:, a] - s[mat][:, a]]
-        paths = np.tile(np.arange(self.market.instance.n_paths), len(cols))
+        paths = np.tile(np.arange(instance.n_paths), len(cols))
         return paths, np.concatenate(cols), np.concatenate(vals)
 
     def extract_legs(self, x: np.ndarray) -> tuple[DynamicLeg, ...]:
@@ -266,7 +269,7 @@ def _build_superhedge(market: Market, table: np.ndarray,
                       force_frictional: bool = False):
     builder = LpBuilder("min")
     m_var, g_vars, _ = _add_static_leg_columns(builder, market.instance)
-    columns = _StrategyColumns(builder, market, force_frictional=force_frictional)
+    columns = _StrategyColumns.allocate(builder, market, force_frictional)
     _superreplication_rows(builder, market.instance, table, m_var, g_vars,
                            extra=columns.path_coefficients())
     return builder, m_var, g_vars, columns
@@ -308,78 +311,79 @@ class MotPrimalResult:
     coupling: Coupling | None
 
 
-def _mot_primal_builder(market: Market, table: np.ndarray) -> LpBuilder:
+def _mot_primal_builder(market: Market, table: np.ndarray):
+    """The MOT primal, its marginal blocks and its pricing rows' catalog."""
     instance = market.instance
     builder = LpBuilder("max")
     path_vars = _add_path_variables(builder, instance, table)
-    _add_marginal_rows(builder, instance, path_vars)
+    marginals = _add_marginal_rows(builder, instance, path_vars)
     s = market.price_paths()
     t_horizon = market.horizon
+    h_rows, trade_rows = {}, {}
     for a in range(market.d):
         e = market.epsilons[a]
         if e == 0.0:
             # one martingale row per prefix of every length n < T
             for n in range(t_horizon):
-                builder.add_rows(instance.prefix_ids(n), path_vars, s[n + 1][:, a] - s[n][:, a],
-                                 "=", np.zeros(instance.n_prefixes(n)))
+                h_rows[(a, n + 1)] = builder.add_rows(
+                    instance.prefix_ids(n), path_vars, s[n + 1][:, a] - s[n][:, a],
+                    "=", np.zeros(instance.n_prefixes(n)))
         else:
             for mat in range(1, t_horizon + 1):
                 for n in range(mat):
                     # the ask row (2p) and the bid row (2p + 1) of every prefix p
                     pid = instance.prefix_ids(n)
-                    builder.add_rows(np.concatenate([2 * pid, 2 * pid + 1]),
-                                     np.concatenate([path_vars, path_vars]),
-                                     np.concatenate([s[mat][:, a] - (1.0 + e) * s[n][:, a],
-                                                     (1.0 - e) * s[n][:, a] - s[mat][:, a]]),
-                                     "<=", np.zeros(2 * instance.n_prefixes(n)))
-    return builder
+                    rows = builder.add_rows(
+                        np.concatenate([2 * pid, 2 * pid + 1]),
+                        np.concatenate([path_vars, path_vars]),
+                        np.concatenate([s[mat][:, a] - (1.0 + e) * s[n][:, a],
+                                        (1.0 - e) * s[n][:, a] - s[mat][:, a]]),
+                        "<=", np.zeros(2 * instance.n_prefixes(n)))
+                    trade_rows[(a, mat, n + 1)] = (rows[0::2], rows[1::2])
+    return builder, marginals, _StrategyColumns(market, h_rows, trade_rows)
 
 
 def primal_mot(market: Market, payoff: Payoff) -> MotPrimalResult:
     """Maximize <f, mu> over marginal-feasible couplings that price the
     underlying consistently (martingale when eps = 0, bid-ask bands else)."""
-    return _primal_mot(market, payoff.table_for(market.instance))
+    return _primal_mot(market, payoff.table_for(market.instance))[0]
 
 
-def _primal_mot(market: Market, table: np.ndarray) -> MotPrimalResult:
-    instance = market.instance
-    sol = solve(_mot_primal_builder(market, table).build())
+def _primal_mot(market: Market, table: np.ndarray):
+    """The MOT primal's result, LP, solution and _mot_primal_builder blocks."""
+    builder, marginals, columns = _mot_primal_builder(market, table)
+    lp = builder.build()
+    sol = solve(lp)
     if sol.status == "optimal":
-        return MotPrimalResult("optimal", sol.value,
-                               Coupling(instance, sol.x[: instance.n_paths]))
-    if sol.status == "infeasible":
-        return MotPrimalResult("infeasible", float("nan"), None)
-    raise LpError(f"martingale primal unexpectedly {sol.status}")  # pragma: no cover
+        result = MotPrimalResult("optimal", sol.value,
+                                 Coupling(market.instance, sol.x[: market.instance.n_paths]))
+    elif sol.status == "infeasible":
+        result = MotPrimalResult("infeasible", float("nan"), None)
+    else:  # pragma: no cover
+        raise LpError(f"martingale primal unexpectedly {sol.status}")
+    return result, lp, sol, marginals, columns
 
 
 def feasibility_residual(market: Market, coupling: Coupling) -> float:
     """Direct evaluation of every pricing-consistency constraint at the
     coupling: marginal separation plus worst band/martingale violation."""
     instance = market.instance
-    worst = abs(coupling.total_mass - 1.0)
-    for pos, constraint in enumerate(instance.constraints):
-        mu_n = marginal_of(coupling, instance.axes[pos].index).weights
-        sep, _ = _separation_value(constraint, mu_n)
-        worst = max(worst, sep)
+    worst = max(abs(coupling.total_mass - 1.0), _marginal_separation(instance, coupling))
     s = market.price_paths()
     w = coupling.weights
     for a in range(market.d):
         e = market.epsilons[a]
-        horizon = market.horizon
-        for mat in range(1, horizon + 1):
+        for mat in range(1, market.horizon + 1):
             for n in range(mat):
                 if e == 0.0 and mat != n + 1:
                     continue  # one-step equalities imply the rest
-                pid = instance.prefix_ids(n)
                 up = w * (s[mat][:, a] - (1.0 + e) * s[n][:, a])
                 dn = w * ((1.0 - e) * s[n][:, a] - s[mat][:, a])
-                for p in range(instance.n_prefixes(n)):
-                    members = pid == p
-                    if e == 0.0:
-                        worst = max(worst, abs(float(up[members].sum())))
-                    else:
-                        worst = max(worst, float(up[members].sum()),
-                                    float(dn[members].sum()))
+                # the paths of a prefix are contiguous: one row per prefix
+                rows = (instance.n_prefixes(n), -1)
+                up, dn = up.reshape(rows).sum(axis=1), dn.reshape(rows).sum(axis=1)
+                worst = max(worst, float(np.abs(up).max() if e == 0.0
+                                         else max(up.max(), dn.max())))
     return float(worst)
 
 
@@ -447,7 +451,7 @@ def _arbitrage_reports(market: Market) -> tuple[ArbitrageVerdict, FtapReport]:
     zero = _constant_table(market, 0.0)
     ua = _superhedge(market, zero)
     mia = _superhedge(market, _constant_table(market, 1.0))
-    feas = _primal_mot(market, zero)
+    feas = _primal_mot(market, zero)[0]
     verdict = _verdict(ua, lambda: mia)
     no_uniform = verdict.kind != "uniform"
     no_mia = mia.status == "optimal" and mia.value > ARBITRAGE_TOL
@@ -471,24 +475,42 @@ def ftap_check(market: Market) -> FtapReport:
     return _arbitrage_reports(market)[1]
 
 
+class ArbitrageError(ValueError):
+    """No superhedging duality: the MOT primal is infeasible."""
+
+    def __init__(self, primal_status: str, dual_status: str):
+        super().__init__("superhedging duality needs an arbitrage-free market "
+                         f"(primal {primal_status}, dual {dual_status})")
+        self.primal_status, self.dual_status = primal_status, dual_status
+
+
+def _strategy_residuals(market: Market, table: np.ndarray, dual: SuperhedgeResult):
+    """superreplication_min and strategy_cost_identity of an optimal superhedge."""
+    return (float((dual.strategy.outcome(market) - table).min()),
+            abs(dual.strategy.cost(market) - dual.value))
+
+
 def superhedging_duality_report(market: Market, payoff: Payoff) -> DualityReport:
-    """Primal martingale value vs superhedging cost; requires no arbitrage."""
+    """Primal martingale value vs superhedging cost; requires no arbitrage.
+    Only the MOT primal is solved; the superhedge is read off its multipliers
+    and kept once its residuals pass, else (or for the status of an
+    infeasible primal) the superhedge LP is solved."""
     table = payoff.table_for(market.instance)
-    return _duality_report(market, table, _primal_mot(market, table),
-                           _superhedge(market, table))
-
-
-def _duality_report(market: Market, table: np.ndarray, primal: MotPrimalResult,
-                    dual: SuperhedgeResult) -> DualityReport:
-    """superhedging_duality_report from the two solves of the payoff table."""
-    if primal.status != "optimal" or dual.status != "optimal":
-        raise ValueError(
-            "superhedging duality needs an arbitrage-free market "
-            f"(primal {primal.status}, dual {dual.status})")
-    outcome = dual.strategy.outcome(market)
+    primal, lp, sol, marginals, columns = _primal_mot(market, table)
+    if primal.status != "optimal":
+        raise ArbitrageError(primal.status, _superhedge(market, table).status)
+    legs = columns.extract_legs(sol.duals)
+    dual = SuperhedgeResult("optimal", float(sol.duals @ lp.rhs),
+                            SemiStaticStrategy(*_static_side(sol, marginals)[:2], legs))
+    superrep, identity = _strategy_residuals(market, table, dual)
+    if not _certified(primal.value, dual.value, superrep, identity):
+        dual = _superhedge(market, table)
+        if dual.status != "optimal":  # pragma: no cover - the LP dual of an optimal primal
+            raise ArbitrageError(primal.status, dual.status)
+        superrep, identity = _strategy_residuals(market, table, dual)
     residuals = {
-        "superreplication_min": float((outcome - table).min()),
-        "strategy_cost_identity": abs(dual.strategy.cost(market) - dual.value),
+        "superreplication_min": superrep,
+        "strategy_cost_identity": identity,
         "coupling_feasibility": feasibility_residual(market, primal.coupling),
     }
     return DualityReport(primal_value=primal.value, dual_value=dual.value,

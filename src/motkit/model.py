@@ -187,7 +187,7 @@ class Instance:
 
     @property
     def n_paths(self) -> int:
-        return int(np.prod(self.shape))
+        return self._cached("_n_paths", lambda: int(np.prod(self.shape)))
 
     @property
     def nonnegative(self) -> bool:
@@ -200,19 +200,27 @@ class Instance:
                 return pos
         raise IndexError(f"no axis with time index {n}")
 
+    def _cached(self, key, make):
+        """`make()` once per instance, kept (read-only) in its own __dict__."""
+        if key not in self.__dict__:
+            value = self.__dict__[key] = make()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        return self.__dict__[key]
+
     def point_indices(self) -> np.ndarray:
-        """Per-axis point index for every flat path; shape (T, n_paths)."""
-        return np.array(np.unravel_index(np.arange(self.n_paths), self.shape))
+        """Per-axis point index for every flat path; shape (T, n_paths), read-only."""
+        return self._cached("_point_indices", lambda: np.array(
+            np.unravel_index(np.arange(self.n_paths), self.shape)))
 
     def coordinate_values(self, pos: int) -> np.ndarray:
         """Point vectors of axis at position pos along every path, (n_paths, d)."""
-        idx = self.point_indices()[pos]
-        return self.axes[pos].points[idx]
+        return self.axes[pos].points[self.point_indices()[pos]]
 
     def prefix_ids(self, level: int) -> np.ndarray:
-        """Flat prefix index (first `level` axes) of every path."""
-        stride = int(np.prod(self.shape[level:], initial=1))
-        return np.arange(self.n_paths) // stride
+        """Flat prefix index (first `level` axes) of every path; read-only."""
+        return self._cached(f"_prefix_ids{level}", lambda: np.arange(self.n_paths)
+                            // int(np.prod(self.shape[level:], initial=1)))
 
     def n_prefixes(self, level: int) -> int:
         return int(np.prod(self.shape[:level], initial=1))
@@ -381,15 +389,6 @@ def sublinear_price(constraint: MarginalConstraint, values: np.ndarray) -> float
         raise ValueError("value vector must be finite")
     prices = constraint.vertex_matrix @ values
     return float(prices.max())
-
-
-def translation_check(constraint: MarginalConstraint, values: np.ndarray,
-                      shift: float) -> bool:
-    """Does price(values + shift) equal price(values) + shift (within 1e-9)?"""
-    values = np.asarray(values, dtype=float)
-    lhs = sublinear_price(constraint, values + shift)
-    rhs = sublinear_price(constraint, values) + shift
-    return abs(lhs - rhs) <= VALUE_TOL
 
 
 def tightness_certificate(constraint: MarginalConstraint, m: float,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LpBuilder, LpError, solve
+from .lp import RESIDUAL_TOL, LpBuilder, LpError, solve
 from .model import (
     VALUE_TOL,
     Coupling,
@@ -32,14 +32,11 @@ __all__ = [
     "SeparatingWitness",
     "primal_transport",
     "dual_transport",
-    "dual_equivalent_split",
     "conjugate_membership",
     "verify_representation",
     "functional_properties_check",
     "duality_report",
 ]
-
-GAP_RTOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -78,24 +75,52 @@ def _add_path_variables(builder: LpBuilder, instance: Instance,
 
 
 def _add_marginal_rows(builder: LpBuilder, instance: Instance,
-                       path_vars: np.ndarray) -> None:
+                       path_vars: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """Marginal constraints on the coupling, one row per axis point; hull
-    marginals get mixture variables lambda over the vertices."""
+    marginals get mixture variables lambda over the vertices.  Returns per
+    axis the ids of its rows and of its lambdas (None on exact axes)."""
     indices = instance.point_indices()
     ones = np.ones(indices.shape[1])
+    marginals = []
     for pos, constraint in enumerate(instance.constraints):
         if constraint.is_exact:
-            builder.add_rows(indices[pos], path_vars, ones, "=",
-                             constraint.measures[0].weights)
+            marginals.append((builder.add_rows(indices[pos], path_vars, ones, "=",
+                                               constraint.measures[0].weights), None))
             continue
         npts, k = instance.axes[pos].npoints, len(constraint.measures)
         lams = builder.add_variables(k)
         # row j: sum of the paths through point j - sum_k lambda_k nu_k(j) = 0
-        builder.add_rows(np.concatenate([indices[pos], np.repeat(np.arange(npts), k)]),
-                         np.concatenate([path_vars, np.tile(lams, npts)]),
-                         np.concatenate([ones, -constraint.vertex_matrix.T.ravel()]),
-                         "=", np.zeros(npts))
+        rows = builder.add_rows(np.concatenate([indices[pos], np.repeat(np.arange(npts), k)]),
+                                np.concatenate([path_vars, np.tile(lams, npts)]),
+                                np.concatenate([ones, -constraint.vertex_matrix.T.ravel()]),
+                                "=", np.zeros(npts))
         builder.add_row([(lam, 1.0) for lam in lams], "=", 1.0)
+        marginals.append((rows, lams))
+    return marginals
+
+
+def _mixture(lam: np.ndarray) -> np.ndarray:
+    """Hull mixture weights from (nearly) nonnegative lambda values."""
+    lam = np.maximum(lam, 0.0)
+    total = lam.sum()
+    return lam / total if total > 0 else lam
+
+
+def _static_side(sol, marginals):
+    """Cash m, legs g_n >= 0 and hull mixtures read off an optimal primal:
+    the multipliers of axis n's marginal rows are a free leg whose minimum
+    moves into the cash (the marginals are probabilities), lambda the mixture."""
+    free = [sol.duals[rows] for rows, _ in marginals]
+    return (float(sum(g.min() for g in free)), tuple(g - g.min() for g in free),
+            tuple(np.array([1.0]) if lams is None else _mixture(sol.x[lams])
+                  for _, lams in marginals))
+
+
+def _certified(value: float, dual_value: float, superreplication_min: float,
+               cost_identity: float) -> bool:
+    """Do a dual side's superreplication, cost identity and gap pass at RESIDUAL_TOL?"""
+    tol = RESIDUAL_TOL * max(1.0, abs(value))
+    return superreplication_min >= -tol and max(cost_identity, abs(value - dual_value)) <= tol
 
 
 def _add_static_leg_columns(builder: LpBuilder, instance: Instance):
@@ -142,23 +167,25 @@ def _superreplication_rows(builder: LpBuilder, instance: Instance, table: np.nda
 # operations
 # ---------------------------------------------------------------------------
 
-def _primal_builder(instance: Instance, table: np.ndarray) -> LpBuilder:
+def _primal_builder(instance: Instance, table: np.ndarray):
     builder = LpBuilder("max")
     path_vars = _add_path_variables(builder, instance, table)
-    _add_marginal_rows(builder, instance, path_vars)
-    return builder
+    return builder, _add_marginal_rows(builder, instance, path_vars)
 
 
-def _primal_transport(instance: Instance, table: np.ndarray) -> tuple[float, Coupling]:
-    sol = solve(_primal_builder(instance, table).build())
+def _primal_transport(instance: Instance, table: np.ndarray):
+    """Value, coupling, and the LP, its solution and its marginal blocks."""
+    builder, marginals = _primal_builder(instance, table)
+    lp = builder.build()
+    sol = solve(lp)
     if sol.status != "optimal":
         raise LpError(f"transport primal unexpectedly {sol.status}")
-    return sol.value, Coupling(instance, sol.x[: instance.n_paths])
+    return sol.value, Coupling(instance, sol.x[: instance.n_paths]), lp, sol, marginals
 
 
 def primal_transport(instance: Instance, payoff: Payoff) -> tuple[float, Coupling]:
     """Maximize <f, mu> over the feasible couplings; returns an attaining one."""
-    return _primal_transport(instance, payoff.table_for(instance))
+    return _primal_transport(instance, payoff.table_for(instance))[:2]
 
 
 def _dual_transport(instance: Instance, table: np.ndarray) -> TransportDualSolution:
@@ -168,47 +195,15 @@ def _dual_transport(instance: Instance, table: np.ndarray) -> TransportDualSolut
     sol = solve(builder.build())
     if sol.status != "optimal":
         raise LpError(f"transport dual unexpectedly {sol.status}")
-    mixtures = []
-    for rows in epigraph_rows:
-        if rows is None:
-            mixtures.append(np.array([1.0]))
-        else:
-            lam = np.maximum(sol.duals[rows], 0.0)
-            total = lam.sum()
-            mixtures.append(lam / total if total > 0 else lam)
+    mixtures = tuple(np.array([1.0]) if rows is None else _mixture(sol.duals[rows])
+                     for rows in epigraph_rows)
     return TransportDualSolution(value=sol.value, m=float(sol.x[m_var]),
-                                 g=tuple(sol.x[ids] for ids in g_vars),
-                                 mixtures=tuple(mixtures))
+                                 g=tuple(sol.x[ids] for ids in g_vars), mixtures=mixtures)
 
 
 def dual_transport(instance: Instance, payoff: Payoff) -> TransportDualSolution:
     """Cheapest cash-plus-static superreplication of the payoff."""
     return _dual_transport(instance, payoff.table_for(instance))
-
-
-def dual_equivalent_split(instance: Instance, payoff: Payoff) -> float:
-    """Signed-leg variant g1 - g2 (both >= 0) of the dual; same value.
-
-    Exact constraints only; the cash position is absorbed by the legs.
-    """
-    if any(not con.is_exact for con in instance.constraints):
-        raise ValueError("split form is defined for Exact constraints")
-    table = payoff.table_for(instance)
-    builder = LpBuilder("min")
-    indices = instance.point_indices()
-    cols, vals = [], []
-    for pos, constraint in enumerate(instance.constraints):
-        nu = constraint.measures[0].weights
-        g1 = builder.add_variables(nu.size, objective=nu)
-        g2 = builder.add_variables(nu.size, objective=-nu)
-        cols += [g1[indices[pos]], g2[indices[pos]]]
-        vals += [np.ones(instance.n_paths), -np.ones(instance.n_paths)]
-    builder.add_rows(np.tile(np.arange(instance.n_paths), len(cols)), np.concatenate(cols),
-                     np.concatenate(vals), ">=", table)
-    sol = solve(builder.build())
-    if sol.status != "optimal":
-        raise LpError(f"split dual unexpectedly {sol.status}")
-    return sol.value
 
 
 @dataclass(frozen=True)
@@ -234,6 +229,12 @@ class ConjugateValue:
     @property
     def is_zero(self) -> bool:
         return self.value == 0.0
+
+
+def _marginal_separation(instance: Instance, coupling: Coupling) -> float:
+    """Worst separation value of the coupling's marginals (0 when all fit)."""
+    return max([0.0] + [_separation_value(con, marginal_of(coupling, ax.index).weights)[0]
+                        for ax, con in zip(instance.axes, instance.constraints)])
 
 
 def _separation_value(constraint: MarginalConstraint, mu_weights: np.ndarray):
@@ -335,25 +336,28 @@ def functional_properties_check(instance: Instance, trials: int,
     return FunctionalPropertiesReport(mono, hom, sub, trans)
 
 
-def duality_report(instance: Instance, payoff: Payoff) -> DualityReport:
-    """Primal and dual values side by side with certificate residuals."""
-    table = payoff.table_for(instance)
-    primal_value, coupling = _primal_transport(instance, table)
-    dual = _dual_transport(instance, table)
+def _dual_residuals(instance: Instance, table: np.ndarray, dual: TransportDualSolution):
+    """superreplication_min and dual_price_identity of a dual solution."""
     indices = instance.point_indices()
     static = dual.m + sum(dual.g[pos][indices[pos]] for pos in range(instance.horizon))
-    superrep = float((static - table).min())
-    marginal_residual = 0.0
-    for pos, constraint in enumerate(instance.constraints):
-        mu_n = marginal_of(coupling, instance.axes[pos].index).weights
-        sep, _ = _separation_value(constraint, mu_n)
-        marginal_residual = max(marginal_residual, sep)
-    price_identity = abs(dual.value - (dual.m + sum(
-        sublinear_price(con, dual.g[pos])
-        for pos, con in enumerate(instance.constraints))))
+    cost = dual.m + sum(sublinear_price(con, g) for con, g in zip(instance.constraints, dual.g))
+    return float((static - table).min()), abs(dual.value - cost)
+
+
+def duality_report(instance: Instance, payoff: Payoff) -> DualityReport:
+    """Primal and dual values side by side with certificate residuals.  Only
+    the primal is solved; the dual is read off its multipliers and kept once
+    its residuals pass, else the dual LP is solved."""
+    table = payoff.table_for(instance)
+    primal_value, coupling, lp, sol, marginals = _primal_transport(instance, table)
+    dual = TransportDualSolution(float(sol.duals @ lp.rhs), *_static_side(sol, marginals))
+    superrep, price_identity = _dual_residuals(instance, table, dual)
+    if not _certified(primal_value, dual.value, superrep, price_identity):
+        dual = _dual_transport(instance, table)
+        superrep, price_identity = _dual_residuals(instance, table, dual)
     residuals = {
         "superreplication_min": superrep,
-        "marginal_separation": marginal_residual,
+        "marginal_separation": _marginal_separation(instance, coupling),
         "dual_price_identity": price_identity,
         "coupling_mass_error": abs(coupling.total_mass - 1.0),
     }

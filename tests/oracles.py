@@ -2,7 +2,9 @@
 
 Everything here is deliberately independent of the production solver:
 Fractions instead of floats, enumeration instead of pivoting.  Keep these
-slow-and-sure; they are the second route of every dual-route check.
+slow-and-sure; they are the second route of every dual-route check.  The
+two-LP duality routes at the end solve both sides of a duality with the
+production solver; they are the oracle of the one-LP reports.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from motkit.lp import LinearProgram
+from motkit.lp import LinearProgram, LpBuilder, LpError, solve
+from motkit.martingale import primal_mot, superhedge_dual
+from motkit.model import VALUE_TOL, sublinear_price
+from motkit.transport import dual_transport, primal_transport
 
 
 def _solve_exact(matrix, rhs):
@@ -313,3 +318,70 @@ def loop_mot_primal_matrix(market, n_variables) -> np.ndarray:
                     row(members, s[mat][members, k] - (1.0 + e) * s[n][members, k])
                     row(members, (1.0 - e) * s[n][members, k] - s[mat][members, k])
     return np.array(rows)
+
+
+# ---------------------------------------------------------------------------
+# the duality reports by two LP solves, and test-only views of the dual
+# ---------------------------------------------------------------------------
+
+def two_lp_transport(instance, payoff):
+    """(primal value, coupling, dual solution) of the transport duality, each
+    side from its own LP."""
+    value, coupling = primal_transport(instance, payoff)
+    return value, coupling, dual_transport(instance, payoff)
+
+
+def two_lp_superhedging(market, payoff):
+    """(MOT primal result, superhedge result), each from its own LP."""
+    return primal_mot(market, payoff), superhedge_dual(market, payoff)
+
+
+def transport_dual_residuals(instance, table, dual):
+    """(superreplication_min, dual_price_identity) recomputed from the raw
+    definitions; the legs must be nonnegative."""
+    assert all(np.all(g >= 0.0) for g in dual.g)
+    idx = instance.point_indices()
+    cover = dual.m + sum(dual.g[pos][idx[pos]] for pos in range(instance.horizon))
+    priced = dual.m + sum(sublinear_price(con, dual.g[pos])
+                          for pos, con in enumerate(instance.constraints))
+    return float((cover - table).min()), abs(dual.value - priced)
+
+
+def strategy_residuals(market, table, value, strategy):
+    """(superreplication_min, strategy_cost_identity) of a superhedge,
+    recomputed from the raw definitions; the legs must be nonnegative."""
+    assert all(np.all(g >= 0.0) for g in strategy.g)
+    return (float((strategy.outcome(market) - table).min()),
+            abs(strategy.cost(market) - value))
+
+
+def dual_equivalent_split(instance, payoff) -> float:
+    """Signed-leg variant g1 - g2 (both >= 0) of the transport dual; same
+    value.  Exact constraints only; the cash position is absorbed by the legs.
+    """
+    if any(not con.is_exact for con in instance.constraints):
+        raise ValueError("split form is defined for Exact constraints")
+    table = payoff.table_for(instance)
+    builder = LpBuilder("min")
+    indices = instance.point_indices()
+    cols, vals = [], []
+    for pos, constraint in enumerate(instance.constraints):
+        nu = constraint.measures[0].weights
+        g1 = builder.add_variables(nu.size, objective=nu)
+        g2 = builder.add_variables(nu.size, objective=-nu)
+        cols += [g1[indices[pos]], g2[indices[pos]]]
+        vals += [np.ones(instance.n_paths), -np.ones(instance.n_paths)]
+    builder.add_rows(np.tile(np.arange(instance.n_paths), len(cols)), np.concatenate(cols),
+                     np.concatenate(vals), ">=", table)
+    sol = solve(builder.build())
+    if sol.status != "optimal":
+        raise LpError(f"split dual unexpectedly {sol.status}")
+    return sol.value
+
+
+def translation_check(constraint, values, shift: float) -> bool:
+    """Does price(values + shift) equal price(values) + shift (within 1e-9)?"""
+    values = np.asarray(values, dtype=float)
+    lhs = sublinear_price(constraint, values + shift)
+    rhs = sublinear_price(constraint, values) + shift
+    return abs(lhs - rhs) <= VALUE_TOL

@@ -10,7 +10,6 @@ from motkit.documents import (
     DocumentError,
     InstanceDocument,
     SolverOptions,
-    document_equal,
     parse_instance,
     serialize_instance,
 )
@@ -99,7 +98,6 @@ class TestRoundTrip:
                                    options=SolverOptions())
             text = serialize_instance(doc)
             again = parse_instance(text)
-            assert document_equal(doc, again)
             assert serialize_instance(again) == text
 
     def test_round_trip_with_market_payoff_and_options(self):
@@ -123,7 +121,7 @@ class TestRoundTrip:
         assert doc.options.pivot_rule == "bland"
         text = serialize_instance(doc)
         again = parse_instance(text)
-        assert document_equal(doc, again)
+        assert serialize_instance(again) == text
         assert _np.array_equal(again.market.epsilons, doc.market.epsilons)
         assert again.payoff.name == "straddle"
 

@@ -1,13 +1,17 @@
 """Superhedging duality, FTAP equivalence, frictions, arbitrage detection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from motkit import martingale
+from motkit.lp import solve
 from motkit.martingale import (
+    ArbitrageError,
     Market,
     _arbitrage_reports,
     _build_superhedge,
-    _duality_report,
     _mot_primal_builder,
     classify_arbitrage,
     feasibility_residual,
@@ -33,7 +37,12 @@ from generators import (
     random_market,
     random_payoff_table,
 )
-from oracles import loop_mot_primal_matrix, loop_superhedge_path_rows
+from oracles import (
+    loop_mot_primal_matrix,
+    loop_superhedge_path_rows,
+    strategy_residuals,
+    two_lp_superhedging,
+)
 
 GAP_TOL = 1e-7
 
@@ -189,14 +198,14 @@ class TestTripletAssembly:
                 expected = loop_superhedge_path_rows(market, lp.n_variables, m_var, g_vars,
                                                      columns)
                 assert np.array_equal(lp.a[-market.instance.n_paths:], expected)
-            lp = _mot_primal_builder(market, table).build()
+            lp = _mot_primal_builder(market, table)[0].build()
             assert np.array_equal(lp.a, loop_mot_primal_matrix(market, lp.n_variables))
             assert np.array_equal(lp.objective[: market.instance.n_paths], table)
 
 
 class TestSharedSolves:
-    """The commands read every report off one solve per LP; fresh solves of
-    each LP, one public call apiece, are the oracle."""
+    """check-arbitrage reads every report off one solve per LP; fresh solves
+    of each LP, one public call apiece, are the oracle."""
 
     def test_reports_equal_fresh_solves(self):
         rng = np.random.default_rng(5)
@@ -220,19 +229,83 @@ class TestSharedSolves:
             alone = classify_arbitrage(market)
             assert (verdict.kind, verdict.uniform_value, verdict.strict_value) == (
                 alone.kind, alone.uniform_value, alone.strict_value)
-            if trial % 2 == 1:
-                continue
-            table = random_payoff_table(rng, market.instance)
-            primal = primal_mot(market, Payoff.dense(table))
-            dual = superhedge_dual(market, Payoff.dense(table))
-            report = _duality_report(market, table, primal, dual)
-            assert (report.primal_value, report.dual_value) == (primal.value, dual.value)
-            fresh = superhedging_duality_report(market, Payoff.dense(table))
-            assert (fresh.primal_value, fresh.dual_value) == (primal.value, dual.value)
-            assert fresh.residuals == report.residuals
-            assert np.array_equal(fresh.coupling.weights, report.coupling.weights)
-            assert fresh.dual.m == report.dual.m
-            assert all(np.array_equal(a, b) for a, b in zip(fresh.dual.g, report.dual.g))
+
+
+class TestOneLpDuality:
+    """superhedging_duality_report solves only the MOT primal and reads the
+    superhedge off its multipliers; the two-LP route is the oracle."""
+
+    @staticmethod
+    def _markets():
+        rng = np.random.default_rng(21)
+        for trial in range(15):
+            d = 2 if trial % 5 == 0 else 1
+            eps = [0.0, 0.02, 0.1][trial % 3]
+            if trial % 3 == 2:
+                market = arbitrage_free_market(rng, horizon=2, d=d, epsilons=np.full(d, eps),
+                                               hull_prob=0.5)
+            else:
+                market = binomial_market(rng, horizon=2 if d == 2 else 2 + trial % 2, d=d,
+                                         epsilons=np.full(d, eps),
+                                         hull_prob=0.5 if trial % 2 else 0.0)
+            yield market, random_payoff_table(rng, market.instance)
+
+    def test_matches_two_lp_route(self, monkeypatch):
+        senses = []
+        monkeypatch.setattr(martingale, "solve",
+                            lambda lp, **kw: senses.append(lp.sense) or solve(lp, **kw))
+        hulls = frictional = 0
+        for market, table in self._markets():
+            hulls += any(not con.is_exact for con in market.instance.constraints)
+            frictional += bool(np.any(market.epsilons > 0))
+            payoff = Payoff.dense(table)
+            senses.clear()
+            report = superhedging_duality_report(market, payoff)
+            assert senses == ["max"]  # the multipliers passed: no superhedge LP
+            primal, dual = two_lp_superhedging(market, payoff)
+            assert report.primal_value == primal.value
+            assert np.array_equal(report.coupling.weights, primal.coupling.weights)
+            assert abs(report.dual_value - dual.value) <= GAP_TOL * max(1.0, abs(dual.value))
+            for value, strategy in ((report.dual_value, report.dual),
+                                    (dual.value, dual.strategy)):
+                superrep, identity = strategy_residuals(market, table, value, strategy)
+                assert superrep >= -1e-8 and identity <= 1e-8
+        assert hulls and frictional
+
+    @pytest.mark.parametrize("epsilons", [[0.0], [0.05]])
+    def test_perturbed_multiplier_falls_back_to_superhedge_lp(self, monkeypatch, epsilons):
+        market = binomial_market(np.random.default_rng(9), horizon=2, epsilons=epsilons)
+        table = random_payoff_table(np.random.default_rng(10), market.instance)
+        payoff = Payoff.dense(table)
+        primal, dual = two_lp_superhedging(market, payoff)
+        senses = []
+
+        def perturbed(lp, **kwargs):
+            sol = solve(lp, **kwargs)
+            senses.append(lp.sense)
+            if lp.sense == "max":
+                duals = sol.duals.copy()
+                # the first marginal row of axis 2: its leg falls short on its paths
+                duals[market.instance.shape[0]] -= 0.5
+                sol = dataclasses.replace(sol, duals=duals)
+            return sol
+
+        monkeypatch.setattr(martingale, "solve", perturbed)
+        report = superhedging_duality_report(market, payoff)
+        assert senses == ["max", "min"]
+        assert report.primal_value == primal.value
+        assert report.dual_value == dual.value
+        assert report.dual.m == dual.strategy.m
+        assert all(np.array_equal(a, b) for a, b in zip(report.dual.g, dual.strategy.g))
+        assert report.residuals["superreplication_min"] == float(
+            (dual.strategy.outcome(market) - table).min())
+
+    def test_infeasible_primal_reports_both_statuses(self):
+        market = _market([([0.0, 2.0], [0.5, 0.5])], [0.9], [0.0])
+        with pytest.raises(ArbitrageError) as info:
+            superhedging_duality_report(market, Payoff.constant(0.0, market.instance))
+        assert (info.value.primal_status, info.value.dual_status) == ("infeasible",
+                                                                      "unbounded")
 
 
 class TestSuperhedgingDuality:

@@ -19,10 +19,10 @@ from motkit.model import (
     marginal_of,
     sublinear_price,
     tightness_certificate,
-    translation_check,
 )
 
 from generators import dyadic_probability, random_exact_instance
+from oracles import translation_check
 
 
 def _axis(index, values):
@@ -60,6 +60,21 @@ class TestInvariants:
         nu = DiscreteMeasure(ax1, np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             Instance((ax2,), (MarginalConstraint.exact(nu),))
+
+
+class TestIndexCache:
+    def test_index_arrays_are_computed_once_and_read_only(self):
+        inst = _uniform_instance((2, 3, 2))
+        for get in (inst.point_indices, lambda: inst.prefix_ids(2)):
+            first = get()
+            assert get() is first
+            with pytest.raises(ValueError):
+                first[0] = 1
+        assert inst.n_paths == 12
+        assert np.array_equal(inst.point_indices(),
+                              np.array(np.unravel_index(np.arange(12), (2, 3, 2))))
+        assert np.array_equal(inst.prefix_ids(2), np.arange(12) // 2)
+        assert inst.coordinate_values(1).ravel().tolist() == [0, 0, 1, 1, 2, 2] * 2
 
 
 class TestMarginalOf:

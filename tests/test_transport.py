@@ -1,8 +1,12 @@
 """Transport duality: primal/dual agreement, conjugate membership, properties."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from motkit import transport
+from motkit.lp import solve
 from motkit.model import (
     Coupling,
     DiscreteAxis,
@@ -17,7 +21,6 @@ from motkit.transport import (
     ConstantWitness,
     SeparatingWitness,
     conjugate_membership,
-    dual_equivalent_split,
     dual_transport,
     duality_report,
     functional_properties_check,
@@ -31,7 +34,12 @@ from generators import (
     random_hull_instance,
     random_payoff_table,
 )
-from oracles import transport_vertex_values
+from oracles import (
+    dual_equivalent_split,
+    transport_dual_residuals,
+    transport_vertex_values,
+    two_lp_transport,
+)
 
 GAP_TOL = 1e-7
 
@@ -271,3 +279,48 @@ class TestDualityReport:
         assert report.residuals["marginal_separation"] <= 1e-8
         assert report.residuals["dual_price_identity"] <= 1e-9
         assert report.residuals["coupling_mass_error"] <= 1e-9
+
+    def test_matches_two_lp_route(self, monkeypatch):
+        senses = []
+        monkeypatch.setattr(transport, "solve",
+                            lambda lp, **kw: senses.append(lp.sense) or solve(lp, **kw))
+        rng = np.random.default_rng(17)
+        for trial in range(40):
+            make = random_hull_instance if trial % 2 else random_exact_instance
+            inst = make(rng, 2 + trial % 2, max_points=4)
+            table = random_payoff_table(rng, inst)
+            senses.clear()
+            report = duality_report(inst, Payoff.dense(table))
+            assert "min" not in senses  # the multipliers passed: no dual LP
+            value, coupling, dual = two_lp_transport(inst, Payoff.dense(table))
+            assert report.primal_value == value
+            assert np.array_equal(report.coupling.weights, coupling.weights)
+            assert abs(report.dual_value - dual.value) <= GAP_TOL * max(1.0, abs(dual.value))
+            for sol in (report.dual, dual):
+                superrep, identity = transport_dual_residuals(inst, table, sol)
+                assert superrep >= -1e-8 and identity <= 1e-8
+                assert all(np.all(lam >= 0) and lam.sum() == pytest.approx(1.0)
+                           for lam in sol.mixtures)
+
+    def test_perturbed_multiplier_falls_back_to_dual_lp(self, monkeypatch):
+        inst = random_exact_instance(np.random.default_rng(6), 2, max_points=4)
+        f = Payoff.dense(random_payoff_table(np.random.default_rng(7), inst))
+        value, coupling, dual = two_lp_transport(inst, f)
+        senses = []
+
+        def perturbed(lp, **kwargs):
+            sol = solve(lp, **kwargs)
+            senses.append(lp.sense)
+            if lp.sense == "max":
+                duals = sol.duals.copy()
+                duals[0] -= 0.5  # the first point of axis 1 is left uncovered
+                sol = dataclasses.replace(sol, duals=duals)
+            return sol
+
+        monkeypatch.setattr(transport, "solve", perturbed)
+        report = duality_report(inst, f)
+        assert senses == ["max", "min"]
+        assert (report.primal_value, report.dual_value) == (value, dual.value)
+        assert np.array_equal(report.coupling.weights, coupling.weights)
+        assert report.dual.m == dual.m
+        assert all(np.array_equal(a, b) for a, b in zip(report.dual.g, dual.g))
