@@ -26,10 +26,10 @@ from .documents import (
 from .lp import PIVOT_RULE, write_mps
 from .martingale import (
     ArbitrageError,
-    _arbitrage_reports,
     _build_superhedge,
     _constant_table,
     _mot_primal_builder,
+    ftap_check,
     superhedging_duality_report,
 )
 from .transport import _primal_builder, duality_report
@@ -184,7 +184,8 @@ def check_arbitrage_cmd(input_path, output, fmt, tol, dump_lp):
     if dump_lp:
         lp = _build_superhedge(market, _constant_table(market, 0.0))[0].build()
         write_output(write_mps(lp), dump_lp)
-    verdict, ftap = _arbitrage_reports(market)
+    ftap = ftap_check(market)
+    verdict = ftap.verdict
     values = {
         "verdict": verdict.kind,
         "uniform_value": verdict.uniform_value,

@@ -441,13 +441,14 @@ class FtapReport:
     uniform_value: float
     strict_value: float
     coupling: Coupling | None
-    witness: SemiStaticStrategy | None
+    verdict: ArbitrageVerdict
 
 
-def _arbitrage_reports(market: Market) -> tuple[ArbitrageVerdict, FtapReport]:
-    """The verdict of classify_arbitrage and the report of ftap_check, from
-    one solve each of superhedge(0), superhedge(1) and the zero-payoff
-    martingale primal."""
+def ftap_check(market: Market) -> FtapReport:
+    """Evaluate the three no-arbitrage conditions independently and flag
+    any disagreement (each is checked by its own LP: superhedge(0),
+    superhedge(1) and the zero-payoff martingale primal).  The report
+    carries the verdict of classify_arbitrage, read off the same solves."""
     zero = _constant_table(market, 0.0)
     ua = _superhedge(market, zero)
     mia = _superhedge(market, _constant_table(market, 1.0))
@@ -456,8 +457,7 @@ def _arbitrage_reports(market: Market) -> tuple[ArbitrageVerdict, FtapReport]:
     no_uniform = verdict.kind != "uniform"
     no_mia = mia.status == "optimal" and mia.value > ARBITRAGE_TOL
     nonempty = feas.status == "optimal"
-    # the verdict's witness is that of the first condition to fail
-    return verdict, FtapReport(
+    return FtapReport(
         no_model_independent=no_mia,
         no_uniform=no_uniform,
         martingale_set_nonempty=nonempty,
@@ -465,14 +465,8 @@ def _arbitrage_reports(market: Market) -> tuple[ArbitrageVerdict, FtapReport]:
         uniform_value=ua.value,
         strict_value=mia.value,
         coupling=feas.coupling,
-        witness=verdict.strategy,
+        verdict=verdict,
     )
-
-
-def ftap_check(market: Market) -> FtapReport:
-    """Evaluate the three no-arbitrage conditions independently and flag
-    any disagreement (each is checked by its own LP)."""
-    return _arbitrage_reports(market)[1]
 
 
 class ArbitrageError(ValueError):

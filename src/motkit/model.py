@@ -223,7 +223,8 @@ class Instance:
                             // int(np.prod(self.shape[level:], initial=1)))
 
     def n_prefixes(self, level: int) -> int:
-        return int(np.prod(self.shape[:level], initial=1))
+        return self._cached(f"_n_prefixes{level}",
+                            lambda: int(np.prod(self.shape[:level], initial=1)))
 
 
 @dataclass(frozen=True, eq=False)

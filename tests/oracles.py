@@ -4,7 +4,9 @@ Everything here is deliberately independent of the production solver:
 Fractions instead of floats, enumeration instead of pivoting.  Keep these
 slow-and-sure; they are the second route of every dual-route check.  The
 two-LP duality routes at the end solve both sides of a duality with the
-production solver; they are the oracle of the one-LP reports.
+production solver; they are the oracle of the one-LP reports.  The loop
+assembly and the variable-by-variable standard form are the references
+their index-array versions must match bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from motkit.lp import LinearProgram, LpBuilder, LpError, solve
+from motkit.lp import (
+    FarkasCertificate,
+    LinearProgram,
+    LpBuilder,
+    LpError,
+    LpNumericalError,
+    solve,
+)
 from motkit.martingale import primal_mot, superhedge_dual
 from motkit.model import VALUE_TOL, sublinear_price
 from motkit.transport import dual_transport, primal_transport
@@ -318,6 +327,164 @@ def loop_mot_primal_matrix(market, n_variables) -> np.ndarray:
                     row(members, s[mat][members, k] - (1.0 + e) * s[n][members, k])
                     row(members, (1.0 - e) * s[n][members, k] - s[mat][members, k])
     return np.array(rows)
+
+
+# ---------------------------------------------------------------------------
+# variable-by-variable standard form: the reference of lp._Standardizer
+# ---------------------------------------------------------------------------
+
+class LoopStandardizer:
+    """Rewrites an LP as  min c'z, A z = b, z >= 0, b >= 0  and remembers
+    how to map points, rays and duals back to the original space."""
+
+    def __init__(self, lp: LinearProgram):
+        self.lp = lp
+        n = lp.n_variables
+        sign = -1.0 if lp.sense == "max" else 1.0
+        c_orig = sign * lp.objective
+
+        # var j -> (kind, columns); kind in {"shift", "mirror", "split"}
+        self.var_map: list[tuple[str, tuple[int, ...]]] = []
+        self.offsets = np.zeros(n)
+        cols_c: list[float] = []
+        cols_a: list[np.ndarray] = []  # column snippets over original rows
+        bound_rows: list[tuple[int, float]] = []  # (z column, range upper-lower)
+
+        for j in range(n):
+            lo, up = lp.lower[j], lp.upper[j]
+            col = lp.a[:, j]
+            if np.isfinite(lo):
+                z = len(cols_c)
+                self.var_map.append(("shift", (z,)))
+                self.offsets[j] = lo
+                cols_c.append(c_orig[j])
+                cols_a.append(col)
+                if np.isfinite(up):
+                    bound_rows.append((z, up - lo))
+            elif np.isfinite(up):
+                z = len(cols_c)
+                self.var_map.append(("mirror", (z,)))
+                self.offsets[j] = up
+                cols_c.append(-c_orig[j])
+                cols_a.append(-col)
+            else:
+                zp = len(cols_c)
+                cols_c.append(c_orig[j])
+                cols_a.append(col)
+                zm = len(cols_c)
+                cols_c.append(-c_orig[j])
+                cols_a.append(-col)
+                self.var_map.append(("split", (zp, zm)))
+
+        m_orig = lp.n_rows
+        m_bound = len(bound_rows)
+        n_struct = len(cols_c)
+
+        body = np.empty((m_orig + m_bound, n_struct))
+        if n_struct:
+            body[:m_orig] = np.column_stack(cols_a) if cols_a else np.zeros((m_orig, 0))
+        body[m_orig:] = 0.0
+        rhs = np.concatenate([lp.rhs - lp.a @ self.offsets,
+                              np.array([r for _, r in bound_rows], dtype=float)])
+        relations = list(lp.relations) + ["<="] * m_bound
+        for k, (z, _) in enumerate(bound_rows):
+            body[m_orig + k, z] = 1.0
+
+        # slacks
+        slack_cols = []
+        for i, rel in enumerate(relations):
+            if rel == "<=":
+                slack_cols.append((i, 1.0))
+            elif rel == ">=":
+                slack_cols.append((i, -1.0))
+        n_slack = len(slack_cols)
+        a_std = np.zeros((m_orig + m_bound, n_struct + n_slack))
+        a_std[:, :n_struct] = body
+        for k, (i, s) in enumerate(slack_cols):
+            a_std[i, n_struct + k] = s
+
+        # nonnegative rhs
+        self.sigma = np.where(rhs < 0, -1.0, 1.0)
+        a_std *= self.sigma[:, None]
+        rhs = rhs * self.sigma
+
+        self.m_orig = m_orig
+        self.m_bound = m_bound
+        self.bound_rows = bound_rows
+        self.n_struct = n_struct
+        self.c_std = np.concatenate([np.array(cols_c), np.zeros(n_slack)])
+        self.a_std = a_std
+        self.b_std = rhs
+        self.obj_sign = sign
+
+    def x_from_z(self, z: np.ndarray) -> np.ndarray:
+        x = np.empty(self.lp.n_variables)
+        for j, (kind, cols) in enumerate(self.var_map):
+            if kind == "shift":
+                x[j] = self.offsets[j] + z[cols[0]]
+            elif kind == "mirror":
+                x[j] = self.offsets[j] - z[cols[0]]
+            else:
+                x[j] = z[cols[0]] - z[cols[1]]
+        return x
+
+    def ray_from_z(self, dz: np.ndarray) -> np.ndarray:
+        r = np.empty(self.lp.n_variables)
+        for j, (kind, cols) in enumerate(self.var_map):
+            if kind == "shift":
+                r[j] = dz[cols[0]]
+            elif kind == "mirror":
+                r[j] = -dz[cols[0]]
+            else:
+                r[j] = dz[cols[0]] - dz[cols[1]]
+        return r
+
+    def duals_from_std(self, y_std: np.ndarray) -> np.ndarray:
+        # undo row negation, then undo the sense flip
+        y = (self.sigma * y_std)[: self.m_orig]
+        return self.obj_sign * y
+
+    def farkas_from_std(self, y_std: np.ndarray) -> FarkasCertificate:
+        yhat = self.sigma * y_std
+        n = self.lp.n_variables
+        p = np.zeros(n)
+        q = np.zeros(n)
+        w = yhat[: self.m_orig]
+        # fold bound-row multipliers and column slacks into bound multipliers
+        qbound = {z: yhat[self.m_orig + k] for k, (z, _) in enumerate(self.bound_rows)}
+        for j, (kind, cols) in enumerate(self.var_map):
+            a_col = self.lp.a[:, j]
+            if kind == "shift":
+                qb = qbound.get(cols[0], 0.0)
+                q[j] = min(qb, 0.0)
+                p[j] = max(-(w @ a_col + q[j]), 0.0)
+            elif kind == "mirror":
+                q[j] = min(-(w @ a_col), 0.0)
+        scale = np.abs(w).sum() + np.abs(p).sum() + np.abs(q).sum()
+        if scale > 0:
+            w, p, q = w / scale, p / scale, q / scale
+        return FarkasCertificate(w, p, q)
+
+
+def loop_basis_duals(a: np.ndarray, c: np.ndarray, basis_cols: np.ndarray) -> np.ndarray:
+    """Solve B'y = c_B for the final basis (artificial columns are unit
+    vectors with zero cost)."""
+    m = a.shape[0]
+    n = a.shape[1]
+    bmat = np.empty((m, m))
+    cb = np.empty(m)
+    for k, j in enumerate(basis_cols):
+        if j < n:
+            bmat[:, k] = a[:, j]
+            cb[k] = c[j]
+        else:
+            bmat[:, k] = 0.0
+            bmat[j - n, k] = 1.0
+            cb[k] = 0.0
+    try:
+        return np.linalg.solve(bmat.T, cb)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - basis is nonsingular
+        raise LpNumericalError("singular basis during dual recovery") from exc
 
 
 # ---------------------------------------------------------------------------

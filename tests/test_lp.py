@@ -1,8 +1,11 @@
 """Solver-level tests: statuses, certificates, determinism, oracle agreement."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from motkit import lp as lp_module
 from motkit.lp import (
     LinearProgram,
     LpBuilder,
@@ -14,8 +17,8 @@ from motkit.lp import (
     write_mps,
 )
 
-from generators import random_tiny_lp
-from oracles import solve_by_vertex_enumeration
+from generators import RELATION_CHOICES, dyadic, random_tiny_lp
+from oracles import LoopStandardizer, loop_basis_duals, solve_by_vertex_enumeration
 
 RESIDUAL_TOL = 1e-8
 ORACLE_TOL = 1e-7
@@ -74,12 +77,25 @@ class TestBasicStatuses:
         # equality rows have unambiguous duals here: y solves A'y = c
         assert np.allclose(lp.a.T @ sol.duals, lp.objective, atol=1e-9)
 
-    def test_no_rows_bounds_only(self):
-        lp = _lp("min", [2.0, -1.0], np.zeros((0, 2)), [], [],
-                 lower=[0.5, 0.0], upper=[np.inf, 3.0])
+    @pytest.mark.parametrize("sense, c, lower, upper, status, value", [
+        # a boxed variable gives the standard form one bound row
+        ("min", [2.0, -1.0], [0.5, 0.0], [np.inf, 3.0], "optimal", 2.0 * 0.5 - 3.0),
+        # no standard-form row at all: shifted, mirrored and free variables
+        ("min", [2.0, -1.0, 0.0], [0.5, -np.inf, -np.inf], [np.inf, 3.0, np.inf],
+         "optimal", 2.0 * 0.5 - 3.0),
+        ("max", [-1.0, 2.0], [0.0, -np.inf], [np.inf, np.inf], "unbounded", np.inf),
+        ("min", [1.0, 1.0], [0.0, -np.inf], [np.inf, 5.0], "unbounded", -np.inf),
+    ], ids=["boxed", "no-row-optimal", "no-row-free-unbounded", "no-row-mirror-unbounded"])
+    def test_no_rows_bounds_only(self, sense, c, lower, upper, status, value):
+        lp = _lp(sense, c, np.zeros((0, len(c))), [], [], lower=lower, upper=upper)
         sol = solve(lp)
-        assert sol.status == "optimal"
-        assert sol.value == pytest.approx(2.0 * 0.5 - 3.0, abs=1e-12)
+        assert sol.status == status
+        if status == "optimal":
+            assert sol.value == pytest.approx(value, abs=1e-12)
+            assert check_certificates(lp, sol).max_violation <= RESIDUAL_TOL
+        else:
+            assert sol.value == value
+            assert check_unbounded_ray(lp, sol.ray) <= RESIDUAL_TOL
 
     def test_iteration_cap_raises(self):
         lp = _lp("max", [1.0, 1.0], [[1.0, 2.0], [2.0, 1.0]], ["<=", "<="], [4.0, 4.0])
@@ -213,6 +229,88 @@ class TestOracleAgreement:
             statuses[status] += 1
         # the generator must exercise every status
         assert min(statuses.values()) >= 3, statuses
+
+
+def _bits(arr):
+    return arr.shape, arr.tobytes()
+
+
+class TestStandardForm:
+    """lp._Standardizer and lp._basis_duals against the variable-by-variable
+    reference in tests/oracles.py."""
+
+    KINDS = {(True, False): "shift", (True, True): "boxed", (False, True): "mirror",
+             (False, False): "free"}
+
+    @staticmethod
+    def _lps():
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            m = int(rng.integers(0, 5))
+            kind = rng.integers(0, 4, size=n)  # shift, boxed, mirror, free
+            lo = dyadic(rng, -2, 1, size=n, scale=4)
+            up = lo + dyadic(rng, 0.25, 3, size=n, scale=4)
+            yield LinearProgram(
+                sense=("min", "max")[int(rng.integers(0, 2))],
+                objective=dyadic(rng, -2, 2, size=n, scale=4),
+                lower=np.where(kind < 2, lo, -np.inf),
+                upper=np.where((kind == 1) | (kind == 2), up, np.inf),
+                a=dyadic(rng, -2, 2, size=(m, n), scale=4),
+                relations=tuple(RELATION_CHOICES[i] for i in rng.integers(0, 3, size=m)),
+                rhs=dyadic(rng, -3, 3, size=m, scale=4))
+        # the second row repeats the first, so its artificial stays basic;
+        # no slack column follows the structural ones, whose last costs 1
+        yield _lp("min", [1.0, 2.0, -1.0], [[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]], ["=", "="],
+                  [1.0, 2.0], lower=[0.0, 0.0, -np.inf], upper=[np.inf, np.inf, 4.0])
+
+    def test_maps_are_bit_equal(self):
+        rng = np.random.default_rng(18)
+        seen = Counter()
+        for lp in self._lps():
+            new, ref = lp_module._Standardizer(lp), LoopStandardizer(lp)
+            for attr in ("a_std", "b_std", "c_std"):
+                assert _bits(getattr(new, attr)) == _bits(getattr(ref, attr)), attr
+            m, n = new.a_std.shape
+            z = dyadic(rng, 0, 3, size=n, scale=4)
+            z[rng.random(n) < 0.3] = -0.0
+            y = dyadic(rng, -2, 2, size=m, scale=4)
+            for name, arg in (("x_from_z", z), ("ray_from_z", z), ("duals_from_std", y)):
+                assert _bits(getattr(new, name)(arg)) == _bits(getattr(ref, name)(arg)), name
+            seen.update(self.KINDS[lo, up] for lo, up in zip(np.isfinite(lp.lower),
+                                                            np.isfinite(lp.upper)))
+            seen.update(lp.relations + (lp.sense,))
+            seen["negated row"] += int((new.sigma < 0).sum())
+        assert len(seen) == 10 and min(seen.values()) >= 20, seen
+
+    def test_solves_are_bit_equal(self, monkeypatch):
+        """Each solve, rerun on the reference standard form and basis duals,
+        takes the same pivots to the same bits; Farkas certificates, whose
+        aggregation differs, must pass their checker."""
+        recorded = []
+        basis_duals = lp_module._basis_duals
+        monkeypatch.setattr(lp_module, "_basis_duals",
+                            lambda a, c, cols: recorded.append((a, c, cols)) or basis_duals(a, c, cols))
+        statuses = Counter()
+        for lp in self._lps():
+            sol = solve(lp)
+            with monkeypatch.context() as patch:
+                patch.setattr(lp_module, "_Standardizer", LoopStandardizer)
+                patch.setattr(lp_module, "_basis_duals", loop_basis_duals)
+                ref = solve(lp)
+            assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
+            assert sol.value == ref.value or np.isnan(sol.value) and np.isnan(ref.value)
+            for name in ("x", "duals", "ray"):
+                mine, theirs = getattr(sol, name), getattr(ref, name)
+                assert (mine is None) == (theirs is None), name
+                assert mine is None or _bits(mine) == _bits(theirs), name
+            if sol.status == "infeasible":
+                assert check_farkas_certificate(lp, sol.farkas) <= RESIDUAL_TOL
+            statuses[sol.status] += 1
+        assert min(statuses.values()) >= 20, statuses
+        for a, c, cols in recorded:
+            assert _bits(basis_duals(a, c, cols)) == _bits(loop_basis_duals(a, c, cols))
+        assert any((cols >= a.shape[1]).any() for a, _, cols in recorded)
 
 
 class TestDeterminismAndScaling:

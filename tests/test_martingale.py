@@ -10,7 +10,6 @@ from motkit.lp import solve
 from motkit.martingale import (
     ArbitrageError,
     Market,
-    _arbitrage_reports,
     _build_superhedge,
     _mot_primal_builder,
     classify_arbitrage,
@@ -221,7 +220,8 @@ class TestSharedSolves:
             ua = superhedge_dual(market, zero)
             mia = superhedge_dual(market, Payoff.constant(1.0, market.instance))
             feas = primal_mot(market, zero)
-            verdict, ftap = _arbitrage_reports(market)
+            ftap = ftap_check(market)
+            verdict = ftap.verdict
             assert (ftap.uniform_value, ftap.strict_value) == (ua.value, mia.value)
             assert ftap.martingale_set_nonempty == (feas.status == "optimal")
             if feas.coupling is not None:

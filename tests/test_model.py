@@ -63,7 +63,7 @@ class TestInvariants:
 
 
 class TestIndexCache:
-    def test_index_arrays_are_computed_once_and_read_only(self):
+    def test_index_arrays_are_computed_once_and_read_only(self, monkeypatch):
         inst = _uniform_instance((2, 3, 2))
         for get in (inst.point_indices, lambda: inst.prefix_ids(2)):
             first = get()
@@ -75,6 +75,9 @@ class TestIndexCache:
                               np.array(np.unravel_index(np.arange(12), (2, 3, 2))))
         assert np.array_equal(inst.prefix_ids(2), np.arange(12) // 2)
         assert inst.coordinate_values(1).ravel().tolist() == [0, 0, 1, 1, 2, 2] * 2
+        assert [inst.n_prefixes(level) for level in range(4)] == [1, 2, 6, 12]
+        monkeypatch.setattr(np, "prod", lambda *args, **kw: pytest.fail("recomputed"))
+        assert [inst.n_prefixes(level) for level in range(4)] == [1, 2, 6, 12]
 
 
 class TestMarginalOf:
