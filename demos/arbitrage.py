@@ -8,9 +8,9 @@ Three markets:
 * marginals in reversed convex order, where no martingale can connect the
   dates.
 
-For each, three independent computations must agree: no uniform arbitrage,
-no model-independent arbitrage, and non-emptiness of the consistent
-coupling set.
+For each, three conditions must agree, each resting on its own checked
+certificate: no uniform arbitrage, no model-independent arbitrage, and
+non-emptiness of the consistent coupling set.
 
 Run:  python3 demos/arbitrage.py
 """

@@ -1,8 +1,8 @@
 """Finite-grid transport and martingale-transport dualities.
 
 Builds and solves the coupling (primal) and subreplication/superhedging
-(dual) linear programs over finite product grids, classifies
-model-independent vs uniform arbitrage with and without proportional
+(dual) linear programs over finite product grids, detects uniform (and
+so model-independent) arbitrage with and without proportional
 transaction costs, recovers marginals from call quotes, and reproduces the
 Bernoulli-product duality gap numerically.
 """

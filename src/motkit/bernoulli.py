@@ -6,7 +6,9 @@ no coupling prices it above 1/2.  Both sides reduce to exact finite
 computations:
 
 * the dual side is forced by setting the unmodeled tail to all-ones, which
-  costs nothing extra and pins the depth-N subreplication LP at exactly 1;
+  costs nothing extra and pins the depth-N superreplication LP at exactly 1;
+  its value and its certificate are read off the short transport primal of
+  the constant payoff 1 (2N rows, one column per path);
 * the primal side is the two-point measure (all-ones + all-zeros)/2, which
   evaluates to 1/2, together with the depth-N LP bound max E[x_N] = 1/2.
 
@@ -21,14 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LpBuilder, LpError, solve
-from .model import Coupling, DiscreteAxis, DiscreteMeasure, Instance, MarginalConstraint
-from .transport import (
-    _add_marginal_rows,
-    _add_path_variables,
-    _add_static_leg_columns,
-    _superreplication_rows,
-)
+from .model import Coupling, DiscreteAxis, DiscreteMeasure, Instance, MarginalConstraint, Payoff
+from .transport import duality_report, primal_transport
 
 __all__ = [
     "BernoulliGapReport",
@@ -67,7 +63,7 @@ def two_point_measure(depth: int) -> Coupling:
 
 
 def tail_forced_dual_bound(depth: int) -> tuple[float, float, tuple[np.ndarray, ...]]:
-    """Value of the depth-N subreplication LP with the tail set to all-ones.
+    """Value of the depth-N superreplication LP with the tail set to all-ones.
 
     Any cash-plus-legs position (m, g) that dominates the liminf payoff
     must in particular cover the paths that end in ones forever, which
@@ -76,17 +72,14 @@ def tail_forced_dual_bound(depth: int) -> tuple[float, float, tuple[np.ndarray, 
         min  m + sum_n (g_n(0) + g_n(1)) / 2
         s.t. m + sum_n g_n(y_n) >= 1  for all y in {0,1}^N,  g >= 0
 
-    has value exactly 1 for every depth.  Returns (value, certificate m,
-    certificate legs).
+    has value exactly 1 for every depth.  Only its LP dual, the transport
+    primal of the constant payoff 1, is solved; the value is b'y and (m, g)
+    are read off its multipliers, kept once their residuals pass (else the
+    LP above is solved).  Returns (value, certificate m, certificate legs).
     """
     instance = bernoulli_instance(depth)
-    builder = LpBuilder("min")
-    m_var, g_vars, _ = _add_static_leg_columns(builder, instance)
-    _superreplication_rows(builder, instance, np.ones(instance.n_paths), m_var, g_vars)
-    sol = solve(builder.build())
-    if sol.status != "optimal":
-        raise LpError(f"tail-forced dual LP unexpectedly {sol.status}")
-    return sol.value, float(sol.x[m_var]), tuple(sol.x[ids] for ids in g_vars)
+    report = duality_report(instance, Payoff.constant(1.0, instance))
+    return report.dual_value, report.dual.m, report.dual.g
 
 
 def liminf_primal_value(depth: int) -> tuple[float, float]:
@@ -96,17 +89,10 @@ def liminf_primal_value(depth: int) -> tuple[float, float]:
     the bound is the LP value of max E[x_N] over feasible couplings, which
     realizes the liminf bound <f, mu> <= liminf_n E[x_n] = 1/2.
     """
-    mu_star = two_point_measure(depth)
     candidate = 0.5 * 1.0 + 0.5 * 0.0  # f = liminf is 1 on ones, 0 on zeros
-    instance = mu_star.instance
-    builder = LpBuilder("max")
+    instance = bernoulli_instance(depth)
     last = instance.coordinate_values(depth - 1)[:, 0]
-    path_vars = _add_path_variables(builder, instance, last)
-    _add_marginal_rows(builder, instance, path_vars)
-    sol = solve(builder.build())
-    if sol.status != "optimal":
-        raise LpError(f"liminf bound LP unexpectedly {sol.status}")
-    return candidate, sol.value
+    return candidate, primal_transport(instance, Payoff.dense(last))[0]
 
 
 def window_min_expectations(depth: int, start: int = 1) -> np.ndarray:

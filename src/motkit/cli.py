@@ -177,7 +177,8 @@ def solve_mot_cmd(input_path, output, fmt, tol, dump_lp):
 @click.option("--input", "-i", "input_path", required=True)
 @_common_options
 def check_arbitrage_cmd(input_path, output, fmt, tol, dump_lp):
-    """Classify the market: none, uniform, or model-independent arbitrage."""
+    """Classify the market (no arbitrage or a uniform arbitrage) and check
+    the three-way FTAP equivalence."""
     started = time.perf_counter()
     doc = _load_document(input_path)
     market = _need(doc, "market")

@@ -25,7 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LpBuilder, LpError, solve
+from .lp import (
+    RESIDUAL_TOL,
+    LpBuilder,
+    LpError,
+    LpSolution,
+    check_certificates,
+    check_unbounded_ray,
+    primal_residual,
+    solve,
+)
 from .model import (
     VALUE_TOL,
     Coupling,
@@ -292,9 +301,11 @@ def superhedge_dual(market: Market, payoff: Payoff,
 
 def _superhedge(market: Market, table: np.ndarray,
                 force_frictional: bool = False) -> SuperhedgeResult:
-    builder, m_var, g_vars, columns = _build_superhedge(
-        market, table, force_frictional=force_frictional)
-    sol = solve(builder.build())
+    builder, *ids = _build_superhedge(market, table, force_frictional=force_frictional)
+    return _superhedge_result(solve(builder.build()), *ids)
+
+
+def _superhedge_result(sol: LpSolution, m_var, g_vars, columns) -> SuperhedgeResult:
     if sol.status == "optimal":
         strategy = _strategy_from_vector(sol.x, m_var, g_vars, columns)
         return SuperhedgeResult("optimal", sol.value, strategy)
@@ -392,11 +403,14 @@ class ArbitrageVerdict:
     """Classification with a validated witness strategy where applicable.
 
     kind "uniform": witness cost < -1e-9, outcome >= -1e-9 on every path.
-    kind "model_independent": witness cost <= 1e-9, outcome >= 1 - 1e-9
-    pointwise (the scalable surrogate for strict positivity).
+    A model-independent arbitrage (cost <= 0, outcome >= 1 pointwise) would
+    put superhedge(1) at or below 0; since superhedge(c) = c + superhedge(0)
+    (the cash is a free column with cost 1 in every superhedge row), it
+    exists exactly when a uniform one does and gets no kind of its own.
+    strict_value, superhedge(1), is uniform_value + 1 (-inf under arbitrage).
     """
 
-    kind: str  # "no_arbitrage" | "uniform" | "model_independent"
+    kind: str  # "no_arbitrage" | "uniform"
     strategy: SemiStaticStrategy | None
     uniform_value: float
     strict_value: float
@@ -410,26 +424,18 @@ def _constant_table(market: Market, value: float) -> np.ndarray:
     return Payoff.constant(value, market.instance).table
 
 
-def _witness(result: SuperhedgeResult) -> SemiStaticStrategy | None:
-    return result.ray if result.status == "unbounded" else result.strategy
-
-
-def _verdict(ua: SuperhedgeResult, strict) -> ArbitrageVerdict:
-    """The verdict from superhedge(0) and superhedge(1); `strict()` gives
-    the latter and is called only when there is no uniform arbitrage."""
-    if ua.status == "unbounded" or ua.value < -ARBITRAGE_TOL:
-        return ArbitrageVerdict("uniform", _witness(ua), ua.value, -np.inf)
-    mia = strict()
-    if mia.status == "unbounded" or mia.value <= ARBITRAGE_TOL:
-        return ArbitrageVerdict("model_independent", _witness(mia), ua.value, mia.value)
-    return ArbitrageVerdict("no_arbitrage", None, ua.value, mia.value)
+def _verdict(ua: SuperhedgeResult) -> ArbitrageVerdict:
+    """The verdict from superhedge(0)."""
+    if ua.status == "unbounded":
+        return ArbitrageVerdict("uniform", ua.ray, ua.value, -np.inf)
+    if ua.value < -ARBITRAGE_TOL:
+        return ArbitrageVerdict("uniform", ua.strategy, ua.value, -np.inf)
+    return ArbitrageVerdict("no_arbitrage", None, ua.value, ua.value + 1.0)
 
 
 def classify_arbitrage(market: Market) -> ArbitrageVerdict:
-    """Uniform arbitrage first (cost < 0, outcome >= 0), then the
-    model-independent surrogate (cost <= 0, outcome >= 1)."""
-    return _verdict(_superhedge(market, _constant_table(market, 0.0)),
-                    lambda: _superhedge(market, _constant_table(market, 1.0)))
+    """Uniform arbitrage (cost < 0, outcome >= 0) from one superhedge(0) solve."""
+    return _verdict(_superhedge(market, _constant_table(market, 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,16 +450,48 @@ class FtapReport:
     verdict: ArbitrageVerdict
 
 
+def _cash_superhedge(market: Market, cash: float, duals=None, ray=None) -> SuperhedgeResult:
+    """superhedge(cash) at the pure cash position `cash`, kept once a
+    certificate passes against this LP's own data: the dual point `duals`
+    proves the position optimal, or, given an improving `ray`, the position
+    is the feasible point the ray leaves unbounded.  Else the LP is solved."""
+    builder, m_var, g_vars, columns = _build_superhedge(market, _constant_table(market, cash))
+    lp = builder.build()
+    x = np.zeros(lp.n_variables)
+    x[m_var] = cash
+    if ray is None:
+        sol = LpSolution("optimal", float(lp.objective @ x), x, duals, 0)
+        passed = check_certificates(lp, sol).max_violation <= RESIDUAL_TOL
+    else:
+        sol = LpSolution("unbounded", -np.inf, None, None, 0, ray=ray)
+        passed = max(primal_residual(lp, x), check_unbounded_ray(lp, ray)) <= RESIDUAL_TOL
+    return _superhedge_result(sol if passed else solve(lp), m_var, g_vars, columns)
+
+
 def ftap_check(market: Market) -> FtapReport:
-    """Evaluate the three no-arbitrage conditions independently and flag
-    any disagreement (each is checked by its own LP: superhedge(0),
-    superhedge(1) and the zero-payoff martingale primal).  The report
-    carries the verdict of classify_arbitrage, read off the same solves."""
+    """Evaluate the three no-arbitrage conditions and flag any disagreement.
+
+    The zero-payoff martingale primal is solved first; its status is the
+    martingale-set flag.  When it is optimal, its coupling and hull lambdas
+    are a dual point of superhedge(0) and superhedge(1) that proves the
+    cash positions 0 and 1 optimal, each checked against its own LP.  When
+    it is infeasible, superhedge(0) is solved for the witness ray, which
+    also leaves superhedge(1) unbounded from the cash position 1.  Each flag
+    thus rests on its own checked certificate; a certificate that fails its
+    check makes its LP be solved."""
     zero = _constant_table(market, 0.0)
-    ua = _superhedge(market, zero)
-    mia = _superhedge(market, _constant_table(market, 1.0))
-    feas = _primal_mot(market, zero)[0]
-    verdict = _verdict(ua, lambda: mia)
+    feas, _, sol, marginals, _ = _primal_mot(market, zero)
+    if feas.status == "optimal":
+        # rows of superhedge(cash): the epigraph rows of the hull axes, then one per path
+        duals = np.concatenate([sol.x[lams] for _, lams in marginals if lams is not None]
+                               + [feas.coupling.weights])
+        ua, mia = (_cash_superhedge(market, cash, duals=duals) for cash in (0.0, 1.0))
+    else:
+        builder, *ids = _build_superhedge(market, zero)
+        raw = solve(builder.build())
+        ua = _superhedge_result(raw, *ids)
+        mia = _cash_superhedge(market, 1.0, duals=raw.duals, ray=raw.ray)
+    verdict = _verdict(ua)
     no_uniform = verdict.kind != "uniform"
     no_mia = mia.status == "optimal" and mia.value > ARBITRAGE_TOL
     nonempty = feas.status == "optimal"

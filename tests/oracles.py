@@ -4,9 +4,10 @@ Everything here is deliberately independent of the production solver:
 Fractions instead of floats, enumeration instead of pivoting.  Keep these
 slow-and-sure; they are the second route of every dual-route check.  The
 two-LP duality routes at the end solve both sides of a duality with the
-production solver; they are the oracle of the one-LP reports.  The loop
-assembly and the variable-by-variable standard form are the references
-their index-array versions must match bit for bit.
+production solver; they are the oracle of the one-LP reports, as the tall
+Bernoulli LP and the three-LP FTAP route are of the routes that replaced
+them.  The loop assembly and the variable-by-variable standard form are
+the references their index-array versions must match bit for bit.
 """
 
 from __future__ import annotations
@@ -24,9 +25,21 @@ from motkit.lp import (
     LpNumericalError,
     solve,
 )
-from motkit.martingale import primal_mot, superhedge_dual
-from motkit.model import VALUE_TOL, sublinear_price
-from motkit.transport import dual_transport, primal_transport
+from motkit.bernoulli import bernoulli_instance
+from motkit.martingale import (
+    ARBITRAGE_TOL,
+    ArbitrageVerdict,
+    FtapReport,
+    primal_mot,
+    superhedge_dual,
+)
+from motkit.model import VALUE_TOL, Payoff, sublinear_price
+from motkit.transport import (
+    _add_static_leg_columns,
+    _superreplication_rows,
+    dual_transport,
+    primal_transport,
+)
 
 
 def _solve_exact(matrix, rhs):
@@ -552,3 +565,45 @@ def translation_check(constraint, values, shift: float) -> bool:
     lhs = sublinear_price(constraint, values + shift)
     rhs = sublinear_price(constraint, values) + shift
     return abs(lhs - rhs) <= VALUE_TOL
+
+
+# ---------------------------------------------------------------------------
+# the LPs that cheaper routes replaced, kept as the reference of those routes
+# ---------------------------------------------------------------------------
+
+def tall_tail_forced_dual_bound(depth: int):
+    """The Bernoulli tail-forced superreplication LP itself, 2^N rows by
+    2N + 1 columns: (value, certificate m, certificate legs)."""
+    instance = bernoulli_instance(depth)
+    builder = LpBuilder("min")
+    m_var, g_vars, _ = _add_static_leg_columns(builder, instance)
+    _superreplication_rows(builder, instance, np.ones(instance.n_paths), m_var, g_vars)
+    sol = solve(builder.build())
+    if sol.status != "optimal":
+        raise LpError(f"tail-forced dual LP unexpectedly {sol.status}")
+    return sol.value, float(sol.x[m_var]), tuple(sol.x[ids] for ids in g_vars)
+
+
+def three_lp_ftap(market) -> FtapReport:
+    """The FTAP report from three separate solves, superhedge(0),
+    superhedge(1) and the zero-payoff MOT primal, with a verdict that tests
+    the model-independent surrogate (cost <= 0, outcome >= 1) on its own."""
+    zero, one = (Payoff.constant(cash, market.instance) for cash in (0.0, 1.0))
+    ua, mia = superhedge_dual(market, zero), superhedge_dual(market, one)
+    feas = primal_mot(market, zero)
+    if ua.status == "unbounded" or ua.value < -ARBITRAGE_TOL:
+        witness = ua.ray if ua.status == "unbounded" else ua.strategy
+        verdict = ArbitrageVerdict("uniform", witness, ua.value, -np.inf)
+    elif mia.status == "unbounded" or mia.value <= ARBITRAGE_TOL:
+        witness = mia.ray if mia.status == "unbounded" else mia.strategy
+        verdict = ArbitrageVerdict("model_independent", witness, ua.value, mia.value)
+    else:
+        verdict = ArbitrageVerdict("no_arbitrage", None, ua.value, mia.value)
+    no_uniform = verdict.kind != "uniform"
+    no_mia = mia.status == "optimal" and mia.value > ARBITRAGE_TOL
+    nonempty = feas.status == "optimal"
+    return FtapReport(no_model_independent=no_mia, no_uniform=no_uniform,
+                      martingale_set_nonempty=nonempty,
+                      equivalent=(no_mia == no_uniform == nonempty),
+                      uniform_value=ua.value, strict_value=mia.value,
+                      coupling=feas.coupling, verdict=verdict)

@@ -1,10 +1,12 @@
 """Duality-gap reproduction on the Bernoulli product space."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from motkit import transport
 from motkit.bernoulli import (
     bernoulli_instance,
     gap_report,
@@ -13,8 +15,20 @@ from motkit.bernoulli import (
     two_point_measure,
     window_min_expectations,
 )
+from motkit.lp import solve
 from motkit.model import Coupling, Payoff, marginal_of
 from motkit.transport import conjugate_membership, dual_transport, primal_transport
+
+from oracles import tall_tail_forced_dual_bound
+
+
+@pytest.fixture
+def senses(monkeypatch):
+    """The sense of every LP the transport module solves, in order."""
+    seen = []
+    monkeypatch.setattr(transport, "solve",
+                        lambda lp, **kw: seen.append(lp.sense) or solve(lp, **kw))
+    return seen
 
 
 class TestInstanceConstruction:
@@ -65,6 +79,48 @@ class TestTailForcedDual:
         for _ in range(3):
             again, _, _ = tail_forced_dual_bound(4)
             assert again == base
+
+
+class TestShortSide:
+    """The tail-forced bound is read off the short transport primal of the
+    constant payoff 1; the tall LP itself is the oracle."""
+
+    @pytest.mark.parametrize("depth", range(1, 11))
+    def test_equals_tall_lp_and_certifies(self, senses, depth):
+        value, m, legs = tail_forced_dual_bound(depth)
+        assert senses == ["max"]  # the multipliers passed: no tall LP
+        assert value == tall_tail_forced_dual_bound(depth)[0]
+        assert all(np.all(g >= 0.0) for g in legs)
+        idx = bernoulli_instance(depth).point_indices()
+        cover = m + sum(legs[n][idx[n]] for n in range(depth))
+        assert float(cover.min()) >= 1.0 - 1e-9
+        repriced = m + sum(0.5 * (g[0] + g[1]) for g in legs)
+        assert repriced == pytest.approx(value, abs=1e-10)
+
+    def test_shifted_multiplier_falls_back_to_tall_lp(self, monkeypatch):
+        seen = []
+
+        def shifted(lp, **kwargs):
+            sol = solve(lp, **kwargs)
+            seen.append(lp.sense)
+            if lp.sense == "max":
+                duals = sol.duals.copy()
+                duals[0] -= 0.5  # the point 0 of the first coin is left uncovered
+                sol = dataclasses.replace(sol, duals=duals)
+            return sol
+
+        monkeypatch.setattr(transport, "solve", shifted)
+        value, m, legs = tail_forced_dual_bound(4)
+        assert seen == ["max", "min"]
+        assert (value, m) == tall_tail_forced_dual_bound(4)[:2] == (1.0, 1.0)
+
+    @pytest.mark.parametrize("depth", (12, 14))
+    def test_gap_persists_deeper(self, senses, depth):
+        report = gap_report(depth)
+        assert senses == ["max", "max"]
+        assert report.dual_value == pytest.approx(1.0, abs=1e-9)
+        assert report.primal_upper_bound == pytest.approx(0.5, abs=1e-9)
+        assert report.gap == pytest.approx(0.5, abs=1e-9)
 
 
 class TestLiminfPrimal:

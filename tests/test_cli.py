@@ -26,7 +26,8 @@ def runner():
 @pytest.fixture
 def lp_calls(monkeypatch):
     """Counts solve() calls at every motkit binding of it, LpBuilder
-    constructions and payoff expansions."""
+    constructions and payoff expansions; "rows_max" is the most rows of
+    any LP solved."""
     counts = Counter()
     originals = {"solve": lp_module.solve, "builders": lp_module.LpBuilder.__init__,
                  "expansions": Payoff.table_for}
@@ -34,6 +35,8 @@ def lp_calls(monkeypatch):
     def counting(key):
         def wrapper(*args, **kwargs):
             counts[key] += 1
+            if key == "solve":
+                counts["rows_max"] = max(counts["rows_max"], args[0].n_rows)
             return originals[key](*args, **kwargs)
         return wrapper
 
@@ -141,15 +144,19 @@ def _mixed_market_doc():
 
 
 class TestSolveCounts:
+    # check-arbitrage also builds superhedge(0) and superhedge(1), whose
+    # certificates it checks against their own LPs without solving them
+    BUILDERS = {"check-arbitrage": 3}
+
     @pytest.mark.parametrize("command, solves, expansions", [
-        ("solve-mot", 1, 1), ("check-arbitrage", 3, 0), ("verify-duality", 1, 1)])
+        ("solve-mot", 1, 1), ("check-arbitrage", 1, 0), ("verify-duality", 1, 1)])
     def test_each_lp_solved_once(self, runner, tmp_path, lp_calls, command, solves,
                                  expansions):
         path = _write(tmp_path, "mot.json", _straddle_market_doc())
         result = runner.invoke(main, [command, "-i", path])
         assert result.exit_code == 0, result.output
         assert lp_calls["solve"] == solves
-        assert lp_calls["builders"] == solves
+        assert lp_calls["builders"] == self.BUILDERS.get(command, solves)
         assert lp_calls["expansions"] == expansions
 
     @pytest.mark.parametrize("command", ["solve-transport", "verify-duality"])
@@ -169,12 +176,19 @@ class TestSolveCounts:
                                                        "dual_status": "unbounded"}
         assert lp_calls["solve"] == lp_calls["builders"] == 2
 
-    def test_uniform_arbitrage_still_three_solves(self, runner, tmp_path, lp_calls):
+    def test_uniform_arbitrage_takes_two_solves(self, runner, tmp_path, lp_calls):
         path = _write(tmp_path, "arb.json", _spot_mismatch_doc())
         result = runner.invoke(main, ["check-arbitrage", "-i", path])
         assert result.exit_code == 2
         assert json.loads(result.output)["values"]["verdict"] == "uniform"
-        assert lp_calls["solve"] == lp_calls["builders"] == 3
+        assert (lp_calls["solve"], lp_calls["builders"]) == (2, 3)
+
+    def test_counterexample_solves_only_short_lps(self, runner, lp_calls):
+        # per depth n <= 6: the primals of the payoffs 1 and x_n, 2n rows each
+        result = runner.invoke(main, ["counterexample", "--depth", "6"])
+        assert result.exit_code == 0, result.output
+        assert lp_calls["solve"] == lp_calls["builders"] == 12
+        assert lp_calls["rows_max"] == 12
 
 
 class TestDumpLp:
@@ -187,20 +201,21 @@ class TestDumpLp:
         "superhedge": "65668a424b0468a5d6e90f559b638db6a16d688a9b6515bdbcdc67df0b3f668e",
     }
 
-    @pytest.mark.parametrize("command, market, lp, solves", [
-        ("solve-transport", False, "transport", 2), ("solve-transport", True, "transport", 2),
-        ("verify-duality", False, "transport", 2),
-        ("solve-mot", True, "mot", 2), ("check-arbitrage", True, "superhedge", 3),
-        ("verify-duality", True, "mot", 2)])
+    @pytest.mark.parametrize("command, market, lp, solves, builders", [
+        ("solve-transport", False, "transport", 2, 2),
+        ("solve-transport", True, "transport", 2, 2),
+        ("verify-duality", False, "transport", 2, 2),
+        ("solve-mot", True, "mot", 2, 2), ("check-arbitrage", True, "superhedge", 1, 3),
+        ("verify-duality", True, "mot", 2, 2)])
     def test_dump_is_the_pinned_lp_and_costs_a_builder_only_when_asked(
-            self, runner, tmp_path, lp_calls, command, market, lp, solves):
+            self, runner, tmp_path, lp_calls, command, market, lp, solves, builders):
         doc = _mixed_market_doc()
         if not market:
             doc.pop("market")
         path = _write(tmp_path, "doc.json", doc)
         plain = runner.invoke(main, [command, "-i", path])
         assert plain.exit_code == 0, plain.output
-        assert lp_calls["builders"] == lp_calls["solve"] == solves
+        assert (lp_calls["solve"], lp_calls["builders"]) == (solves, builders)
         built = lp_calls["builders"]
         dump = tmp_path / "dump.mps"
         dumped = runner.invoke(main, [command, "-i", path, "--dump-lp", str(dump)])
@@ -208,6 +223,29 @@ class TestDumpLp:
         assert _payload_without_meta(dumped.output) == _payload_without_meta(plain.output)
         assert lp_calls["builders"] == 2 * built + 1
         assert hashlib.sha256(dump.read_bytes()).hexdigest() == self.DIGESTS[lp]
+
+
+class TestPayloadDigests:
+    # sha256 of the result document outside `meta`, as written when the
+    # counterexample solved the tall 2^N-row LP and check-arbitrage solved
+    # superhedge(0), superhedge(1) and the zero-payoff MOT primal
+    DIGESTS = {
+        "counterexample": "954ba34d4142b0703c3b36ce512d50a0573cdce9790045fb64bde2e268f9c0a9",
+        "straddle": "8950f4b111851ecb600ae8ea9bfbce6f0182f1c5bde27e2f2447a84a2ee336ce",
+        "spot-mismatch": "33ef47789e0e4e562fd848f703425fcb10d8c9047c41a586c41439a680594067",
+    }
+
+    @pytest.mark.parametrize("name, doc, code", [
+        ("counterexample", None, 0),
+        ("straddle", _straddle_market_doc(with_payoff=False), 0),
+        ("spot-mismatch", _spot_mismatch_doc(), 2)])
+    def test_payload_is_pinned(self, runner, tmp_path, name, doc, code):
+        argv = (["counterexample", "--depth", "10"] if doc is None
+                else ["check-arbitrage", "-i", _write(tmp_path, "doc.json", doc)])
+        result = runner.invoke(main, argv)
+        assert result.exit_code == code, result.output
+        digest = hashlib.sha256(_payload_without_meta(result.output).encode()).hexdigest()
+        assert digest == self.DIGESTS[name]
 
 
 class TestPivotRuleScope:

@@ -40,8 +40,10 @@ from oracles import (
     loop_mot_primal_matrix,
     loop_superhedge_path_rows,
     strategy_residuals,
+    three_lp_ftap,
     two_lp_superhedging,
 )
+from test_acceptance import _ftap_corpus
 
 GAP_TOL = 1e-7
 
@@ -203,8 +205,8 @@ class TestTripletAssembly:
 
 
 class TestSharedSolves:
-    """check-arbitrage reads every report off one solve per LP; fresh solves
-    of each LP, one public call apiece, are the oracle."""
+    """ftap_check and classify_arbitrage agree with fresh solves of each LP,
+    one public call apiece."""
 
     def test_reports_equal_fresh_solves(self):
         rng = np.random.default_rng(5)
@@ -229,6 +231,101 @@ class TestSharedSolves:
             alone = classify_arbitrage(market)
             assert (verdict.kind, verdict.uniform_value, verdict.strict_value) == (
                 alone.kind, alone.uniform_value, alone.strict_value)
+
+
+def _strategy_tables(s) -> list:
+    return [s.m, *s.g] + [t for leg in s.legs for t in (*leg.h, *(leg.u or ()))]
+
+
+def _same_strategy(a, b) -> bool:
+    """Both None, or the same maturities and bit-equal tables."""
+    if a is None or b is None:
+        return a is b
+    return ([leg.maturity for leg in a.legs] == [leg.maturity for leg in b.legs]
+            and all(np.array_equal(x, y)
+                    for x, y in zip(_strategy_tables(a), _strategy_tables(b), strict=True)))
+
+
+class TestFtapRoute:
+    """ftap_check solves the zero-payoff MOT primal, and superhedge(0) only
+    when that is infeasible; the three-LP route is the oracle."""
+
+    @staticmethod
+    def _markets():
+        rng = np.random.default_rng(31)
+        frictional = []
+        for trial in range(12):
+            eps = [[0.05, 0.1], [0.01, 0.0], [0.1, 0.1]][trial % 3]
+            frictional.append(binomial_market(rng, horizon=2, d=2, epsilons=eps,
+                                              hull_prob=0.4 if trial % 4 == 0 else 0.0)
+                              if trial % 2 == 0 else
+                              random_market(rng, horizon=2, d=2, epsilons=eps))
+        return _ftap_corpus() + frictional
+
+    @staticmethod
+    def _counting(monkeypatch, perturb=lambda lp, sol: sol):
+        senses = []
+
+        def counted(lp, **kwargs):
+            senses.append(lp.sense)
+            return perturb(lp, solve(lp, **kwargs))
+
+        monkeypatch.setattr(martingale, "solve", counted)
+        return senses
+
+    def test_equals_three_lp_route(self, monkeypatch):
+        senses = self._counting(monkeypatch)
+        seen = set()
+        for market in self._markets():
+            expected = three_lp_ftap(market)
+            senses.clear()
+            report = ftap_check(market)
+            seen.add(report.verdict.kind)
+            # arbitrage-free: the MOT primal alone; else also superhedge(0)
+            assert senses == (["max"] if report.martingale_set_nonempty else ["max", "min"])
+            for field in ("no_model_independent", "no_uniform", "martingale_set_nonempty",
+                          "equivalent", "uniform_value", "strict_value"):
+                assert getattr(report, field) == getattr(expected, field), field
+            assert report.equivalent
+            if expected.coupling is None:
+                assert report.coupling is None
+            else:
+                assert np.array_equal(report.coupling.weights, expected.coupling.weights)
+            got, want = report.verdict, expected.verdict
+            assert (got.kind, got.uniform_value, got.strict_value) == (
+                want.kind, want.uniform_value, want.strict_value)
+            assert _same_strategy(got.strategy, want.strategy)
+        assert seen == {"no_arbitrage", "uniform"}
+
+    def test_failed_coupling_certificate_solves_both_superhedges(self, monkeypatch):
+        def shifted(lp, sol):
+            if lp.sense == "max":
+                x = sol.x.copy()
+                x[0] += 0.5  # the coupling's mass is off: not a dual point
+                sol = dataclasses.replace(sol, x=x)
+            return sol
+
+        market = arbitrage_free_market(np.random.default_rng(3), horizon=2, d=1,
+                                       epsilons=[0.05])
+        expected = three_lp_ftap(market)
+        senses = self._counting(monkeypatch, shifted)
+        report = ftap_check(market)
+        assert senses == ["max", "min", "min"]
+        assert (report.uniform_value, report.strict_value, report.verdict.kind) == (
+            expected.uniform_value, expected.strict_value, "no_arbitrage")
+        assert report.equivalent and report.no_uniform and report.no_model_independent
+
+    def test_failed_ray_certificate_solves_superhedge_one(self, monkeypatch):
+        def reversed_ray(lp, sol):
+            return sol if sol.ray is None else dataclasses.replace(sol, ray=-sol.ray)
+
+        market = _market([([0.0, 2.0], [0.5, 0.5])], [0.9], [0.0])
+        senses = self._counting(monkeypatch, reversed_ray)
+        report = ftap_check(market)
+        assert senses == ["max", "min", "min"]
+        assert report.verdict.kind == "uniform"
+        assert report.strict_value == -np.inf
+        assert report.equivalent and not report.no_model_independent
 
 
 class TestOneLpDuality:
