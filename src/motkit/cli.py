@@ -16,6 +16,7 @@ import click
 import numpy as np
 
 from . import bernoulli
+from .assembly import primal_lp, superhedge_lp
 from .calls import CallQuoteCurve, StaticArbitrageError, marginal_from_calls
 from .documents import (
     DocumentError,
@@ -24,15 +25,9 @@ from .documents import (
     write_output,
 )
 from .lp import PIVOT_RULE, write_mps
-from .martingale import (
-    ArbitrageError,
-    _build_superhedge,
-    _constant_table,
-    _mot_primal_builder,
-    ftap_check,
-    superhedging_duality_report,
-)
-from .transport import _primal_builder, duality_report
+from .martingale import ArbitrageError, ftap_check, superhedging_duality_report
+from .model import Payoff
+from .transport import duality_report
 
 
 def _fail(message: str) -> None:
@@ -82,10 +77,8 @@ def _maybe_dump_primal(dump_path, instance, payoff, market=None):
     """Write the one LP a duality report solves as MPS: the MOT primal of
     `market`, else the transport primal.  Builds nothing without a path."""
     if dump_path:
-        table = payoff.table_for(instance)
-        builder = (_primal_builder(instance, table) if market is None
-                   else _mot_primal_builder(market, table))[0]
-        write_output(write_mps(builder.build()), dump_path)
+        write_output(write_mps(primal_lp(instance, payoff.table_for(instance), market).lp),
+                     dump_path)
 
 
 def _duality_values(report, tol) -> dict:
@@ -98,20 +91,27 @@ def _duality_values(report, tol) -> dict:
 
 
 def _resolve_tol(tol, doc):
-    return doc.options.tol if tol is None else tol
+    if tol is None:
+        return doc.options.tol
+    if not (np.isfinite(tol) and tol > 0):
+        _fail("--tol must be positive and finite")
+    return tol
+
+
+def _output_options(fn):
+    fn = click.option("--output", "-o", default="-", show_default=True,
+                      help="result path, or - for stdout")(fn)
+    return click.option("--format", "fmt", type=click.Choice(["json", "table"]),
+                        default="json", show_default=True)(fn)
 
 
 def _common_options(fn):
-    fn = click.option("--output", "-o", default="-", show_default=True,
-                      help="result path, or - for stdout")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["json", "table"]),
-                      default="json", show_default=True)(fn)
+    fn = _output_options(fn)
     fn = click.option("--tol", type=float, default=None,
                       help="gap tolerance for pass/fail flags "
                            "(default: the document's options.tol)")(fn)
-    fn = click.option("--dump-lp", "dump_lp", default=None,
-                      help="write the main LP in MPS format to this path")(fn)
-    return fn
+    return click.option("--dump-lp", "dump_lp", default=None,
+                        help="write the main LP in MPS format to this path")(fn)
 
 
 @click.group()
@@ -183,8 +183,8 @@ def check_arbitrage_cmd(input_path, output, fmt, tol, dump_lp):
     doc = _load_document(input_path)
     market = _need(doc, "market")
     if dump_lp:
-        lp = _build_superhedge(market, _constant_table(market, 0.0))[0].build()
-        write_output(write_mps(lp), dump_lp)
+        zero = Payoff.constant(0.0, market.instance).table
+        write_output(write_mps(superhedge_lp(market.instance, zero, market).lp), dump_lp)
     ftap = ftap_check(market)
     verdict = ftap.verdict
     values = {
@@ -240,8 +240,8 @@ def verify_duality_cmd(input_path, output, fmt, tol, dump_lp):
 
 @main.command("counterexample")
 @click.option("--depth", type=int, default=6, show_default=True)
-@_common_options
-def counterexample_cmd(depth, output, fmt, tol, dump_lp):
+@_output_options
+def counterexample_cmd(depth, output, fmt):
     """Duality-gap table on the Bernoulli product space, depths 1..N."""
     started = time.perf_counter()
     if depth < 1:
@@ -274,8 +274,8 @@ def counterexample_cmd(depth, output, fmt, tol, dump_lp):
 @click.option("--calls", "calls_path", required=True,
               help="JSON file with 'strikes' and 'prices' arrays")
 @click.option("--maturity", type=int, required=True)
-@_common_options
-def bl_ingest_cmd(calls_path, maturity, output, fmt, tol, dump_lp):
+@_output_options
+def bl_ingest_cmd(calls_path, maturity, output, fmt):
     """Recover a marginal from call quotes by discrete second differences."""
     started = time.perf_counter()
     try:

@@ -523,22 +523,30 @@ def _row_activities(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
     return lp.a @ x if lp.n_rows else np.zeros(0)
 
 
+def _relation_violation(lp: LinearProgram, gap: np.ndarray) -> np.ndarray:
+    """Per row, how far `gap` (activity minus rhs) breaks the relation: its
+    excess on "<=" rows, its shortfall on ">=" rows, its size on "=" rows."""
+    rel = np.array(lp.relations, dtype="U2")
+    return np.where(rel == "<=", gap, np.where(rel == ">=", -gap, np.abs(gap)))
+
+
+def _sign_violation(lp: LinearProgram, y: np.ndarray) -> np.ndarray:
+    """Per row, how far the multiplier y (min convention) has the wrong sign:
+    y >= 0 on ">=" rows, y <= 0 on "<=" rows, free on "=" rows."""
+    rel = np.array(lp.relations, dtype="U2")
+    return np.where(rel == ">=", -y, np.where(rel == "<=", y, 0.0))
+
+
+def _worst(*violations) -> float:
+    """The largest entry of the violation arrays, and 0.0 when none is positive."""
+    return max(0.0, float(np.concatenate(violations).max(initial=0.0)))
+
+
 def primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
     """Largest violation of rows and bounds at x (absolute)."""
-    act = _row_activities(lp, x)
-    worst = 0.0
-    for i, rel in enumerate(lp.relations):
-        gap = act[i] - lp.rhs[i]
-        if rel == "<=":
-            worst = max(worst, gap)
-        elif rel == ">=":
-            worst = max(worst, -gap)
-        else:
-            worst = max(worst, abs(gap))
-    lo_viol = np.where(np.isfinite(lp.lower), lp.lower - x, -np.inf)
-    up_viol = np.where(np.isfinite(lp.upper), x - lp.upper, -np.inf)
-    worst = max(worst, float(lo_viol.max(initial=0.0)), float(up_viol.max(initial=0.0)))
-    return float(max(worst, 0.0))
+    return _worst(_relation_violation(lp, _row_activities(lp, x) - lp.rhs),
+                  np.where(np.isfinite(lp.lower), lp.lower - x, -np.inf),
+                  np.where(np.isfinite(lp.upper), x - lp.upper, -np.inf))
 
 
 def check_certificates(lp: LinearProgram, sol: LpSolution,
@@ -548,41 +556,20 @@ def check_certificates(lp: LinearProgram, sol: LpSolution,
         raise ValueError("check_certificates expects an Optimal solution")
     x, y = sol.x, sol.duals
     sgn = 1.0 if lp.sense == "min" else -1.0
-
-    p_res = primal_residual(lp, x)
-
     z = lp.objective - (lp.a.T @ y if lp.n_rows else 0.0)
-    d_res = 0.0
-    comp = 0.0
-    act = _row_activities(lp, x)
-    for i, rel in enumerate(lp.relations):
-        yi = sgn * y[i]  # in min convention after sign normalization
-        if rel == ">=":
-            d_res = max(d_res, -yi)
-        elif rel == "<=":
-            d_res = max(d_res, yi)
-        comp = max(comp, abs(y[i] * (act[i] - lp.rhs[i])))
-    zs = sgn * z
-    for j in range(lp.n_variables):
-        at_lo = np.isfinite(lp.lower[j]) and x[j] <= lp.lower[j] + 1e-7
-        at_up = np.isfinite(lp.upper[j]) and x[j] >= lp.upper[j] - 1e-7
-        if at_lo and at_up:
-            continue
-        if at_lo:
-            d_res = max(d_res, -zs[j])
-        elif at_up:
-            d_res = max(d_res, zs[j])
-        else:
-            d_res = max(d_res, abs(zs[j]))
-
-    dual_obj = float(y @ lp.rhs) if lp.n_rows else 0.0
-    for j in range(lp.n_variables):
-        if zs[j] > tol and np.isfinite(lp.lower[j]):
-            dual_obj += z[j] * lp.lower[j]
-        elif zs[j] < -tol and np.isfinite(lp.upper[j]):
-            dual_obj += z[j] * lp.upper[j]
+    zs = sgn * z  # in min convention after sign normalization
+    at_lo = np.isfinite(lp.lower) & (x <= lp.lower + 1e-7)
+    at_up = np.isfinite(lp.upper) & (x >= lp.upper - 1e-7)
+    reduced = np.where(at_lo & at_up, 0.0,
+                       np.where(at_lo, -zs, np.where(at_up, zs, np.abs(zs))))
+    d_res = _worst(_sign_violation(lp, sgn * y), reduced)
+    comp = _worst(np.abs(y * (_row_activities(lp, x) - lp.rhs)))
+    lo_term = (zs > tol) & np.isfinite(lp.lower)
+    up_term = (zs < -tol) & np.isfinite(lp.upper)
+    dual_obj = ((float(y @ lp.rhs) if lp.n_rows else 0.0)
+                + float(z[lo_term] @ lp.lower[lo_term] + z[up_term] @ lp.upper[up_term]))
     gap = abs(sol.value - dual_obj) / max(1.0, abs(sol.value))
-    return CertificateReport(p_res, float(max(d_res, 0.0)), comp, gap)
+    return CertificateReport(primal_residual(lp, x), d_res, comp, gap)
 
 
 def check_farkas_certificate(lp: LinearProgram, cert: FarkasCertificate,
@@ -593,45 +580,24 @@ def check_farkas_certificate(lp: LinearProgram, cert: FarkasCertificate,
     valid, strictly separating certificate scores 0.
     """
     w, p, q = cert.row_multipliers, cert.lower_multipliers, cert.upper_multipliers
-    worst = 0.0
-    for i, rel in enumerate(lp.relations):
-        if rel == ">=":
-            worst = max(worst, -w[i])
-        elif rel == "<=":
-            worst = max(worst, w[i])
-    worst = max(worst, float((-p).max(initial=0.0)), float(q.max(initial=0.0)))
-    # multipliers on infinite bounds must vanish
-    worst = max(worst, float(np.abs(np.where(np.isfinite(lp.lower), 0.0, p)).max(initial=0.0)))
-    worst = max(worst, float(np.abs(np.where(np.isfinite(lp.upper), 0.0, q)).max(initial=0.0)))
+    lo_mask, up_mask = np.isfinite(lp.lower), np.isfinite(lp.upper)
     agg = (lp.a.T @ w if lp.n_rows else 0.0) + p + q
-    worst = max(worst, float(np.abs(agg).max(initial=0.0)))
     margin = float(w @ lp.rhs)
-    lo_mask = np.isfinite(lp.lower)
-    up_mask = np.isfinite(lp.upper)
     margin += float((p[lo_mask] * lp.lower[lo_mask]).sum())
     margin += float((q[up_mask] * lp.upper[up_mask]).sum())
-    worst = max(worst, tol - margin)
-    return float(max(worst, 0.0))
+    # multipliers on infinite bounds must vanish
+    return max(_worst(_sign_violation(lp, w), -p, q, np.abs(np.where(lo_mask, 0.0, p)),
+                      np.abs(np.where(up_mask, 0.0, q)), np.abs(agg)), tol - margin, 0.0)
 
 
 def check_unbounded_ray(lp: LinearProgram, ray: np.ndarray,
                         tol: float = RESIDUAL_TOL) -> float:
     """Residual of an improving feasible ray; <= tol means valid."""
-    worst = 0.0
-    act = lp.a @ ray if lp.n_rows else np.zeros(0)
-    for i, rel in enumerate(lp.relations):
-        if rel == "<=":
-            worst = max(worst, act[i])
-        elif rel == ">=":
-            worst = max(worst, -act[i])
-        else:
-            worst = max(worst, abs(act[i]))
-    worst = max(worst, float(np.where(np.isfinite(lp.lower), -ray, -np.inf).max(initial=0.0)))
-    worst = max(worst, float(np.where(np.isfinite(lp.upper), ray, -np.inf).max(initial=0.0)))
     drift = float(lp.objective @ ray)
     improving = -drift if lp.sense == "min" else drift
-    worst = max(worst, tol - improving)
-    return float(max(worst, 0.0))
+    return max(_worst(_relation_violation(lp, _row_activities(lp, ray)),
+                      np.where(np.isfinite(lp.lower), -ray, -np.inf),
+                      np.where(np.isfinite(lp.upper), ray, -np.inf)), tol - improving, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import DynamicLeg, certified, primal_lp, superhedge_lp
 from .lp import (
     RESIDUAL_TOL,
-    LpBuilder,
     LpError,
     LpSolution,
     check_certificates,
@@ -42,16 +42,7 @@ from .model import (
     Payoff,
     sublinear_price,
 )
-from .transport import (
-    DualityReport,
-    _add_marginal_rows,
-    _add_path_variables,
-    _add_static_leg_columns,
-    _certified,
-    _marginal_separation,
-    _static_side,
-    _superreplication_rows,
-)
+from .transport import DualityReport, marginal_separation
 
 __all__ = [
     "Market",
@@ -124,19 +115,6 @@ class Market:
 
 
 @dataclass(frozen=True, eq=False)
-class DynamicLeg:
-    """Adapted positions (and turnover bounds) valued at one maturity.
-
-    h[n-1] has shape (#prefixes of length n-1, d); u matches h and is
-    present only when some asset carries transaction costs.
-    """
-
-    maturity: int
-    h: tuple[np.ndarray, ...]
-    u: tuple[np.ndarray, ...] | None = None
-
-
-@dataclass(frozen=True, eq=False)
 class SemiStaticStrategy:
     m: float
     g: tuple[np.ndarray, ...]
@@ -182,111 +160,9 @@ class SuperhedgeResult:
     ray: SemiStaticStrategy | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class _StrategyColumns:
-    """Ids of a strategy's dynamic-trading terms: columns of the superhedge
-    LP, or the MOT primal rows whose multipliers they are.  ``h_vars[(a, n)]``
-    are the positions over period n per prefix of length n - 1 (frictionless
-    assets), ``trade_vars[(a, N, n)]`` the (buy, sell) trades opened at n - 1
-    and closed at N (frictional assets, ask and bid rows in the primal)."""
-
-    market: Market
-    h_vars: dict
-    trade_vars: dict
-
-    @classmethod
-    def allocate(cls, builder: LpBuilder, market: Market,
-                 force_frictional: bool = False) -> "_StrategyColumns":
-        """The superhedge LP's columns.  ``force_frictional`` routes zero-cost
-        assets through the per-maturity trades too; the LP value is unchanged
-        (a maturity-N trade telescopes into one-step positions when trading
-        is free), which is exactly the frictionless-reduction check."""
-        instance = market.instance
-        t_horizon = market.horizon
-        h_vars, trade_vars = {}, {}
-        for a in range(market.d):
-            if market.epsilons[a] == 0.0 and not force_frictional:
-                for n in range(1, t_horizon + 1):
-                    h_vars[(a, n)] = builder.add_variables(
-                        instance.n_prefixes(n - 1), lower=-np.inf)
-            else:
-                for mat in range(1, t_horizon + 1):
-                    for n in range(1, mat + 1):
-                        count = instance.n_prefixes(n - 1)
-                        trade_vars[(a, mat, n)] = (builder.add_variables(count),
-                                                   builder.add_variables(count))
-        return cls(market, h_vars, trade_vars)
-
-    def path_coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dynamic-outcome terms of the superhedge rows as (path, column,
-        value) triplets: each column block holds one term for every path."""
-        instance = self.market.instance
-        s, eps = self.market.price_paths(), self.market.epsilons
-        cols, vals = [], []
-        for (a, n), ids in self.h_vars.items():
-            cols.append(ids[instance.prefix_ids(n - 1)])
-            vals.append(s[n][:, a] - s[n - 1][:, a])
-        for (a, mat, n), (buys, sells) in self.trade_vars.items():
-            prefix = instance.prefix_ids(n - 1)
-            cols += [buys[prefix], sells[prefix]]
-            vals += [s[mat][:, a] - (1.0 + eps[a]) * s[n - 1][:, a],
-                     (1.0 - eps[a]) * s[n - 1][:, a] - s[mat][:, a]]
-        paths = np.tile(np.arange(instance.n_paths), len(cols))
-        return paths, np.concatenate(cols), np.concatenate(vals)
-
-    def extract_legs(self, x: np.ndarray) -> tuple[DynamicLeg, ...]:
-        market = self.market
-        instance = market.instance
-        t_horizon = market.horizon
-        has_trades = bool(self.trade_vars)
-        with_u = bool(np.any(market.epsilons > 0.0))
-        maturities = range(1, t_horizon + 1) if has_trades else [t_horizon]
-        legs = []
-        for mat in maturities:
-            h = [np.zeros((instance.n_prefixes(n - 1), market.d))
-                 for n in range(1, mat + 1)]
-            u = [np.zeros_like(tab) for tab in h] if with_u else None
-            empty = True
-            for (a, n), ids in self.h_vars.items():
-                if mat == t_horizon:
-                    h[n - 1][:, a] = x[ids]
-                    empty = empty and not np.any(x[ids])
-            for (a, m2, n), (buys, sells) in self.trade_vars.items():
-                if m2 != mat:
-                    continue
-                delta = x[buys] - x[sells]
-                turnover = x[buys] + x[sells]
-                # positions accumulate the trades along ancestor prefixes
-                for k in range(n, mat + 1):
-                    ancestors = _ancestor_prefix(instance, k - 1, n - 1)
-                    h[k - 1][:, a] += delta[ancestors]
-                if u is not None:
-                    u[n - 1][:, a] += turnover
-                empty = empty and not np.any(turnover) and not np.any(delta)
-            if mat == t_horizon or not empty:
-                legs.append(DynamicLeg(mat, tuple(h), tuple(u) if u else None))
-        return tuple(legs)
-
-
-def _ancestor_prefix(instance: Instance, level: int, ancestor_level: int) -> np.ndarray:
-    """Map prefix ids at `level` to their ancestor ids at `ancestor_level`."""
-    stride = int(np.prod(instance.shape[ancestor_level:level], initial=1))
-    return np.arange(instance.n_prefixes(level)) // stride
-
-
-def _build_superhedge(market: Market, table: np.ndarray,
-                      force_frictional: bool = False):
-    builder = LpBuilder("min")
-    m_var, g_vars, _ = _add_static_leg_columns(builder, market.instance)
-    columns = _StrategyColumns.allocate(builder, market, force_frictional)
-    _superreplication_rows(builder, market.instance, table, m_var, g_vars,
-                           extra=columns.path_coefficients())
-    return builder, m_var, g_vars, columns
-
-
-def _strategy_from_vector(x: np.ndarray, m_var, g_vars, columns) -> SemiStaticStrategy:
-    g = tuple(x[ids] for ids in g_vars)
-    return SemiStaticStrategy(m=float(x[m_var]), g=g, legs=columns.extract_legs(x))
+def _strategy(sh, x: np.ndarray) -> SemiStaticStrategy:
+    """The strategy at the superhedge LP point (or ray) x."""
+    return SemiStaticStrategy(*sh.position(x), sh.trading.extract_legs(x))
 
 
 def superhedge_dual(market: Market, payoff: Payoff,
@@ -301,17 +177,15 @@ def superhedge_dual(market: Market, payoff: Payoff,
 
 def _superhedge(market: Market, table: np.ndarray,
                 force_frictional: bool = False) -> SuperhedgeResult:
-    builder, *ids = _build_superhedge(market, table, force_frictional=force_frictional)
-    return _superhedge_result(solve(builder.build()), *ids)
+    sh = superhedge_lp(market.instance, table, market, force_frictional)
+    return _superhedge_result(solve(sh.lp), sh)
 
 
-def _superhedge_result(sol: LpSolution, m_var, g_vars, columns) -> SuperhedgeResult:
+def _superhedge_result(sol: LpSolution, sh) -> SuperhedgeResult:
     if sol.status == "optimal":
-        strategy = _strategy_from_vector(sol.x, m_var, g_vars, columns)
-        return SuperhedgeResult("optimal", sol.value, strategy)
+        return SuperhedgeResult("optimal", sol.value, _strategy(sh, sol.x))
     if sol.status == "unbounded":
-        ray = _strategy_from_vector(np.asarray(sol.ray), m_var, g_vars, columns)
-        return SuperhedgeResult("unbounded", -np.inf, None, ray=ray)
+        return SuperhedgeResult("unbounded", -np.inf, None, ray=_strategy(sh, np.asarray(sol.ray)))
     raise LpError(f"superhedge LP unexpectedly {sol.status}")  # pragma: no cover
 
 
@@ -322,38 +196,6 @@ class MotPrimalResult:
     coupling: Coupling | None
 
 
-def _mot_primal_builder(market: Market, table: np.ndarray):
-    """The MOT primal, its marginal blocks and its pricing rows' catalog."""
-    instance = market.instance
-    builder = LpBuilder("max")
-    path_vars = _add_path_variables(builder, instance, table)
-    marginals = _add_marginal_rows(builder, instance, path_vars)
-    s = market.price_paths()
-    t_horizon = market.horizon
-    h_rows, trade_rows = {}, {}
-    for a in range(market.d):
-        e = market.epsilons[a]
-        if e == 0.0:
-            # one martingale row per prefix of every length n < T
-            for n in range(t_horizon):
-                h_rows[(a, n + 1)] = builder.add_rows(
-                    instance.prefix_ids(n), path_vars, s[n + 1][:, a] - s[n][:, a],
-                    "=", np.zeros(instance.n_prefixes(n)))
-        else:
-            for mat in range(1, t_horizon + 1):
-                for n in range(mat):
-                    # the ask row (2p) and the bid row (2p + 1) of every prefix p
-                    pid = instance.prefix_ids(n)
-                    rows = builder.add_rows(
-                        np.concatenate([2 * pid, 2 * pid + 1]),
-                        np.concatenate([path_vars, path_vars]),
-                        np.concatenate([s[mat][:, a] - (1.0 + e) * s[n][:, a],
-                                        (1.0 - e) * s[n][:, a] - s[mat][:, a]]),
-                        "<=", np.zeros(2 * instance.n_prefixes(n)))
-                    trade_rows[(a, mat, n + 1)] = (rows[0::2], rows[1::2])
-    return builder, marginals, _StrategyColumns(market, h_rows, trade_rows)
-
-
 def primal_mot(market: Market, payoff: Payoff) -> MotPrimalResult:
     """Maximize <f, mu> over marginal-feasible couplings that price the
     underlying consistently (martingale when eps = 0, bid-ask bands else)."""
@@ -361,25 +203,23 @@ def primal_mot(market: Market, payoff: Payoff) -> MotPrimalResult:
 
 
 def _primal_mot(market: Market, table: np.ndarray):
-    """The MOT primal's result, LP, solution and _mot_primal_builder blocks."""
-    builder, marginals, columns = _mot_primal_builder(market, table)
-    lp = builder.build()
-    sol = solve(lp)
+    """The MOT primal's result, layout and solution."""
+    primal = primal_lp(market.instance, table, market)
+    sol = solve(primal.lp)
     if sol.status == "optimal":
-        result = MotPrimalResult("optimal", sol.value,
-                                 Coupling(market.instance, sol.x[: market.instance.n_paths]))
+        result = MotPrimalResult("optimal", sol.value, primal.coupling(sol.x))
     elif sol.status == "infeasible":
         result = MotPrimalResult("infeasible", float("nan"), None)
     else:  # pragma: no cover
         raise LpError(f"martingale primal unexpectedly {sol.status}")
-    return result, lp, sol, marginals, columns
+    return result, primal, sol
 
 
 def feasibility_residual(market: Market, coupling: Coupling) -> float:
     """Direct evaluation of every pricing-consistency constraint at the
     coupling: marginal separation plus worst band/martingale violation."""
     instance = market.instance
-    worst = max(abs(coupling.total_mass - 1.0), _marginal_separation(instance, coupling))
+    worst = max(abs(coupling.total_mass - 1.0), marginal_separation(instance, coupling))
     s = market.price_paths()
     w = coupling.weights
     for a in range(market.d):
@@ -450,22 +290,23 @@ class FtapReport:
     verdict: ArbitrageVerdict
 
 
-def _cash_superhedge(market: Market, cash: float, duals=None, ray=None) -> SuperhedgeResult:
+def _cash_superhedge(market: Market, cash: float, primal=None, ray=None) -> SuperhedgeResult:
     """superhedge(cash) at the pure cash position `cash`, kept once a
-    certificate passes against this LP's own data: the dual point `duals`
-    proves the position optimal, or, given an improving `ray`, the position
-    is the feasible point the ray leaves unbounded.  Else the LP is solved."""
-    builder, m_var, g_vars, columns = _build_superhedge(market, _constant_table(market, cash))
-    lp = builder.build()
+    certificate passes against this LP's own data: the dual point read off
+    `primal`, a (layout, point) pair of the MOT primal, proves the position
+    optimal, or, given an improving `ray`, the position is the feasible
+    point the ray leaves unbounded.  Else the LP is solved."""
+    sh = superhedge_lp(market.instance, _constant_table(market, cash), market)
+    lp = sh.lp
     x = np.zeros(lp.n_variables)
-    x[m_var] = cash
+    x[sh.cash] = cash
     if ray is None:
-        sol = LpSolution("optimal", float(lp.objective @ x), x, duals, 0)
+        sol = LpSolution("optimal", float(lp.objective @ x), x, sh.dual_point(*primal), 0)
         passed = check_certificates(lp, sol).max_violation <= RESIDUAL_TOL
     else:
         sol = LpSolution("unbounded", -np.inf, None, None, 0, ray=ray)
         passed = max(primal_residual(lp, x), check_unbounded_ray(lp, ray)) <= RESIDUAL_TOL
-    return _superhedge_result(sol if passed else solve(lp), m_var, g_vars, columns)
+    return _superhedge_result(sol if passed else solve(lp), sh)
 
 
 def ftap_check(market: Market) -> FtapReport:
@@ -480,17 +321,14 @@ def ftap_check(market: Market) -> FtapReport:
     thus rests on its own checked certificate; a certificate that fails its
     check makes its LP be solved."""
     zero = _constant_table(market, 0.0)
-    feas, _, sol, marginals, _ = _primal_mot(market, zero)
+    feas, primal, sol = _primal_mot(market, zero)
     if feas.status == "optimal":
-        # rows of superhedge(cash): the epigraph rows of the hull axes, then one per path
-        duals = np.concatenate([sol.x[lams] for _, lams in marginals if lams is not None]
-                               + [feas.coupling.weights])
-        ua, mia = (_cash_superhedge(market, cash, duals=duals) for cash in (0.0, 1.0))
+        ua, mia = (_cash_superhedge(market, cash, (primal, sol.x)) for cash in (0.0, 1.0))
     else:
-        builder, *ids = _build_superhedge(market, zero)
-        raw = solve(builder.build())
-        ua = _superhedge_result(raw, *ids)
-        mia = _cash_superhedge(market, 1.0, duals=raw.duals, ray=raw.ray)
+        sh = superhedge_lp(market.instance, zero, market)
+        raw = solve(sh.lp)
+        ua = _superhedge_result(raw, sh)
+        mia = _cash_superhedge(market, 1.0, ray=raw.ray)
     verdict = _verdict(ua)
     no_uniform = verdict.kind != "uniform"
     no_mia = mia.status == "optimal" and mia.value > ARBITRAGE_TOL
@@ -528,14 +366,14 @@ def superhedging_duality_report(market: Market, payoff: Payoff) -> DualityReport
     and kept once its residuals pass, else (or for the status of an
     infeasible primal) the superhedge LP is solved."""
     table = payoff.table_for(market.instance)
-    primal, lp, sol, marginals, columns = _primal_mot(market, table)
+    primal, layout, sol = _primal_mot(market, table)
     if primal.status != "optimal":
         raise ArbitrageError(primal.status, _superhedge(market, table).status)
-    legs = columns.extract_legs(sol.duals)
-    dual = SuperhedgeResult("optimal", float(sol.duals @ lp.rhs),
-                            SemiStaticStrategy(*_static_side(sol, marginals)[:2], legs))
+    legs = layout.trading.extract_legs(sol.duals)
+    dual = SuperhedgeResult("optimal", float(sol.duals @ layout.lp.rhs),
+                            SemiStaticStrategy(*layout.static_side(sol)[:2], legs))
     superrep, identity = _strategy_residuals(market, table, dual)
-    if not _certified(primal.value, dual.value, superrep, identity):
+    if not certified(primal.value, dual.value, superrep, identity):
         dual = _superhedge(market, table)
         if dual.status != "optimal":  # pragma: no cover - the LP dual of an optimal primal
             raise ArbitrageError(primal.status, dual.status)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import RESIDUAL_TOL, LpBuilder, LpError, solve
+from .assembly import certified, primal_lp, superhedge_lp
+from .lp import LpBuilder, LpError, solve
 from .model import (
     VALUE_TOL,
     Coupling,
@@ -36,6 +37,7 @@ __all__ = [
     "verify_representation",
     "functional_properties_check",
     "duality_report",
+    "marginal_separation",
 ]
 
 
@@ -66,121 +68,16 @@ class DualityReport:
 
 
 # ---------------------------------------------------------------------------
-# LP assembly helpers (also used by the martingale module)
-# ---------------------------------------------------------------------------
-
-def _add_path_variables(builder: LpBuilder, instance: Instance,
-                        objective: np.ndarray) -> np.ndarray:
-    return builder.add_variables(instance.n_paths, objective=objective)
-
-
-def _add_marginal_rows(builder: LpBuilder, instance: Instance,
-                       path_vars: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Marginal constraints on the coupling, one row per axis point; hull
-    marginals get mixture variables lambda over the vertices.  Returns per
-    axis the ids of its rows and of its lambdas (None on exact axes)."""
-    indices = instance.point_indices()
-    ones = np.ones(indices.shape[1])
-    marginals = []
-    for pos, constraint in enumerate(instance.constraints):
-        if constraint.is_exact:
-            marginals.append((builder.add_rows(indices[pos], path_vars, ones, "=",
-                                               constraint.measures[0].weights), None))
-            continue
-        npts, k = instance.axes[pos].npoints, len(constraint.measures)
-        lams = builder.add_variables(k)
-        # row j: sum of the paths through point j - sum_k lambda_k nu_k(j) = 0
-        rows = builder.add_rows(np.concatenate([indices[pos], np.repeat(np.arange(npts), k)]),
-                                np.concatenate([path_vars, np.tile(lams, npts)]),
-                                np.concatenate([ones, -constraint.vertex_matrix.T.ravel()]),
-                                "=", np.zeros(npts))
-        builder.add_row([(lam, 1.0) for lam in lams], "=", 1.0)
-        marginals.append((rows, lams))
-    return marginals
-
-
-def _mixture(lam: np.ndarray) -> np.ndarray:
-    """Hull mixture weights from (nearly) nonnegative lambda values."""
-    lam = np.maximum(lam, 0.0)
-    total = lam.sum()
-    return lam / total if total > 0 else lam
-
-
-def _static_side(sol, marginals):
-    """Cash m, legs g_n >= 0 and hull mixtures read off an optimal primal:
-    the multipliers of axis n's marginal rows are a free leg whose minimum
-    moves into the cash (the marginals are probabilities), lambda the mixture."""
-    free = [sol.duals[rows] for rows, _ in marginals]
-    return (float(sum(g.min() for g in free)), tuple(g - g.min() for g in free),
-            tuple(np.array([1.0]) if lams is None else _mixture(sol.x[lams])
-                  for _, lams in marginals))
-
-
-def _certified(value: float, dual_value: float, superreplication_min: float,
-               cost_identity: float) -> bool:
-    """Do a dual side's superreplication, cost identity and gap pass at RESIDUAL_TOL?"""
-    tol = RESIDUAL_TOL * max(1.0, abs(value))
-    return superreplication_min >= -tol and max(cost_identity, abs(value - dual_value)) <= tol
-
-
-def _add_static_leg_columns(builder: LpBuilder, instance: Instance):
-    """Cash m plus per-axis legs g_n >= 0 priced at the sublinear price.
-
-    Returns (m_var, g_vars, epigraph_rows) where g_vars[pos] holds the ids
-    of the legs on axis pos, and epigraph_rows[pos] the epigraph row ids for
-    hull axes (None for exact axes); their duals are the hull mixture
-    weights.
-    """
-    m_var = builder.add_variable(lower=-np.inf, objective=1.0)
-    g_vars: list[np.ndarray] = []
-    epigraph_rows: list[list[int] | None] = []
-    for pos, constraint in enumerate(instance.constraints):
-        npts = instance.axes[pos].npoints
-        if constraint.is_exact:
-            g_vars.append(builder.add_variables(npts, objective=constraint.measures[0].weights))
-            epigraph_rows.append(None)
-        else:
-            t_var = builder.add_variable(lower=-np.inf, objective=1.0)
-            g_vars.append(builder.add_variables(npts))
-            epigraph_rows.append([
-                builder.add_row([(t_var, 1.0), *zip(g_vars[-1], -nu.weights)], ">=", 0.0)
-                for nu in constraint.measures])
-    return m_var, g_vars, epigraph_rows
-
-
-def _superreplication_rows(builder: LpBuilder, instance: Instance, table: np.ndarray,
-                           m_var: int, g_vars: list[np.ndarray], extra=None) -> None:
-    """One row per path: m + sum_n g_n(x_n) + extra >= f(x), where `extra`
-    is None or the (path, column, value) triplets of further terms."""
-    indices = instance.point_indices()
-    n_paths = indices.shape[1]
-    rows = np.tile(np.arange(n_paths), instance.horizon + 1)
-    cols = np.concatenate([np.full(n_paths, m_var)] + [g_vars[pos][indices[pos]]
-                                                       for pos in range(instance.horizon)])
-    vals = np.ones(cols.size)
-    if extra is not None:
-        rows, cols, vals = (np.concatenate(pair) for pair in zip((rows, cols, vals), extra))
-    builder.add_rows(rows, cols, vals, ">=", table)
-
-
-# ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
-def _primal_builder(instance: Instance, table: np.ndarray):
-    builder = LpBuilder("max")
-    path_vars = _add_path_variables(builder, instance, table)
-    return builder, _add_marginal_rows(builder, instance, path_vars)
-
-
 def _primal_transport(instance: Instance, table: np.ndarray):
-    """Value, coupling, and the LP, its solution and its marginal blocks."""
-    builder, marginals = _primal_builder(instance, table)
-    lp = builder.build()
-    sol = solve(lp)
+    """Value, coupling, and the primal's layout and solution."""
+    primal = primal_lp(instance, table)
+    sol = solve(primal.lp)
     if sol.status != "optimal":
         raise LpError(f"transport primal unexpectedly {sol.status}")
-    return sol.value, Coupling(instance, sol.x[: instance.n_paths]), lp, sol, marginals
+    return sol.value, primal.coupling(sol.x), primal, sol
 
 
 def primal_transport(instance: Instance, payoff: Payoff) -> tuple[float, Coupling]:
@@ -189,16 +86,11 @@ def primal_transport(instance: Instance, payoff: Payoff) -> tuple[float, Couplin
 
 
 def _dual_transport(instance: Instance, table: np.ndarray) -> TransportDualSolution:
-    builder = LpBuilder("min")
-    m_var, g_vars, epigraph_rows = _add_static_leg_columns(builder, instance)
-    _superreplication_rows(builder, instance, table, m_var, g_vars)
-    sol = solve(builder.build())
+    dual = superhedge_lp(instance, table)
+    sol = solve(dual.lp)
     if sol.status != "optimal":
         raise LpError(f"transport dual unexpectedly {sol.status}")
-    mixtures = tuple(np.array([1.0]) if rows is None else _mixture(sol.duals[rows])
-                     for rows in epigraph_rows)
-    return TransportDualSolution(value=sol.value, m=float(sol.x[m_var]),
-                                 g=tuple(sol.x[ids] for ids in g_vars), mixtures=mixtures)
+    return TransportDualSolution(sol.value, *dual.position(sol.x), dual.mixtures(sol.duals))
 
 
 def dual_transport(instance: Instance, payoff: Payoff) -> TransportDualSolution:
@@ -231,7 +123,7 @@ class ConjugateValue:
         return self.value == 0.0
 
 
-def _marginal_separation(instance: Instance, coupling: Coupling) -> float:
+def marginal_separation(instance: Instance, coupling: Coupling) -> float:
     """Worst separation value of the coupling's marginals (0 when all fit)."""
     return max([0.0] + [_separation_value(con, marginal_of(coupling, ax.index).weights)[0]
                         for ax, con in zip(instance.axes, instance.constraints)])
@@ -349,15 +241,15 @@ def duality_report(instance: Instance, payoff: Payoff) -> DualityReport:
     the primal is solved; the dual is read off its multipliers and kept once
     its residuals pass, else the dual LP is solved."""
     table = payoff.table_for(instance)
-    primal_value, coupling, lp, sol, marginals = _primal_transport(instance, table)
-    dual = TransportDualSolution(float(sol.duals @ lp.rhs), *_static_side(sol, marginals))
+    primal_value, coupling, primal, sol = _primal_transport(instance, table)
+    dual = TransportDualSolution(float(sol.duals @ primal.lp.rhs), *primal.static_side(sol))
     superrep, price_identity = _dual_residuals(instance, table, dual)
-    if not _certified(primal_value, dual.value, superrep, price_identity):
+    if not certified(primal_value, dual.value, superrep, price_identity):
         dual = _dual_transport(instance, table)
         superrep, price_identity = _dual_residuals(instance, table, dual)
     residuals = {
         "superreplication_min": superrep,
-        "marginal_separation": _marginal_separation(instance, coupling),
+        "marginal_separation": marginal_separation(instance, coupling),
         "dual_price_identity": price_identity,
         "coupling_mass_error": abs(coupling.total_mass - 1.0),
     }

@@ -7,7 +7,8 @@ two-LP duality routes at the end solve both sides of a duality with the
 production solver; they are the oracle of the one-LP reports, as the tall
 Bernoulli LP and the three-LP FTAP route are of the routes that replaced
 them.  The loop assembly and the variable-by-variable standard form are
-the references their index-array versions must match bit for bit.
+the references their index-array versions must match bit for bit, and
+the row-by-row certificate checkers those of the array checkers.
 """
 
 from __future__ import annotations
@@ -17,12 +18,16 @@ from fractions import Fraction
 
 import numpy as np
 
+from motkit.assembly import superhedge_lp
 from motkit.lp import (
+    RESIDUAL_TOL,
+    CertificateReport,
     FarkasCertificate,
     LinearProgram,
     LpBuilder,
     LpError,
     LpNumericalError,
+    LpSolution,
     solve,
 )
 from motkit.bernoulli import bernoulli_instance
@@ -34,12 +39,7 @@ from motkit.martingale import (
     superhedge_dual,
 )
 from motkit.model import VALUE_TOL, Payoff, sublinear_price
-from motkit.transport import (
-    _add_static_leg_columns,
-    _superreplication_rows,
-    dual_transport,
-    primal_transport,
-)
+from motkit.transport import dual_transport, primal_transport
 
 
 def _solve_exact(matrix, rhs):
@@ -501,6 +501,125 @@ def loop_basis_duals(a: np.ndarray, c: np.ndarray, basis_cols: np.ndarray) -> np
 
 
 # ---------------------------------------------------------------------------
+# the certificate checkers row by row, as before they became array expressions
+# ---------------------------------------------------------------------------
+
+def _row_activities(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
+    return lp.a @ x if lp.n_rows else np.zeros(0)
+
+
+def loop_primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
+    """Largest violation of rows and bounds at x (absolute)."""
+    act = _row_activities(lp, x)
+    worst = 0.0
+    for i, rel in enumerate(lp.relations):
+        gap = act[i] - lp.rhs[i]
+        if rel == "<=":
+            worst = max(worst, gap)
+        elif rel == ">=":
+            worst = max(worst, -gap)
+        else:
+            worst = max(worst, abs(gap))
+    lo_viol = np.where(np.isfinite(lp.lower), lp.lower - x, -np.inf)
+    up_viol = np.where(np.isfinite(lp.upper), x - lp.upper, -np.inf)
+    worst = max(worst, float(lo_viol.max(initial=0.0)), float(up_viol.max(initial=0.0)))
+    return float(max(worst, 0.0))
+
+
+def loop_check_certificates(lp: LinearProgram, sol: LpSolution,
+                       tol: float = RESIDUAL_TOL) -> CertificateReport:
+    """Recompute all four optimality residuals from scratch."""
+    if sol.status != "optimal":
+        raise ValueError("check_certificates expects an Optimal solution")
+    x, y = sol.x, sol.duals
+    sgn = 1.0 if lp.sense == "min" else -1.0
+
+    p_res = loop_primal_residual(lp, x)
+
+    z = lp.objective - (lp.a.T @ y if lp.n_rows else 0.0)
+    d_res = 0.0
+    comp = 0.0
+    act = _row_activities(lp, x)
+    for i, rel in enumerate(lp.relations):
+        yi = sgn * y[i]  # in min convention after sign normalization
+        if rel == ">=":
+            d_res = max(d_res, -yi)
+        elif rel == "<=":
+            d_res = max(d_res, yi)
+        comp = max(comp, abs(y[i] * (act[i] - lp.rhs[i])))
+    zs = sgn * z
+    for j in range(lp.n_variables):
+        at_lo = np.isfinite(lp.lower[j]) and x[j] <= lp.lower[j] + 1e-7
+        at_up = np.isfinite(lp.upper[j]) and x[j] >= lp.upper[j] - 1e-7
+        if at_lo and at_up:
+            continue
+        if at_lo:
+            d_res = max(d_res, -zs[j])
+        elif at_up:
+            d_res = max(d_res, zs[j])
+        else:
+            d_res = max(d_res, abs(zs[j]))
+
+    dual_obj = float(y @ lp.rhs) if lp.n_rows else 0.0
+    for j in range(lp.n_variables):
+        if zs[j] > tol and np.isfinite(lp.lower[j]):
+            dual_obj += z[j] * lp.lower[j]
+        elif zs[j] < -tol and np.isfinite(lp.upper[j]):
+            dual_obj += z[j] * lp.upper[j]
+    gap = abs(sol.value - dual_obj) / max(1.0, abs(sol.value))
+    return CertificateReport(p_res, float(max(d_res, 0.0)), comp, gap)
+
+
+def loop_check_farkas_certificate(lp: LinearProgram, cert: FarkasCertificate,
+                             tol: float = RESIDUAL_TOL) -> float:
+    """Residual of an infeasibility certificate; <= tol means valid.
+
+    Returns max(sign violations, |aggregated row|_inf, tol - margin) so a
+    valid, strictly separating certificate scores 0.
+    """
+    w, p, q = cert.row_multipliers, cert.lower_multipliers, cert.upper_multipliers
+    worst = 0.0
+    for i, rel in enumerate(lp.relations):
+        if rel == ">=":
+            worst = max(worst, -w[i])
+        elif rel == "<=":
+            worst = max(worst, w[i])
+    worst = max(worst, float((-p).max(initial=0.0)), float(q.max(initial=0.0)))
+    # multipliers on infinite bounds must vanish
+    worst = max(worst, float(np.abs(np.where(np.isfinite(lp.lower), 0.0, p)).max(initial=0.0)))
+    worst = max(worst, float(np.abs(np.where(np.isfinite(lp.upper), 0.0, q)).max(initial=0.0)))
+    agg = (lp.a.T @ w if lp.n_rows else 0.0) + p + q
+    worst = max(worst, float(np.abs(agg).max(initial=0.0)))
+    margin = float(w @ lp.rhs)
+    lo_mask = np.isfinite(lp.lower)
+    up_mask = np.isfinite(lp.upper)
+    margin += float((p[lo_mask] * lp.lower[lo_mask]).sum())
+    margin += float((q[up_mask] * lp.upper[up_mask]).sum())
+    worst = max(worst, tol - margin)
+    return float(max(worst, 0.0))
+
+
+def loop_check_unbounded_ray(lp: LinearProgram, ray: np.ndarray,
+                        tol: float = RESIDUAL_TOL) -> float:
+    """Residual of an improving feasible ray; <= tol means valid."""
+    worst = 0.0
+    act = lp.a @ ray if lp.n_rows else np.zeros(0)
+    for i, rel in enumerate(lp.relations):
+        if rel == "<=":
+            worst = max(worst, act[i])
+        elif rel == ">=":
+            worst = max(worst, -act[i])
+        else:
+            worst = max(worst, abs(act[i]))
+    worst = max(worst, float(np.where(np.isfinite(lp.lower), -ray, -np.inf).max(initial=0.0)))
+    worst = max(worst, float(np.where(np.isfinite(lp.upper), ray, -np.inf).max(initial=0.0)))
+    drift = float(lp.objective @ ray)
+    improving = -drift if lp.sense == "min" else drift
+    worst = max(worst, tol - improving)
+    return float(max(worst, 0.0))
+
+
+# ---------------------------------------------------------------------------
 # the duality reports by two LP solves, and test-only views of the dual
 # ---------------------------------------------------------------------------
 
@@ -575,13 +694,11 @@ def tall_tail_forced_dual_bound(depth: int):
     """The Bernoulli tail-forced superreplication LP itself, 2^N rows by
     2N + 1 columns: (value, certificate m, certificate legs)."""
     instance = bernoulli_instance(depth)
-    builder = LpBuilder("min")
-    m_var, g_vars, _ = _add_static_leg_columns(builder, instance)
-    _superreplication_rows(builder, instance, np.ones(instance.n_paths), m_var, g_vars)
-    sol = solve(builder.build())
+    tall = superhedge_lp(instance, np.ones(instance.n_paths))
+    sol = solve(tall.lp)
     if sol.status != "optimal":
         raise LpError(f"tail-forced dual LP unexpectedly {sol.status}")
-    return sol.value, float(sol.x[m_var]), tuple(sol.x[ids] for ids in g_vars)
+    return (sol.value, *tall.position(sol.x))
 
 
 def three_lp_ftap(market) -> FtapReport:

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, result documents, determinism, MPS dumps."""
 
+import ast
 import hashlib
 import json
 import os
@@ -225,23 +226,61 @@ class TestDumpLp:
         assert hashlib.sha256(dump.read_bytes()).hexdigest() == self.DIGESTS[lp]
 
 
+class TestOptions:
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tol_is_input_error(self, runner, tmp_path, tol):
+        path = _write(tmp_path, "transport.json", _transport_doc())
+        result = runner.invoke(main, ["verify-duality", "-i", path, "--tol", tol])
+        assert result.exit_code == 1, result.output
+        assert "--tol must be positive and finite" in result.output
+
+    @pytest.mark.parametrize("argv", [["counterexample", "--depth", "2"],
+                                      ["bl-ingest", "--calls", "calls.json", "--maturity", "1"]])
+    @pytest.mark.parametrize("flag", ["--dump-lp", "--tol"])
+    def test_options_a_command_ignores_are_rejected(self, runner, tmp_path, argv, flag):
+        dump = tmp_path / "x.mps"
+        result = runner.invoke(main, argv + [flag, str(dump) if flag == "--dump-lp" else "0.1"])
+        assert result.exit_code == 2 and "No such option" in result.output
+        assert not dump.exists()
+
+
+def _without_market(doc):
+    doc = dict(doc)
+    doc.pop("market")
+    return doc
+
+
 class TestPayloadDigests:
     # sha256 of the result document outside `meta`, as written when the
-    # counterexample solved the tall 2^N-row LP and check-arbitrage solved
-    # superhedge(0), superhedge(1) and the zero-payoff MOT primal
+    # counterexample solved the tall 2^N-row LP, check-arbitrage solved
+    # superhedge(0), superhedge(1) and the zero-payoff MOT primal, and the
+    # transport and MOT LPs each had their own builder
     DIGESTS = {
         "counterexample": "954ba34d4142b0703c3b36ce512d50a0573cdce9790045fb64bde2e268f9c0a9",
         "straddle": "8950f4b111851ecb600ae8ea9bfbce6f0182f1c5bde27e2f2447a84a2ee336ce",
         "spot-mismatch": "33ef47789e0e4e562fd848f703425fcb10d8c9047c41a586c41439a680594067",
+        "transport": "6b90bd025f7003b3f5c9a6c1f1cf5ac1243afde3a0e7208723cc27e65dd91947",
+        "mixed-transport": "b242df9e5e00c3075e109e50dc09067e5e72d7bad74a040feb1a2227e758a684",
+        "mixed-mot": "93a24fc4d3609757e0c2af0454d2e9a019df6e6c58aa265828d6fb34905d0782",
+        "mixed-verify": "ede0b39888dcbeb874d4bb8305eb49bf46b68c6179f581e06abc11ce4ff13299",
     }
+
+    COMMANDS = {"counterexample": "counterexample", "transport": "solve-transport",
+                "mixed-transport": "solve-transport", "mixed-mot": "solve-mot",
+                "mixed-verify": "verify-duality"}
 
     @pytest.mark.parametrize("name, doc, code", [
         ("counterexample", None, 0),
         ("straddle", _straddle_market_doc(with_payoff=False), 0),
-        ("spot-mismatch", _spot_mismatch_doc(), 2)])
+        ("spot-mismatch", _spot_mismatch_doc(), 2),
+        ("transport", _transport_doc(), 0),
+        ("mixed-transport", _without_market(_mixed_market_doc()), 0),
+        ("mixed-mot", _mixed_market_doc(), 0),
+        ("mixed-verify", _mixed_market_doc(), 0)])
     def test_payload_is_pinned(self, runner, tmp_path, name, doc, code):
-        argv = (["counterexample", "--depth", "10"] if doc is None
-                else ["check-arbitrage", "-i", _write(tmp_path, "doc.json", doc)])
+        command = self.COMMANDS.get(name, "check-arbitrage")
+        argv = ([command, "--depth", "10"] if doc is None
+                else [command, "-i", _write(tmp_path, "doc.json", doc)])
         result = runner.invoke(main, argv)
         assert result.exit_code == code, result.output
         digest = hashlib.sha256(_payload_without_meta(result.output).encode()).hexdigest()
@@ -272,6 +311,18 @@ class TestPivotRuleScope:
                                      np.array([2.0]))
         assert lp_module.solve(lp).value == pytest.approx(2.0)
         assert rules and set(rules) == {"dantzig"}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    package = Path(motkit.__file__).resolve().parent
+    private = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "motkit"
+                                                     or node.module.startswith("motkit.")):
+                private += [f"{path.name}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert not private
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,5 +1,6 @@
 """Solver-level tests: statuses, certificates, determinism, oracle agreement."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -13,12 +14,21 @@ from motkit.lp import (
     check_certificates,
     check_farkas_certificate,
     check_unbounded_ray,
+    primal_residual,
     solve,
     write_mps,
 )
 
 from generators import RELATION_CHOICES, dyadic, random_tiny_lp
-from oracles import LoopStandardizer, loop_basis_duals, solve_by_vertex_enumeration
+from oracles import (
+    LoopStandardizer,
+    loop_basis_duals,
+    loop_check_certificates,
+    loop_check_farkas_certificate,
+    loop_check_unbounded_ray,
+    loop_primal_residual,
+    solve_by_vertex_enumeration,
+)
 
 RESIDUAL_TOL = 1e-8
 ORACLE_TOL = 1e-7
@@ -311,6 +321,42 @@ class TestStandardForm:
         for a, c, cols in recorded:
             assert _bits(basis_duals(a, c, cols)) == _bits(loop_basis_duals(a, c, cols))
         assert any((cols >= a.shape[1]).any() for a, _, cols in recorded)
+
+
+    def test_checkers_equal_the_row_loops(self):
+        """The array checkers against the row-by-row ones, on each solve's
+        certificate and on a copy with one multiplier (or ray entry) shifted:
+        bit-equal residuals, except the duality gap, whose sum order changed."""
+        rng = np.random.default_rng(19)
+        same = lambda a, b: np.float64(a).tobytes() == np.float64(b).tobytes()
+        seen = Counter()
+        for lp in self._lps():
+            sol = solve(lp)
+            for shift in (0.0, 0.375):
+                if sol.status == "optimal":
+                    x, y = sol.x.copy(), sol.duals.copy()
+                    moved = y if y.size else x
+                    moved[rng.integers(moved.size)] += shift
+                    assert same(primal_residual(lp, x), loop_primal_residual(lp, x))
+                    moved = dataclasses.replace(sol, x=x, duals=y)
+                    new, ref = check_certificates(lp, moved), loop_check_certificates(lp, moved)
+                    for name in ("primal_residual", "dual_residual", "complementarity"):
+                        assert same(getattr(new, name), getattr(ref, name)), name
+                    assert abs(new.duality_gap - ref.duality_gap) <= 1e-12
+                    seen["failed certificate"] += new.max_violation > RESIDUAL_TOL
+                elif sol.status == "infeasible":
+                    w, p = sol.farkas.row_multipliers.copy(), sol.farkas.lower_multipliers.copy()
+                    moved = w if w.size else p
+                    moved[rng.integers(moved.size)] += shift
+                    cert = dataclasses.replace(sol.farkas, row_multipliers=w, lower_multipliers=p)
+                    assert same(check_farkas_certificate(lp, cert),
+                                loop_check_farkas_certificate(lp, cert))
+                else:
+                    ray = sol.ray.copy()
+                    ray[rng.integers(ray.size)] += shift
+                    assert same(check_unbounded_ray(lp, ray), loop_check_unbounded_ray(lp, ray))
+                seen[sol.status] += 1
+        assert min(seen.values()) >= 20, seen
 
 
 class TestDeterminismAndScaling:

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from motkit import martingale
+from motkit.assembly import _ancestor_prefix, primal_lp, superhedge_lp
 from motkit.lp import solve
 from motkit.martingale import (
     ArbitrageError,
     Market,
-    _build_superhedge,
-    _mot_primal_builder,
     classify_arbitrage,
     feasibility_residual,
     frictionless_limit_check,
@@ -194,12 +193,12 @@ class TestTripletAssembly:
                                      hull_prob=0.5 if trial % 2 else 0.0)
             table = random_payoff_table(rng, market.instance)
             for forced in (False, True):
-                builder, m_var, g_vars, columns = _build_superhedge(market, table, forced)
-                lp = builder.build()
-                expected = loop_superhedge_path_rows(market, lp.n_variables, m_var, g_vars,
-                                                     columns)
+                sh = superhedge_lp(market.instance, table, market, forced)
+                lp = sh.lp
+                expected = loop_superhedge_path_rows(market, lp.n_variables, sh.cash, sh.legs,
+                                                     sh.trading)
                 assert np.array_equal(lp.a[-market.instance.n_paths:], expected)
-            lp = _mot_primal_builder(market, table)[0].build()
+            lp = primal_lp(market.instance, table, market).lp
             assert np.array_equal(lp.a, loop_mot_primal_matrix(market, lp.n_variables))
             assert np.array_equal(lp.objective[: market.instance.n_paths], table)
 
@@ -459,8 +458,8 @@ class TestWeakDuality:
 class TestFrictionlessReduction:
     def test_no_trade_columns_without_costs(self):
         market = straddle_market()
-        builder, _, _, columns = _build_superhedge(
-            market, np.zeros(market.instance.n_paths))
+        columns = superhedge_lp(market.instance, np.zeros(market.instance.n_paths),
+                                market).trading
         assert not columns.trade_vars
         assert columns.h_vars
 
@@ -478,8 +477,8 @@ class TestFrictionlessReduction:
     def test_builder_is_deterministic_across_equal_markets(self):
         market = straddle_market()
         table = np.zeros(market.instance.n_paths)
-        lp1 = _build_superhedge(market, table)[0].build()
-        lp2 = _build_superhedge(market.with_epsilons(np.zeros(1)), table)[0].build()
+        lp1 = superhedge_lp(market.instance, table, market).lp
+        lp2 = superhedge_lp(market.instance, table, market.with_epsilons(np.zeros(1))).lp
         assert np.array_equal(lp1.a, lp2.a)
         assert np.array_equal(lp1.objective, lp2.objective)
         assert lp1.relations == lp2.relations
@@ -531,7 +530,6 @@ class TestStrategyStructure:
                 assert np.all(u_tab >= -1e-12)
 
     def test_turnover_dominates_position_changes(self):
-        from motkit.martingale import _ancestor_prefix
         rng = np.random.default_rng(7)
         market = arbitrage_free_market(rng, horizon=3, d=1, epsilons=[0.05])
         payoff = Payoff.dense(random_payoff_table(rng, market.instance))
