@@ -24,7 +24,6 @@ from motkit import (
     MarginalConstraint,
     Market,
     check_convex_order,
-    classify_arbitrage,
     ftap_check,
 )
 
@@ -43,13 +42,13 @@ def make_market(axis_specs, s0):
 
 def describe(name, market):
     print(f"--- {name} ---")
-    verdict = classify_arbitrage(market)
+    ftap = ftap_check(market)
+    verdict = ftap.verdict
     print("verdict:", verdict.kind)
     if verdict.strategy is not None:
         cost = verdict.strategy.cost(market)
         worst = float(verdict.strategy.outcome(market).min())
         print(f"witness: cost {cost:.6f}, worst-path outcome {worst:.6f}")
-    ftap = ftap_check(market)
     print("no uniform:", ftap.no_uniform,
           "| no model-independent:", ftap.no_model_independent,
           "| couplings exist:", ftap.martingale_set_nonempty,

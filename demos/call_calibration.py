@@ -17,8 +17,8 @@ from motkit import (
     Market,
     Payoff,
     marginal_from_calls,
-    primal_mot,
     superhedge_dual,
+    superhedging_duality_report,
 )
 
 # Quotes at two maturities (discounted, strike 0 included).
@@ -48,13 +48,15 @@ instance = Instance(
 )
 market = Market(instance=instance, s0=np.array([1.0]), epsilons=np.array([0.0]))
 
-# Model-free bounds for a forward-start straddle |S2 - S1|.
+# Model-free bounds for a forward-start straddle |S2 - S1|: one MOT primal
+# solve gives the best consistent model price and, off its multipliers, the
+# superhedging price.
 payoff = Payoff.named("straddle", n=1, m=2)
-upper = superhedge_dual(market, payoff).value
-best = primal_mot(market, payoff)
+report = superhedging_duality_report(market, payoff)
+upper = report.dual_value
 print("\nforward-start straddle |S2 - S1|:")
 print("superhedging (upper) price:", round(upper, 6))
-print("best consistent model price:", round(best.value, 6))
+print("best consistent model price:", round(report.primal_value, 6))
 
 # The lower bound comes from the subhedging side: superhedge the negative.
 lower = -superhedge_dual(market, Payoff.dense(-payoff.table_for(instance))).value

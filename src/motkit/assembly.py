@@ -77,15 +77,17 @@ class TradingCatalog:
         return cls(market, h_vars, trade_vars)
 
     @classmethod
-    def pricing_rows(cls, builder: LpBuilder, market,
-                     path_vars: np.ndarray) -> "TradingCatalog":
-        """The MOT primal's pricing rows on the path columns."""
+    def pricing_rows(cls, builder: LpBuilder, market, path_vars: np.ndarray,
+                     force_frictional: bool = False) -> "TradingCatalog":
+        """The MOT primal's pricing rows on the path columns, the twin of
+        `allocate`: ``force_frictional`` gives zero-cost assets ask and bid
+        rows (at eps 0) in place of the martingale rows."""
         instance = market.instance
         s = market.price_paths()
         h_rows, trade_rows = {}, {}
         for a in range(market.d):
             e = market.epsilons[a]
-            if e == 0.0:
+            if e == 0.0 and not force_frictional:
                 # one martingale row per prefix of every length n < T
                 for n in range(market.horizon):
                     h_rows[(a, n + 1)] = builder.add_rows(
@@ -225,8 +227,10 @@ class SuperhedgeLp:
         return duals
 
 
-def primal_lp(instance: Instance, table: np.ndarray, market=None) -> PrimalLp:
-    """The transport primal of the payoff `table`, or the MOT primal of `market`."""
+def primal_lp(instance: Instance, table: np.ndarray, market=None,
+              force_frictional: bool = False) -> PrimalLp:
+    """The transport primal of the payoff `table`, or the MOT primal of `market`
+    (``force_frictional`` as in `TradingCatalog.pricing_rows`)."""
     builder = LpBuilder("max")
     paths = builder.add_variables(instance.n_paths, objective=table)
     indices = instance.point_indices()
@@ -247,7 +251,8 @@ def primal_lp(instance: Instance, table: np.ndarray, market=None) -> PrimalLp:
             np.concatenate([ones, -constraint.vertex_matrix.T.ravel()]), "=", np.zeros(npts)))
         builder.add_row([(lam, 1.0) for lam in lams], "=", 1.0)
         lambdas.append(lams)
-    trading = None if market is None else TradingCatalog.pricing_rows(builder, market, paths)
+    trading = None if market is None else TradingCatalog.pricing_rows(builder, market, paths,
+                                                                      force_frictional)
     return PrimalLp(instance, builder.build(), paths, tuple(marginal_rows), tuple(lambdas),
                     trading)
 

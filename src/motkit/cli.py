@@ -105,13 +105,15 @@ def _output_options(fn):
                         default="json", show_default=True)(fn)
 
 
+_dump_lp_option = click.option("--dump-lp", "dump_lp", default=None,
+                               help="write the main LP in MPS format to this path")
+
+
 def _common_options(fn):
-    fn = _output_options(fn)
     fn = click.option("--tol", type=float, default=None,
                       help="gap tolerance for pass/fail flags "
-                           "(default: the document's options.tol)")(fn)
-    return click.option("--dump-lp", "dump_lp", default=None,
-                        help="write the main LP in MPS format to this path")(fn)
+                           "(default: the document's options.tol)")(_output_options(fn))
+    return _dump_lp_option(fn)
 
 
 @click.group()
@@ -175,8 +177,9 @@ def solve_mot_cmd(input_path, output, fmt, tol, dump_lp):
 
 @main.command("check-arbitrage")
 @click.option("--input", "-i", "input_path", required=True)
-@_common_options
-def check_arbitrage_cmd(input_path, output, fmt, tol, dump_lp):
+@_dump_lp_option
+@_output_options
+def check_arbitrage_cmd(input_path, output, fmt, dump_lp):
     """Classify the market (no arbitrage or a uniform arbitrage) and check
     the three-way FTAP equivalence."""
     started = time.perf_counter()

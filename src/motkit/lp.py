@@ -32,7 +32,7 @@ returning a wrong status.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -52,7 +52,8 @@ __all__ = [
     "write_mps",
 ]
 
-RELATIONS = ("<=", "=", ">=")
+# The relations a row may have, and the code of each in LinearProgram.relation_codes.
+RELATIONS = {"<=": -1, "=": 0, ">=": 1}
 
 # Pivot/zero tolerance inside the tableau.
 PIVOT_TOL = 1e-9
@@ -82,6 +83,7 @@ class LinearProgram:
     a: np.ndarray
     relations: tuple[str, ...]
     rhs: np.ndarray
+    relation_codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
@@ -101,16 +103,17 @@ class LinearProgram:
             raise ValueError("row width or bound length does not match variable count")
         if rhs.size != m or len(self.relations) != m:
             raise ValueError("relations/rhs length does not match row count")
-        for rel in self.relations:
-            if rel not in RELATIONS:
-                raise ValueError(f"unknown relation {rel!r}")
+        try:
+            codes = np.array([RELATIONS[rel] for rel in self.relations], dtype=np.int8)
+        except KeyError as exc:
+            raise ValueError(f"unknown relation {exc.args[0]!r}") from None
         if not np.all(np.isfinite(obj)) or not np.all(np.isfinite(a)) or not np.all(np.isfinite(rhs)):
             raise ValueError("objective, matrix and rhs must be finite")
         if np.any(np.isnan(lo)) or np.any(np.isnan(up)):
             raise ValueError("bounds must not be NaN")
         if np.any(lo > up):
             raise ValueError("lower bound exceeds upper bound")
-        for arr in (obj, lo, up, a, rhs):
+        for arr in (obj, lo, up, a, rhs, codes):
             arr.setflags(write=False)
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "lower", lo)
@@ -118,6 +121,7 @@ class LinearProgram:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "relations", tuple(self.relations))
+        object.__setattr__(self, "relation_codes", codes)
 
     @property
     def n_variables(self) -> int:
@@ -282,8 +286,8 @@ class _Standardizer:
         zsign = self.sign[src]
         zsign[self.col[self.split] + 1] = -1.0
         boxed = np.flatnonzero(has_lo & has_up)
-        relations = np.array(lp.relations + ("<=",) * boxed.size, dtype="U2")
-        slack = np.where(relations == "<=", 1.0, np.where(relations == ">=", -1.0, 0.0))
+        # a "<=" row (and each bound row) gets slack +1, a ">=" row -1
+        slack = np.concatenate([-lp.relation_codes, np.ones(boxed.size)])
         slack_rows = np.flatnonzero(slack)
         m_orig, n_struct = lp.n_rows, src.size
 
@@ -291,7 +295,7 @@ class _Standardizer:
         # malloc heap, and repeated `counterexample --depth 10` runs peaked
         # 3.6 MB higher
         body = lp.a[:, src] * zsign
-        a_std = np.zeros((relations.size, n_struct + slack_rows.size))
+        a_std = np.zeros((slack.size, n_struct + slack_rows.size))
         a_std[:m_orig, :n_struct] = body
         a_std[m_orig + np.arange(boxed.size), self.col[boxed]] = 1.0
         a_std[slack_rows, n_struct + np.arange(slack_rows.size)] = slack[slack_rows]
@@ -526,15 +530,15 @@ def _row_activities(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
 def _relation_violation(lp: LinearProgram, gap: np.ndarray) -> np.ndarray:
     """Per row, how far `gap` (activity minus rhs) breaks the relation: its
     excess on "<=" rows, its shortfall on ">=" rows, its size on "=" rows."""
-    rel = np.array(lp.relations, dtype="U2")
-    return np.where(rel == "<=", gap, np.where(rel == ">=", -gap, np.abs(gap)))
+    code = lp.relation_codes
+    return np.where(code < 0, gap, np.where(code > 0, -gap, np.abs(gap)))
 
 
 def _sign_violation(lp: LinearProgram, y: np.ndarray) -> np.ndarray:
     """Per row, how far the multiplier y (min convention) has the wrong sign:
     y >= 0 on ">=" rows, y <= 0 on "<=" rows, free on "=" rows."""
-    rel = np.array(lp.relations, dtype="U2")
-    return np.where(rel == ">=", -y, np.where(rel == "<=", y, 0.0))
+    code = lp.relation_codes
+    return np.where(code > 0, -y, np.where(code < 0, y, 0.0))
 
 
 def _worst(*violations) -> float:

@@ -160,32 +160,24 @@ class SuperhedgeResult:
     ray: SemiStaticStrategy | None = None
 
 
-def _strategy(sh, x: np.ndarray) -> SemiStaticStrategy:
-    """The strategy at the superhedge LP point (or ray) x."""
-    return SemiStaticStrategy(*sh.position(x), sh.trading.extract_legs(x))
-
-
 def superhedge_dual(market: Market, payoff: Payoff,
                     force_frictional: bool = False) -> SuperhedgeResult:
-    """Cheapest semi-static superhedge of the payoff.
+    """Cheapest semi-static superhedge of the payoff, read off the MOT
+    primal as in `superhedging_duality_report`.
 
     Unbounded means a uniform arbitrage exists; the improving ray is
     returned as a strategy-space direction.
     """
-    return _superhedge(market, payoff.table_for(market.instance), force_frictional)
-
-
-def _superhedge(market: Market, table: np.ndarray,
-                force_frictional: bool = False) -> SuperhedgeResult:
-    sh = superhedge_lp(market.instance, table, market, force_frictional)
-    return _superhedge_result(solve(sh.lp), sh)
+    return _hedge(market, payoff.table_for(market.instance), force_frictional)[1]
 
 
 def _superhedge_result(sol: LpSolution, sh) -> SuperhedgeResult:
+    """A solve of the superhedge LP `sh`, its point or ray read as a strategy."""
+    strategy = lambda x: SemiStaticStrategy(*sh.position(x), sh.trading.extract_legs(x))
     if sol.status == "optimal":
-        return SuperhedgeResult("optimal", sol.value, _strategy(sh, sol.x))
+        return SuperhedgeResult("optimal", sol.value, strategy(sol.x))
     if sol.status == "unbounded":
-        return SuperhedgeResult("unbounded", -np.inf, None, ray=_strategy(sh, np.asarray(sol.ray)))
+        return SuperhedgeResult("unbounded", -np.inf, None, ray=strategy(sol.ray))
     raise LpError(f"superhedge LP unexpectedly {sol.status}")  # pragma: no cover
 
 
@@ -202,9 +194,9 @@ def primal_mot(market: Market, payoff: Payoff) -> MotPrimalResult:
     return _primal_mot(market, payoff.table_for(market.instance))[0]
 
 
-def _primal_mot(market: Market, table: np.ndarray):
+def _primal_mot(market: Market, table: np.ndarray, force_frictional: bool = False):
     """The MOT primal's result, layout and solution."""
-    primal = primal_lp(market.instance, table, market)
+    primal = primal_lp(market.instance, table, market, force_frictional)
     sol = solve(primal.lp)
     if sol.status == "optimal":
         result = MotPrimalResult("optimal", sol.value, primal.coupling(sol.x))
@@ -260,22 +252,9 @@ class ArbitrageVerdict:
         return self.kind != "no_arbitrage"
 
 
-def _constant_table(market: Market, value: float) -> np.ndarray:
-    return Payoff.constant(value, market.instance).table
-
-
-def _verdict(ua: SuperhedgeResult) -> ArbitrageVerdict:
-    """The verdict from superhedge(0)."""
-    if ua.status == "unbounded":
-        return ArbitrageVerdict("uniform", ua.ray, ua.value, -np.inf)
-    if ua.value < -ARBITRAGE_TOL:
-        return ArbitrageVerdict("uniform", ua.strategy, ua.value, -np.inf)
-    return ArbitrageVerdict("no_arbitrage", None, ua.value, ua.value + 1.0)
-
-
 def classify_arbitrage(market: Market) -> ArbitrageVerdict:
-    """Uniform arbitrage (cost < 0, outcome >= 0) from one superhedge(0) solve."""
-    return _verdict(_superhedge(market, _constant_table(market, 0.0)))
+    """Uniform arbitrage (cost < 0, outcome >= 0): the verdict of `ftap_check`."""
+    return ftap_check(market).verdict
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,7 +275,7 @@ def _cash_superhedge(market: Market, cash: float, primal=None, ray=None) -> Supe
     `primal`, a (layout, point) pair of the MOT primal, proves the position
     optimal, or, given an improving `ray`, the position is the feasible
     point the ray leaves unbounded.  Else the LP is solved."""
-    sh = superhedge_lp(market.instance, _constant_table(market, cash), market)
+    sh = superhedge_lp(market.instance, Payoff.constant(cash, market.instance).table, market)
     lp = sh.lp
     x = np.zeros(lp.n_variables)
     x[sh.cash] = cash
@@ -320,7 +299,7 @@ def ftap_check(market: Market) -> FtapReport:
     also leaves superhedge(1) unbounded from the cash position 1.  Each flag
     thus rests on its own checked certificate; a certificate that fails its
     check makes its LP be solved."""
-    zero = _constant_table(market, 0.0)
+    zero = Payoff.constant(0.0, market.instance).table
     feas, primal, sol = _primal_mot(market, zero)
     if feas.status == "optimal":
         ua, mia = (_cash_superhedge(market, cash, (primal, sol.x)) for cash in (0.0, 1.0))
@@ -329,20 +308,18 @@ def ftap_check(market: Market) -> FtapReport:
         raw = solve(sh.lp)
         ua = _superhedge_result(raw, sh)
         mia = _cash_superhedge(market, 1.0, ray=raw.ray)
-    verdict = _verdict(ua)
+    if ua.status == "unbounded" or ua.value < -ARBITRAGE_TOL:
+        verdict = ArbitrageVerdict("uniform", ua.ray or ua.strategy, ua.value, -np.inf)
+    else:
+        verdict = ArbitrageVerdict("no_arbitrage", None, ua.value, ua.value + 1.0)
     no_uniform = verdict.kind != "uniform"
     no_mia = mia.status == "optimal" and mia.value > ARBITRAGE_TOL
     nonempty = feas.status == "optimal"
-    return FtapReport(
-        no_model_independent=no_mia,
-        no_uniform=no_uniform,
-        martingale_set_nonempty=nonempty,
-        equivalent=(no_mia == no_uniform == nonempty),
-        uniform_value=ua.value,
-        strict_value=mia.value,
-        coupling=feas.coupling,
-        verdict=verdict,
-    )
+    return FtapReport(no_model_independent=no_mia, no_uniform=no_uniform,
+                      martingale_set_nonempty=nonempty,
+                      equivalent=(no_mia == no_uniform == nonempty),
+                      uniform_value=ua.value, strict_value=mia.value,
+                      coupling=feas.coupling, verdict=verdict)
 
 
 class ArbitrageError(ValueError):
@@ -360,24 +337,34 @@ def _strategy_residuals(market: Market, table: np.ndarray, dual: SuperhedgeResul
             abs(dual.strategy.cost(market) - dual.value))
 
 
+def _hedge(market: Market, table: np.ndarray, force_frictional: bool = False):
+    """The MOT primal's result, the superhedge, and the superhedge's
+    (superreplication_min, strategy_cost_identity), None unless it is
+    optimal.  Only the primal is solved: the superhedge is read off its
+    multipliers and kept once `certified` passes, else the superhedge LP
+    is solved, as it is for the status of an infeasible primal."""
+    primal, layout, sol = _primal_mot(market, table, force_frictional)
+    if primal.status == "optimal":
+        legs = layout.trading.extract_legs(sol.duals)
+        dual = SuperhedgeResult("optimal", float(sol.duals @ layout.lp.rhs),
+                                SemiStaticStrategy(*layout.static_side(sol)[:2], legs))
+        residuals = _strategy_residuals(market, table, dual)
+        if certified(primal.value, dual.value, *residuals):
+            return primal, dual, residuals
+    sh = superhedge_lp(market.instance, table, market, force_frictional)
+    dual = _superhedge_result(solve(sh.lp), sh)
+    return primal, dual, (_strategy_residuals(market, table, dual)
+                          if dual.status == "optimal" else None)
+
+
 def superhedging_duality_report(market: Market, payoff: Payoff) -> DualityReport:
-    """Primal martingale value vs superhedging cost; requires no arbitrage.
-    Only the MOT primal is solved; the superhedge is read off its multipliers
-    and kept once its residuals pass, else (or for the status of an
-    infeasible primal) the superhedge LP is solved."""
+    """Primal martingale value vs superhedging cost, from one MOT primal
+    solve (see `_hedge`); requires no arbitrage."""
     table = payoff.table_for(market.instance)
-    primal, layout, sol = _primal_mot(market, table)
-    if primal.status != "optimal":
-        raise ArbitrageError(primal.status, _superhedge(market, table).status)
-    legs = layout.trading.extract_legs(sol.duals)
-    dual = SuperhedgeResult("optimal", float(sol.duals @ layout.lp.rhs),
-                            SemiStaticStrategy(*layout.static_side(sol)[:2], legs))
-    superrep, identity = _strategy_residuals(market, table, dual)
-    if not certified(primal.value, dual.value, superrep, identity):
-        dual = _superhedge(market, table)
-        if dual.status != "optimal":  # pragma: no cover - the LP dual of an optimal primal
-            raise ArbitrageError(primal.status, dual.status)
-        superrep, identity = _strategy_residuals(market, table, dual)
+    primal, dual, dual_residuals = _hedge(market, table)
+    if primal.status != "optimal" or dual.status != "optimal":
+        raise ArbitrageError(primal.status, dual.status)
+    superrep, identity = dual_residuals
     residuals = {
         "superreplication_min": superrep,
         "strategy_cost_identity": identity,
@@ -401,22 +388,20 @@ class FrictionlessLimitReport:
 def frictionless_limit_check(market: Market, payoff: Payoff,
                              eps_sequence) -> FrictionlessLimitReport:
     """Superhedge values along a decreasing cost schedule; they must fall
-    monotonically (within 1e-9) to the frictionless value."""
+    monotonically (within 1e-9) to the frictionless value.  One superhedge
+    per eps, and one for eps 0 unless the schedule ends there."""
     eps_sequence = [float(e) for e in eps_sequence]
     if any(b > a for a, b in zip(eps_sequence, eps_sequence[1:])):
         raise ValueError("eps_sequence must be nonincreasing")
     values = []
-    for e in eps_sequence:
+    schedule = eps_sequence if eps_sequence[-1:] == [0.0] else eps_sequence + [0.0]
+    for e in schedule:
         res = superhedge_dual(market.with_epsilons(np.full(market.d, e)), payoff)
         if res.status != "optimal":
             raise ValueError(f"market with eps={e} admits a uniform arbitrage")
         values.append(res.value)
-    base = superhedge_dual(market.with_epsilons(np.zeros(market.d)), payoff)
-    if base.status != "optimal":
-        raise ValueError("frictionless market admits a uniform arbitrage")
+    base, values = values[-1], values[:len(eps_sequence)]
     monotone = all(b <= a + VALUE_TOL for a, b in zip(values, values[1:]))
-    tail = values[-1] if values else base.value
-    converged = (abs(tail - base.value) <= VALUE_TOL if eps_sequence and eps_sequence[-1] == 0.0
-                 else tail >= base.value - VALUE_TOL)
+    converged = (values[-1] if values else base) >= base - VALUE_TOL
     return FrictionlessLimitReport(tuple(eps_sequence), tuple(values),
-                                   base.value, monotone, converged)
+                                   base, monotone, converged)

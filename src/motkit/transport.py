@@ -3,8 +3,10 @@
 Primal: maximize <f, mu> over couplings whose n-th marginal equals nu_n
 (Exact) or lies in a convex hull of finitely many measures (ConvexHull).
 Dual: minimize m + sum_n price_n(g_n) over cash m and nonnegative per-axis
-legs g_n with m + sum_n g_n(x_n) >= f pointwise.  Both are LPs; the zero
-gap between them is checked, not assumed.
+legs g_n with m + sum_n g_n(x_n) >= f pointwise.  Both are LPs, but every
+entry point solves only the primal (one column per path, fewer rows than
+the dual has paths): the dual is read off its multipliers and kept once its
+residuals and the zero gap pass `certified`, else the dual LP is solved.
 """
 
 from __future__ import annotations
@@ -85,17 +87,36 @@ def primal_transport(instance: Instance, payoff: Payoff) -> tuple[float, Couplin
     return _primal_transport(instance, payoff.table_for(instance))[:2]
 
 
-def _dual_transport(instance: Instance, table: np.ndarray) -> TransportDualSolution:
-    dual = superhedge_lp(instance, table)
-    sol = solve(dual.lp)
-    if sol.status != "optimal":
-        raise LpError(f"transport dual unexpectedly {sol.status}")
-    return TransportDualSolution(sol.value, *dual.position(sol.x), dual.mixtures(sol.duals))
+def _dual_residuals(instance: Instance, table: np.ndarray, dual: TransportDualSolution):
+    """superreplication_min and dual_price_identity of a dual solution."""
+    indices = instance.point_indices()
+    static = dual.m + sum(dual.g[pos][indices[pos]] for pos in range(instance.horizon))
+    cost = dual.m + sum(sublinear_price(con, g) for con, g in zip(instance.constraints, dual.g))
+    return float((static - table).min()), abs(dual.value - cost)
+
+
+def _transport_duality(instance: Instance, table: np.ndarray):
+    """Primal value, coupling, dual solution and the dual's residuals
+    (superreplication_min, dual_price_identity).  Only the primal is solved:
+    the dual is read off its multipliers and kept once `certified` passes,
+    else the dual LP is solved."""
+    value, coupling, primal, sol = _primal_transport(instance, table)
+    dual = TransportDualSolution(float(sol.duals @ primal.lp.rhs), *primal.static_side(sol))
+    residuals = _dual_residuals(instance, table, dual)
+    if not certified(value, dual.value, *residuals):
+        tall = superhedge_lp(instance, table)
+        sol = solve(tall.lp)
+        if sol.status != "optimal":
+            raise LpError(f"transport dual unexpectedly {sol.status}")
+        dual = TransportDualSolution(sol.value, *tall.position(sol.x), tall.mixtures(sol.duals))
+        residuals = _dual_residuals(instance, table, dual)
+    return value, coupling, dual, residuals
 
 
 def dual_transport(instance: Instance, payoff: Payoff) -> TransportDualSolution:
-    """Cheapest cash-plus-static superreplication of the payoff."""
-    return _dual_transport(instance, payoff.table_for(instance))
+    """Cheapest cash-plus-static superreplication of the payoff, read off
+    the primal as in `duality_report`."""
+    return _transport_duality(instance, payoff.table_for(instance))[2]
 
 
 @dataclass(frozen=True)
@@ -181,16 +202,12 @@ class RepresentationReport:
 
 def verify_representation(instance: Instance, payoffs) -> RepresentationReport:
     """Check dual(f) = primal(f) for each payoff (the finite-instance form
-    of the conjugate max-representation)."""
-    primals, duals, gaps = [], [], []
-    for payoff in payoffs:
-        p, _ = primal_transport(instance, payoff)
-        d = dual_transport(instance, payoff).value
-        primals.append(p)
-        duals.append(d)
-        gaps.append(abs(p - d))
-    return RepresentationReport(tuple(primals), tuple(duals), tuple(gaps),
-                                max(gaps) if gaps else 0.0)
+    of the conjugate max-representation), one primal solve per payoff."""
+    sides = [_transport_duality(instance, payoff.table_for(instance)) for payoff in payoffs]
+    primals = tuple(side[0] for side in sides)
+    duals = tuple(side[2].value for side in sides)
+    gaps = tuple(abs(p - d) for p, d in zip(primals, duals))
+    return RepresentationReport(primals, duals, gaps, max(gaps, default=0.0))
 
 
 @dataclass(frozen=True)
@@ -228,25 +245,11 @@ def functional_properties_check(instance: Instance, trials: int,
     return FunctionalPropertiesReport(mono, hom, sub, trans)
 
 
-def _dual_residuals(instance: Instance, table: np.ndarray, dual: TransportDualSolution):
-    """superreplication_min and dual_price_identity of a dual solution."""
-    indices = instance.point_indices()
-    static = dual.m + sum(dual.g[pos][indices[pos]] for pos in range(instance.horizon))
-    cost = dual.m + sum(sublinear_price(con, g) for con, g in zip(instance.constraints, dual.g))
-    return float((static - table).min()), abs(dual.value - cost)
-
-
 def duality_report(instance: Instance, payoff: Payoff) -> DualityReport:
-    """Primal and dual values side by side with certificate residuals.  Only
-    the primal is solved; the dual is read off its multipliers and kept once
-    its residuals pass, else the dual LP is solved."""
-    table = payoff.table_for(instance)
-    primal_value, coupling, primal, sol = _primal_transport(instance, table)
-    dual = TransportDualSolution(float(sol.duals @ primal.lp.rhs), *primal.static_side(sol))
-    superrep, price_identity = _dual_residuals(instance, table, dual)
-    if not certified(primal_value, dual.value, superrep, price_identity):
-        dual = _dual_transport(instance, table)
-        superrep, price_identity = _dual_residuals(instance, table, dual)
+    """Primal and dual values side by side with certificate residuals, from
+    one primal solve (see `_transport_duality`)."""
+    primal_value, coupling, dual, (superrep, price_identity) = _transport_duality(
+        instance, payoff.table_for(instance))
     residuals = {
         "superreplication_min": superrep,
         "marginal_separation": marginal_separation(instance, coupling),

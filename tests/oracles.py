@@ -3,12 +3,16 @@
 Everything here is deliberately independent of the production solver:
 Fractions instead of floats, enumeration instead of pivoting.  Keep these
 slow-and-sure; they are the second route of every dual-route check.  The
-two-LP duality routes at the end solve both sides of a duality with the
-production solver; they are the oracle of the one-LP reports, as the tall
-Bernoulli LP and the three-LP FTAP route are of the routes that replaced
-them.  The loop assembly and the variable-by-variable standard form are
-the references their index-array versions must match bit for bit, and
-the row-by-row certificate checkers those of the array checkers.
+tall LPs at the end, one row per path, are built with the production
+assembly and solved with the production solver.  `tall_superhedge` and
+`tall_dual_transport` are the oracle of the duality entry points, which
+solve only the short primal and read the dual side off its multipliers;
+the two-LP duality routes and the three-LP FTAP route built on them are
+the oracle of the reports and of `ftap_check`, as the tall Bernoulli LP is
+of the counterexample.  The loop assembly and the variable-by-variable
+standard form are the references their index-array versions must match
+bit for bit, and the row-by-row certificate checkers those of the array
+checkers.
 """
 
 from __future__ import annotations
@@ -35,11 +39,12 @@ from motkit.martingale import (
     ARBITRAGE_TOL,
     ArbitrageVerdict,
     FtapReport,
+    SemiStaticStrategy,
+    SuperhedgeResult,
     primal_mot,
-    superhedge_dual,
 )
 from motkit.model import VALUE_TOL, Payoff, sublinear_price
-from motkit.transport import dual_transport, primal_transport
+from motkit.transport import TransportDualSolution, primal_transport
 
 
 def _solve_exact(matrix, rhs):
@@ -627,12 +632,12 @@ def two_lp_transport(instance, payoff):
     """(primal value, coupling, dual solution) of the transport duality, each
     side from its own LP."""
     value, coupling = primal_transport(instance, payoff)
-    return value, coupling, dual_transport(instance, payoff)
+    return value, coupling, tall_dual_transport(instance, payoff)
 
 
 def two_lp_superhedging(market, payoff):
     """(MOT primal result, superhedge result), each from its own LP."""
-    return primal_mot(market, payoff), superhedge_dual(market, payoff)
+    return primal_mot(market, payoff), tall_superhedge(market, payoff)
 
 
 def transport_dual_residuals(instance, table, dual):
@@ -701,12 +706,35 @@ def tall_tail_forced_dual_bound(depth: int):
     return (sol.value, *tall.position(sol.x))
 
 
+def tall_superhedge(market, payoff, force_frictional=False) -> SuperhedgeResult:
+    """The cheapest superhedge from the superhedge LP itself, one row per path;
+    unbounded with the improving ray as a strategy under arbitrage."""
+    sh = superhedge_lp(market.instance, payoff.table_for(market.instance), market,
+                       force_frictional)
+    sol = solve(sh.lp)
+    strategy = lambda x: SemiStaticStrategy(*sh.position(x), sh.trading.extract_legs(x))
+    if sol.status == "optimal":
+        return SuperhedgeResult("optimal", sol.value, strategy(sol.x))
+    if sol.status == "unbounded":
+        return SuperhedgeResult("unbounded", -np.inf, None, ray=strategy(sol.ray))
+    raise LpError(f"superhedge LP unexpectedly {sol.status}")
+
+
+def tall_dual_transport(instance, payoff) -> TransportDualSolution:
+    """The transport dual from its own LP, one row per path."""
+    dual = superhedge_lp(instance, payoff.table_for(instance))
+    sol = solve(dual.lp)
+    if sol.status != "optimal":
+        raise LpError(f"transport dual unexpectedly {sol.status}")
+    return TransportDualSolution(sol.value, *dual.position(sol.x), dual.mixtures(sol.duals))
+
+
 def three_lp_ftap(market) -> FtapReport:
     """The FTAP report from three separate solves, superhedge(0),
     superhedge(1) and the zero-payoff MOT primal, with a verdict that tests
     the model-independent surrogate (cost <= 0, outcome >= 1) on its own."""
     zero, one = (Payoff.constant(cash, market.instance) for cash in (0.0, 1.0))
-    ua, mia = superhedge_dual(market, zero), superhedge_dual(market, one)
+    ua, mia = tall_superhedge(market, zero), tall_superhedge(market, one)
     feas = primal_mot(market, zero)
     if ua.status == "unbounded" or ua.value < -ARBITRAGE_TOL:
         witness = ua.ray if ua.status == "unbounded" else ua.strategy

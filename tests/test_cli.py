@@ -234,9 +234,14 @@ class TestOptions:
         assert result.exit_code == 1, result.output
         assert "--tol must be positive and finite" in result.output
 
-    @pytest.mark.parametrize("argv", [["counterexample", "--depth", "2"],
-                                      ["bl-ingest", "--calls", "calls.json", "--maturity", "1"]])
-    @pytest.mark.parametrize("flag", ["--dump-lp", "--tol"])
+    # check-arbitrage dumps superhedge(0) but has no gap to gate with --tol
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(argv, flag, id=f"{flag}-argv{k}")
+        for flag in ("--dump-lp", "--tol")
+        for k, argv in enumerate([["counterexample", "--depth", "2"],
+                                  ["bl-ingest", "--calls", "calls.json", "--maturity", "1"],
+                                  ["check-arbitrage", "-i", "doc.json"]])
+        if (argv[0], flag) != ("check-arbitrage", "--dump-lp")])
     def test_options_a_command_ignores_are_rejected(self, runner, tmp_path, argv, flag):
         dump = tmp_path / "x.mps"
         result = runner.invoke(main, argv + [flag, str(dump) if flag == "--dump-lp" else "0.1"])

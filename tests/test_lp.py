@@ -279,6 +279,9 @@ class TestStandardForm:
         seen = Counter()
         for lp in self._lps():
             new, ref = lp_module._Standardizer(lp), LoopStandardizer(lp)
+            # the relation codes the standard form and the checkers read
+            assert lp.relation_codes.tolist() == [lp_module.RELATIONS[r] for r in lp.relations]
+            assert not lp.relation_codes.flags.writeable
             for attr in ("a_std", "b_std", "c_std"):
                 assert _bits(getattr(new, attr)) == _bits(getattr(ref, attr)), attr
             m, n = new.a_std.shape

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from motkit import martingale
+from motkit import martingale, transport
 from motkit.assembly import _ancestor_prefix, primal_lp, superhedge_lp
 from motkit.lp import solve
 from motkit.martingale import (
@@ -27,7 +27,7 @@ from motkit.model import (
     MarginalConstraint,
     Payoff,
 )
-from motkit.transport import dual_transport
+from motkit.transport import dual_transport, verify_representation
 
 from generators import (
     arbitrage_free_market,
@@ -39,10 +39,17 @@ from oracles import (
     loop_mot_primal_matrix,
     loop_superhedge_path_rows,
     strategy_residuals,
+    tall_dual_transport,
+    tall_superhedge,
     three_lp_ftap,
     two_lp_superhedging,
 )
-from test_acceptance import _ftap_corpus
+from test_acceptance import (
+    FRICTIONLESS_TOL,
+    FTAP_GAP_RTOL,
+    TRANSPORT_GAP_RTOL,
+    _ftap_corpus,
+)
 
 GAP_TOL = 1e-7
 
@@ -183,6 +190,12 @@ class TestFtap:
         assert report.martingale_set_nonempty
 
 
+def _catalog_shape(catalog):
+    """The keys of a trading catalog with the number of ids behind each."""
+    return ({key: len(ids) for key, ids in catalog.h_vars.items()},
+            {key: (len(buys), len(sells)) for key, (buys, sells) in catalog.trade_vars.items()})
+
+
 class TestTripletAssembly:
     def test_matrices_equal_path_by_path_assembly(self):
         rng = np.random.default_rng(8)
@@ -198,14 +211,16 @@ class TestTripletAssembly:
                 expected = loop_superhedge_path_rows(market, lp.n_variables, sh.cash, sh.legs,
                                                      sh.trading)
                 assert np.array_equal(lp.a[-market.instance.n_paths:], expected)
+                # the primal's pricing rows are the twin of the trading columns
+                twin = primal_lp(market.instance, table, market, forced).trading
+                assert _catalog_shape(twin) == _catalog_shape(sh.trading)
             lp = primal_lp(market.instance, table, market).lp
             assert np.array_equal(lp.a, loop_mot_primal_matrix(market, lp.n_variables))
             assert np.array_equal(lp.objective[: market.instance.n_paths], table)
 
 
 class TestSharedSolves:
-    """ftap_check and classify_arbitrage agree with fresh solves of each LP,
-    one public call apiece."""
+    """ftap_check and classify_arbitrage agree with fresh solves of each LP."""
 
     def test_reports_equal_fresh_solves(self):
         rng = np.random.default_rng(5)
@@ -218,8 +233,8 @@ class TestSharedSolves:
             else:
                 market = random_market(rng, horizon=2, d=d, epsilons=np.full(d, eps))
             zero = Payoff.constant(0.0, market.instance)
-            ua = superhedge_dual(market, zero)
-            mia = superhedge_dual(market, Payoff.constant(1.0, market.instance))
+            ua = tall_superhedge(market, zero)
+            mia = tall_superhedge(market, Payoff.constant(1.0, market.instance))
             feas = primal_mot(market, zero)
             ftap = ftap_check(market)
             verdict = ftap.verdict
@@ -402,6 +417,89 @@ class TestOneLpDuality:
             superhedging_duality_report(market, Payoff.constant(0.0, market.instance))
         assert (info.value.primal_status, info.value.dual_status) == ("infeasible",
                                                                       "unbounded")
+
+
+class TestOneLpEntryPoints:
+    """The public duality entry points solve one LP per duality question,
+    the short primal, and read the other side off its multipliers; the
+    tall LPs are the oracle of their values."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        senses = []
+
+        def counted(lp, **kwargs):
+            senses.append(lp.sense)
+            return solve(lp, **kwargs)
+
+        for module in (martingale, transport):
+            monkeypatch.setattr(module, "solve", counted)
+        return senses
+
+    @staticmethod
+    def _within(got, want, rtol):
+        return abs(got - want) <= rtol * max(1.0, abs(want))
+
+    @staticmethod
+    def _markets():
+        rng = np.random.default_rng(41)
+        hull = binomial_market(rng, horizon=2, hull_prob=1.0)
+        assert any(not con.is_exact for con in hull.instance.constraints)
+        return hull, binomial_market(rng, horizon=2, d=2, epsilons=[0.05, 0.0])
+
+    def test_arbitrage_free_markets_cost_one_solve_per_question(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        senses = self._counting(monkeypatch)
+        for market in self._markets():
+            table = random_payoff_table(rng, market.instance)
+            payoff = Payoff.dense(table)
+            values = []
+            for forced in (False, True):
+                senses.clear()
+                res = superhedge_dual(market, payoff, force_frictional=forced)
+                assert senses == ["max"]
+                tall = tall_superhedge(market, payoff, force_frictional=forced)
+                assert res.status == tall.status == "optimal"
+                assert self._within(res.value, tall.value, FTAP_GAP_RTOL)
+                superrep, identity = strategy_residuals(market, table, res.value, res.strategy)
+                assert superrep >= -1e-8 and identity <= 1e-8
+                values.append(res.value)
+            assert abs(values[0] - values[1]) <= FRICTIONLESS_TOL
+            senses.clear()
+            dual = dual_transport(market.instance, payoff)
+            assert senses == ["max"]
+            assert self._within(dual.value, tall_dual_transport(market.instance, payoff).value,
+                                TRANSPORT_GAP_RTOL)
+            senses.clear()
+            verdict = classify_arbitrage(market)
+            assert senses == ["max"]
+            ua = tall_superhedge(market, Payoff.constant(0.0, market.instance))
+            assert verdict.kind == "no_arbitrage" and ua.status == "optimal"
+            assert self._within(verdict.uniform_value, ua.value, FTAP_GAP_RTOL)
+            senses.clear()
+            report = verify_representation(market.instance, [payoff, Payoff.dense(-table)])
+            assert senses == ["max", "max"]
+            assert report.max_gap <= TRANSPORT_GAP_RTOL * max(1.0, *map(abs, report.dual_values))
+            # one solve per eps, and one for eps 0 unless the schedule ends there
+            for schedule, solves in (([0.1, 0.0], 2), ([0.1, 0.01], 3)):
+                senses.clear()
+                frictionless_limit_check(market, payoff, schedule)
+                assert senses == ["max"] * solves
+
+    def test_arbitrage_market_returns_an_improving_ray(self, monkeypatch):
+        senses = self._counting(monkeypatch)
+        for market in self._markets():
+            # a spot above every grid point: selling the underlying forward wins
+            top = max(float(ax.points.max()) for ax in market.instance.axes)
+            shifted = Market(market.instance, np.full(market.d, 2.0 * top + 1.0),
+                             market.epsilons)
+            senses.clear()
+            res = superhedge_dual(shifted, Payoff.constant(0.0, shifted.instance))
+            # the infeasible primal, then the superhedge LP for its ray
+            assert senses == ["max", "min"]
+            assert res.status == "unbounded" and res.strategy is None
+            assert res.ray.cost(shifted) < 0.0
+            assert float(res.ray.outcome(shifted).min()) >= -1e-9
 
 
 class TestSuperhedgingDuality:
