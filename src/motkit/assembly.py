@@ -216,16 +216,6 @@ class SuperhedgeLp:
         """Hull mixture weights: the multipliers of the epigraph rows."""
         return _mixtures(duals, self.epigraph_rows)
 
-    def dual_point(self, primal: PrimalLp, x: np.ndarray) -> np.ndarray:
-        """Row multipliers read off a point x of the primal of the same market:
-        its lambdas on the epigraph rows, its coupling on the path rows."""
-        duals = np.zeros(self.lp.n_rows)
-        for rows, lams in zip(self.epigraph_rows, primal.lambdas):
-            if rows is not None:
-                duals[rows] = x[lams]
-        duals[self.path_rows] = primal.coupling(x).weights
-        return duals
-
 
 def primal_lp(instance: Instance, table: np.ndarray, market=None,
               force_frictional: bool = False) -> PrimalLp:

@@ -25,7 +25,7 @@ from .documents import (
     write_output,
 )
 from .lp import PIVOT_RULE, write_mps
-from .martingale import ArbitrageError, ftap_check, superhedging_duality_report
+from .martingale import ARBITRAGE_TOL, ArbitrageError, ftap_check, superhedging_duality_report
 from .model import Payoff
 from .transport import duality_report
 
@@ -158,7 +158,7 @@ def solve_mot_cmd(input_path, output, fmt, tol, dump_lp):
         report = superhedging_duality_report(market, payoff)
     except ArbitrageError as exc:
         values = {"primal_status": exc.primal_status, "dual_status": exc.dual_status}
-        residuals = {"detection_tolerance": 1e-9}
+        residuals = {"detection_tolerance": ARBITRAGE_TOL}
         _emit("solve-mot", "infeasible" if exc.primal_status == "infeasible" else "arbitrage",
               values, {}, residuals, started, output, fmt)
         sys.exit(2)
@@ -207,7 +207,7 @@ def check_arbitrage_cmd(input_path, output, fmt, dump_lp):
             "cost": verdict.strategy.cost(market),
             "min_outcome": float(verdict.strategy.outcome(market).min()),
         }
-    residuals = {"detection_tolerance": 1e-9}
+    residuals = {"detection_tolerance": ARBITRAGE_TOL}
     status = "ok" if verdict.kind == "no_arbitrage" else "arbitrage"
     _emit("check-arbitrage", status, values, optimizers, residuals,
           started, output, fmt)
@@ -231,7 +231,7 @@ def verify_duality_cmd(input_path, output, fmt, tol, dump_lp):
                   else superhedging_duality_report(doc.market, payoff))
     except ArbitrageError as exc:
         _emit("verify-duality", "arbitrage", {"detail": str(exc)}, {},
-              {"detection_tolerance": 1e-9}, started, output, fmt)
+              {"detection_tolerance": ARBITRAGE_TOL}, started, output, fmt)
         sys.exit(2)
     values = _duality_values(report, tol)
     ok = values["gap_within_tol"]

@@ -633,9 +633,8 @@ def write_mps(lp: LinearProgram, name: str = "MOTKITLP") -> str:
     for j in range(lp.n_variables):
         if lp.objective[j] != 0.0:
             rows.append(entry(cnames[j], "OBJ", lp.objective[j]))
-        for i in range(lp.n_rows):
-            if lp.a[i, j] != 0.0:
-                rows.append(entry(cnames[j], rnames[i], lp.a[i, j]))
+        for i in np.flatnonzero(lp.a[:, j]):
+            rows.append(entry(cnames[j], rnames[i], lp.a[i, j]))
     rows.append("RHS")
     for i in range(lp.n_rows):
         if lp.rhs[i] != 0.0:

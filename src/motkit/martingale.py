@@ -26,15 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import DynamicLeg, certified, primal_lp, superhedge_lp
-from .lp import (
-    RESIDUAL_TOL,
-    LpError,
-    LpSolution,
-    check_certificates,
-    check_unbounded_ray,
-    primal_residual,
-    solve,
-)
+from .lp import (RESIDUAL_TOL, LpError, LpSolution, check_unbounded_ray, primal_residual,
+                 solve)
 from .model import (
     VALUE_TOL,
     Coupling,
@@ -269,56 +262,45 @@ class FtapReport:
     verdict: ArbitrageVerdict
 
 
-def _cash_superhedge(market: Market, cash: float, primal=None, ray=None) -> SuperhedgeResult:
-    """superhedge(cash) at the pure cash position `cash`, kept once a
-    certificate passes against this LP's own data: the dual point read off
-    `primal`, a (layout, point) pair of the MOT primal, proves the position
-    optimal, or, given an improving `ray`, the position is the feasible
-    point the ray leaves unbounded.  Else the LP is solved."""
-    sh = superhedge_lp(market.instance, Payoff.constant(cash, market.instance).table, market)
-    lp = sh.lp
-    x = np.zeros(lp.n_variables)
-    x[sh.cash] = cash
-    if ray is None:
-        sol = LpSolution("optimal", float(lp.objective @ x), x, sh.dual_point(*primal), 0)
-        passed = check_certificates(lp, sol).max_violation <= RESIDUAL_TOL
-    else:
-        sol = LpSolution("unbounded", -np.inf, None, None, 0, ray=ray)
-        passed = max(primal_residual(lp, x), check_unbounded_ray(lp, ray)) <= RESIDUAL_TOL
-    return _superhedge_result(sol if passed else solve(lp), sh)
-
-
 def ftap_check(market: Market) -> FtapReport:
     """Evaluate the three no-arbitrage conditions and flag any disagreement.
 
     The zero-payoff martingale primal is solved first; its status is the
-    martingale-set flag.  When it is optimal, its coupling and hull lambdas
-    are a dual point of superhedge(0) and superhedge(1) that proves the
-    cash positions 0 and 1 optimal, each checked against its own LP.  When
-    it is infeasible, superhedge(0) is solved for the witness ray, which
-    also leaves superhedge(1) unbounded from the cash position 1.  Each flag
-    thus rests on its own checked certificate; a certificate that fails its
-    check makes its LP be solved."""
-    zero = Payoff.constant(0.0, market.instance).table
+    martingale-set flag.  When its point passes `primal_residual` against
+    that LP's own rows and bounds, it is a coupling of mass 1 that meets
+    every marginal and pricing row, so superhedge(c) >= c by weak duality;
+    the cash position c costs c and superreplicates c on every path (cash
+    has coefficient 1 in every path row), so superhedge(0) = 0 and
+    superhedge(1) = 1 with no further LP.  Otherwise superhedge(0) is
+    solved, and its improving ray, once `check_unbounded_ray` passes
+    against that LP, also leaves superhedge(1) unbounded: the two differ
+    only in the rhs, and the cash position 1 is feasible.  A certificate
+    that fails its check makes superhedge(1) be solved too."""
+    instance = market.instance
+    zero = Payoff.constant(0.0, instance).table
     feas, primal, sol = _primal_mot(market, zero)
-    if feas.status == "optimal":
-        ua, mia = (_cash_superhedge(market, cash, (primal, sol.x)) for cash in (0.0, 1.0))
+    if feas.status == "optimal" and primal_residual(primal.lp, sol.x) <= RESIDUAL_TOL:
+        ua, strict_value = SuperhedgeResult("optimal", 0.0, None), 1.0
     else:
-        sh = superhedge_lp(market.instance, zero, market)
+        sh = superhedge_lp(instance, zero, market)
         raw = solve(sh.lp)
         ua = _superhedge_result(raw, sh)
-        mia = _cash_superhedge(market, 1.0, ray=raw.ray)
+        if ua.status == "unbounded" and check_unbounded_ray(sh.lp, raw.ray) <= RESIDUAL_TOL:
+            strict_value = -np.inf
+        else:
+            one = superhedge_lp(instance, Payoff.constant(1.0, instance).table, market)
+            strict_value = _superhedge_result(solve(one.lp), one).value
     if ua.status == "unbounded" or ua.value < -ARBITRAGE_TOL:
         verdict = ArbitrageVerdict("uniform", ua.ray or ua.strategy, ua.value, -np.inf)
     else:
         verdict = ArbitrageVerdict("no_arbitrage", None, ua.value, ua.value + 1.0)
     no_uniform = verdict.kind != "uniform"
-    no_mia = mia.status == "optimal" and mia.value > ARBITRAGE_TOL
+    no_mia = strict_value > ARBITRAGE_TOL
     nonempty = feas.status == "optimal"
     return FtapReport(no_model_independent=no_mia, no_uniform=no_uniform,
                       martingale_set_nonempty=nonempty,
                       equivalent=(no_mia == no_uniform == nonempty),
-                      uniform_value=ua.value, strict_value=mia.value,
+                      uniform_value=ua.value, strict_value=strict_value,
                       coupling=feas.coupling, verdict=verdict)
 
 

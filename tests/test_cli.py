@@ -145,10 +145,6 @@ def _mixed_market_doc():
 
 
 class TestSolveCounts:
-    # check-arbitrage also builds superhedge(0) and superhedge(1), whose
-    # certificates it checks against their own LPs without solving them
-    BUILDERS = {"check-arbitrage": 3}
-
     @pytest.mark.parametrize("command, solves, expansions", [
         ("solve-mot", 1, 1), ("check-arbitrage", 1, 0), ("verify-duality", 1, 1)])
     def test_each_lp_solved_once(self, runner, tmp_path, lp_calls, command, solves,
@@ -156,8 +152,7 @@ class TestSolveCounts:
         path = _write(tmp_path, "mot.json", _straddle_market_doc())
         result = runner.invoke(main, [command, "-i", path])
         assert result.exit_code == 0, result.output
-        assert lp_calls["solve"] == solves
-        assert lp_calls["builders"] == self.BUILDERS.get(command, solves)
+        assert lp_calls["solve"] == lp_calls["builders"] == solves
         assert lp_calls["expansions"] == expansions
 
     @pytest.mark.parametrize("command", ["solve-transport", "verify-duality"])
@@ -182,7 +177,7 @@ class TestSolveCounts:
         result = runner.invoke(main, ["check-arbitrage", "-i", path])
         assert result.exit_code == 2
         assert json.loads(result.output)["values"]["verdict"] == "uniform"
-        assert (lp_calls["solve"], lp_calls["builders"]) == (2, 3)
+        assert (lp_calls["solve"], lp_calls["builders"]) == (2, 2)
 
     def test_counterexample_solves_only_short_lps(self, runner, lp_calls):
         # per depth n <= 6: the primals of the payoffs 1 and x_n, 2n rows each
@@ -206,7 +201,7 @@ class TestDumpLp:
         ("solve-transport", False, "transport", 2, 2),
         ("solve-transport", True, "transport", 2, 2),
         ("verify-duality", False, "transport", 2, 2),
-        ("solve-mot", True, "mot", 2, 2), ("check-arbitrage", True, "superhedge", 1, 3),
+        ("solve-mot", True, "mot", 2, 2), ("check-arbitrage", True, "superhedge", 1, 1),
         ("verify-duality", True, "mot", 2, 2)])
     def test_dump_is_the_pinned_lp_and_costs_a_builder_only_when_asked(
             self, runner, tmp_path, lp_calls, command, market, lp, solves, builders):

@@ -311,23 +311,46 @@ class TestFtapRoute:
             assert _same_strategy(got.strategy, want.strategy)
         assert seen == {"no_arbitrage", "uniform"}
 
-    def test_failed_coupling_certificate_solves_both_superhedges(self, monkeypatch):
-        def shifted(lp, sol):
-            if lp.sense == "max":
-                x = sol.x.copy()
-                x[0] += 0.5  # the coupling's mass is off: not a dual point
-                sol = dataclasses.replace(sol, x=x)
-            return sol
+    @staticmethod
+    def _mass_off(market, x):
+        x[0] += 0.5  # the coupling's mass is off
 
-        market = arbitrage_free_market(np.random.default_rng(3), horizon=2, d=1,
-                                       epsilons=[0.05])
-        expected = three_lp_ftap(market)
-        senses = self._counting(monkeypatch, shifted)
-        report = ftap_check(market)
-        assert senses == ["max", "min", "min"]
-        assert (report.uniform_value, report.strict_value, report.verdict.kind) == (
-            expected.uniform_value, expected.strict_value, "no_arbitrage")
-        assert report.equivalent and report.no_uniform and report.no_model_independent
+    @staticmethod
+    def _martingale_off(market, x):
+        """Move mass delta onto paths (a, u), (b, d) and off (a, d), (b, u):
+        the mass and both marginals stay, the martingale row of prefix a
+        moves by delta (S(u) - S(d))."""
+        grid = x[: market.instance.n_paths].reshape(market.instance.shape)
+        support = np.argwhere(grid > 0)
+        a, d = support[0]
+        b, u = next((i, j) for i, j in support if i != a and j != d)
+        delta = min(grid[a, d], grid[b, u]) / 2
+        rows, cols = grid.sum(axis=1), grid.sum(axis=0)
+        grid[[a, b], [u, d]] += delta
+        grid[[a, b], [d, u]] -= delta
+        assert np.allclose(grid.sum(axis=1), rows) and np.allclose(grid.sum(axis=0), cols)
+        coupling = Coupling(market.instance, grid.ravel().copy())
+        assert feasibility_residual(market, coupling) > 1e-6
+
+    def test_failed_coupling_certificate_solves_both_superhedges(self, monkeypatch):
+        cases = [(arbitrage_free_market(np.random.default_rng(3), horizon=2, d=1,
+                                        epsilons=eps), perturb)
+                 for eps, perturb in (([0.05], self._mass_off), ([0.0], self._martingale_off))]
+        expected = [three_lp_ftap(market) for market, _ in cases]
+        for (market, perturb), want in zip(cases, expected):
+            def perturbed(lp, sol):
+                if lp.sense == "max":  # the point is no longer a coupling
+                    x = sol.x.copy()
+                    perturb(market, x)
+                    sol = dataclasses.replace(sol, x=x)
+                return sol
+
+            senses = self._counting(monkeypatch, perturbed)
+            report = ftap_check(market)
+            assert senses == ["max", "min", "min"]
+            assert (report.uniform_value, report.strict_value, report.verdict.kind) == (
+                want.uniform_value, want.strict_value, "no_arbitrage")
+            assert report.equivalent and report.no_uniform and report.no_model_independent
 
     def test_failed_ray_certificate_solves_superhedge_one(self, monkeypatch):
         def reversed_ray(lp, sol):
@@ -340,6 +363,22 @@ class TestFtapRoute:
         assert report.verdict.kind == "uniform"
         assert report.strict_value == -np.inf
         assert report.equivalent and not report.no_model_independent
+
+    def test_hull_axis_arbitrage_is_one_ray(self, monkeypatch):
+        # the spot 3 is above every grid point: selling the asset forward is free money
+        axis = DiscreteAxis(1, np.array([[0.0], [2.0]]))
+        hull = MarginalConstraint.convex_hull(
+            [DiscreteMeasure(axis, np.array(w)) for w in ([0.5, 0.5], [0.25, 0.75])])
+        market = Market(Instance((axis,), (hull,)), np.array([3.0]), np.array([0.0]))
+        expected = three_lp_ftap(market)
+        senses = self._counting(monkeypatch)
+        report = ftap_check(market)
+        assert senses == ["max", "min"]
+        assert report.verdict.kind == "uniform"
+        assert report.strict_value == -np.inf
+        for field in ("no_model_independent", "no_uniform", "martingale_set_nonempty",
+                      "equivalent"):
+            assert getattr(report, field) == getattr(expected, field), field
 
 
 class TestOneLpDuality:
