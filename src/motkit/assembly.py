@@ -19,7 +19,7 @@ from .lp import RESIDUAL_TOL, LinearProgram, LpBuilder
 from .model import Coupling, Instance
 
 __all__ = ["DynamicLeg", "TradingCatalog", "PrimalLp", "SuperhedgeLp",
-           "primal_lp", "superhedge_lp", "certified"]
+           "primal_lp", "superhedge_lp", "epigraph_rows", "certified"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,6 +33,18 @@ class DynamicLeg:
     maturity: int
     h: tuple[np.ndarray, ...]
     u: tuple[np.ndarray, ...] | None = None
+
+    def gains(self, market, total: np.ndarray | None = None) -> np.ndarray:
+        """Trading gains net of friction along every path of the market,
+        added in place onto `total` (a running sum over legs) when given."""
+        instance, s = market.instance, market.price_paths()
+        total = np.zeros(instance.n_paths) if total is None else total
+        for n in range(1, self.maturity + 1):
+            pid = instance.prefix_ids(n - 1)
+            total += np.einsum("pd,pd->p", self.h[n - 1][pid], s[n] - s[n - 1])
+            if self.u is not None:
+                total -= np.einsum("pd,pd->p", self.u[n - 1][pid] * market.epsilons, s[n - 1])
+        return total
 
 
 def _ancestor_prefix(instance: Instance, level: int, ancestor_level: int) -> np.ndarray:
@@ -239,7 +251,7 @@ def primal_lp(instance: Instance, table: np.ndarray, market=None,
             np.concatenate([indices[pos], np.repeat(np.arange(npts), k)]),
             np.concatenate([paths, np.tile(lams, npts)]),
             np.concatenate([ones, -constraint.vertex_matrix.T.ravel()]), "=", np.zeros(npts)))
-        builder.add_row([(lam, 1.0) for lam in lams], "=", 1.0)
+        builder.add_rows(np.zeros(k), lams, np.ones(k), "=", 1.0)
         lambdas.append(lams)
     trading = None if market is None else TradingCatalog.pricing_rows(builder, market, paths,
                                                                       force_frictional)
@@ -254,18 +266,16 @@ def superhedge_lp(instance: Instance, table: np.ndarray, market=None,
     trading columns to every superreplication row."""
     builder = LpBuilder("min")
     cash = builder.add_variable(lower=-np.inf, objective=1.0)
-    legs, epigraph_rows = [], []
+    legs, epigraph = [], []
     for pos, constraint in enumerate(instance.constraints):
         npts = instance.axes[pos].npoints
         if constraint.is_exact:
             legs.append(builder.add_variables(npts, objective=constraint.measures[0].weights))
-            epigraph_rows.append(None)
+            epigraph.append(None)
             continue
         t_var = builder.add_variable(lower=-np.inf, objective=1.0)
         legs.append(builder.add_variables(npts))
-        epigraph_rows.append(np.array([
-            builder.add_row([(t_var, 1.0), *zip(legs[-1], -nu.weights)], ">=", 0.0)
-            for nu in constraint.measures]))
+        epigraph.append(epigraph_rows(builder, t_var, legs[-1], constraint.vertex_matrix))
     trading = None if market is None else TradingCatalog.allocate(builder, market,
                                                                   force_frictional)
     # one row per path: m + sum_n g_n(x_n) + trading gains >= f(x)
@@ -278,8 +288,15 @@ def superhedge_lp(instance: Instance, table: np.ndarray, market=None,
     if trading is not None:
         terms = tuple(np.concatenate(pair) for pair in zip(terms, trading.path_coefficients()))
     path_rows = builder.add_rows(*terms, ">=", table)
-    return SuperhedgeLp(builder.build(), cash, tuple(legs), tuple(epigraph_rows), path_rows,
-                        trading)
+    return SuperhedgeLp(builder.build(), cash, tuple(legs), tuple(epigraph), path_rows, trading)
+
+
+def epigraph_rows(builder: LpBuilder, t_var: int, g_vars, vertices: np.ndarray) -> np.ndarray:
+    """Rows t >= <g, nu>, one per vertex nu (a row of `vertices`): t >= price(g)."""
+    k, npts = vertices.shape
+    return builder.add_rows(np.concatenate([np.arange(k), np.repeat(np.arange(k), npts)]),
+                            np.concatenate([np.full(k, t_var), np.tile(g_vars, k)]),
+                            np.concatenate([np.ones(k), -vertices.ravel()]), ">=", np.zeros(k))
 
 
 def certified(value: float, dual_value: float, superreplication_min: float,

@@ -10,6 +10,7 @@ produce byte-identical documents.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -75,6 +76,13 @@ def _require(condition: bool, path: str, message: str):
         raise DocumentError(path, message)
 
 
+def _fields(raw, path: str, what: str, known):
+    """Require an object with `known` fields only; the path names the first unknown one."""
+    _require(isinstance(raw, dict), path, f"{what} must be an object")
+    unknown = sorted(set(raw) - set(known))
+    _require(not unknown, f"{path}.{unknown[0]}" if unknown else path, f"unknown fields {unknown}")
+
+
 def _finite_floats(raw, path: str) -> np.ndarray:
     arr = np.asarray(raw, dtype=float)
     _require(arr.size > 0, path, "must be non-empty")
@@ -83,7 +91,7 @@ def _finite_floats(raw, path: str) -> np.ndarray:
 
 
 def _parse_axis(raw, path: str) -> DiscreteAxis:
-    _require(isinstance(raw, dict), path, "axis must be an object")
+    _fields(raw, path, "axis", ("index", "points"))
     _require("index" in raw and "points" in raw, path, "axis needs index and points")
     index = raw["index"]
     _require(isinstance(index, int) and index >= 1, f"{path}.index",
@@ -107,7 +115,7 @@ def _parse_weights(raw, axis: DiscreteAxis, path: str) -> DiscreteMeasure:
 
 
 def _parse_constraint(raw, axis: DiscreteAxis, path: str) -> MarginalConstraint:
-    _require(isinstance(raw, dict), path, "constraint must be an object")
+    _fields(raw, path, "constraint", ("kind", "weights"))
     kind = raw.get("kind")
     _require(kind in ("exact", "convex_hull"), f"{path}.kind",
              "must be 'exact' or 'convex_hull'")
@@ -125,6 +133,10 @@ def _parse_constraint(raw, axis: DiscreteAxis, path: str) -> MarginalConstraint:
 def _parse_payoff(raw, path: str) -> Payoff:
     _require(isinstance(raw, dict), path, "payoff must be an object")
     kind = raw.get("kind")
+    fields = {"dense": ("table",), "separable": ("legs",), "named": ("name", "params")}
+    _require(isinstance(kind, str) and kind in fields, f"{path}.kind",
+             "must be 'dense', 'separable' or 'named'")
+    _fields(raw, path, "payoff", ("kind", *fields[kind]))
     if kind == "dense":
         return Payoff.dense(_finite_floats(raw.get("table"), f"{path}.table"))
     if kind == "separable":
@@ -133,18 +145,20 @@ def _parse_payoff(raw, path: str) -> Payoff:
                  "separable needs a non-empty list of legs")
         return Payoff.separable([_finite_floats(g, f"{path}.legs[{k}]")
                                  for k, g in enumerate(legs)])
-    if kind == "named":
-        name = raw.get("name")
-        _require(name in PAYOFF_GENERATORS, f"{path}.name",
-                 f"unknown generator {name!r}")
-        params = raw.get("params", {})
-        _require(isinstance(params, dict), f"{path}.params", "must be an object")
-        return Payoff.named(name, **params)
-    raise DocumentError(f"{path}.kind", "must be 'dense', 'separable' or 'named'")
+    name = raw.get("name")
+    _require(isinstance(name, str) and name in PAYOFF_GENERATORS, f"{path}.name",
+             f"unknown generator {name!r}")
+    params = raw.get("params", {})
+    _require(isinstance(params, dict), f"{path}.params", "must be an object")
+    try:
+        inspect.signature(PAYOFF_GENERATORS[name]).bind(None, **params)
+    except TypeError as exc:
+        raise DocumentError(f"{path}.params", f"{name}: {exc}") from None
+    return Payoff.named(name, **params)
 
 
 def _parse_market(raw, instance: Instance, path: str) -> Market:
-    _require(isinstance(raw, dict), path, "market must be an object")
+    _fields(raw, path, "market", ("s0", "epsilons", "horizon"))
     d = instance.axes[0].d
     s0 = _finite_floats(raw.get("s0"), f"{path}.s0").ravel()
     _require(s0.size == d, f"{path}.s0", f"needs {d} entries")
@@ -163,7 +177,7 @@ def _parse_market(raw, instance: Instance, path: str) -> Market:
 
 
 def _parse_options(raw, path: str) -> SolverOptions:
-    _require(isinstance(raw, dict), path, "options must be an object")
+    _fields(raw, path, "options", ("tol", "pivot_rule"))
     tol = raw.get("tol", 1e-9)
     _require(isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0,
              f"{path}.tol", "must be a positive number")
@@ -183,9 +197,7 @@ def parse_instance(text: str) -> InstanceDocument:
         raw = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise DocumentError("$", f"invalid JSON: line {exc.lineno}: {exc.msg}") from None
-    _require(isinstance(raw, dict), "$", "document must be a JSON object")
-    unknown = set(raw) - _TOP_LEVEL_FIELDS
-    _require(not unknown, "$", f"unknown fields {sorted(unknown)}")
+    _fields(raw, "$", "document", _TOP_LEVEL_FIELDS)
     _require(raw.get("version") == SCHEMA_VERSION, "$.version",
              f"must be {SCHEMA_VERSION}")
     axes_raw = raw.get("axes")

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -166,12 +165,6 @@ class LpBuilder:
         for store, column in zip((self._obj, self._lower, self._upper), columns):
             store.extend(column)
         return np.arange(first, first + count)
-
-    def add_row(self, coefficients: Mapping[int, float] | Sequence[tuple[int, float]],
-                relation: str, rhs: float) -> int:
-        items = list(coefficients.items() if isinstance(coefficients, Mapping) else coefficients)
-        cols, vals = zip(*items) if items else ((), ())
-        return int(self.add_rows(np.zeros(len(cols), dtype=np.intp), cols, vals, relation, rhs)[0])
 
     def add_rows(self, rows, columns, values, relation: str, rhs) -> np.ndarray:
         """len(rhs) rows sharing one relation, given as triplets: entry k puts

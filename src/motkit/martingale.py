@@ -22,12 +22,12 @@ equalities (eps_i = 0) or the full family of bid-ask bands
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .assembly import DynamicLeg, certified, primal_lp, superhedge_lp
-from .lp import (RESIDUAL_TOL, LpError, LpSolution, check_unbounded_ray, primal_residual,
-                 solve)
+from .assembly import DynamicLeg
+from .lp import RESIDUAL_TOL, primal_residual
 from .model import (
     VALUE_TOL,
     Coupling,
@@ -35,7 +35,8 @@ from .model import (
     Payoff,
     sublinear_price,
 )
-from .transport import DualityReport, marginal_separation
+from .transport import (DualityReport, hedge, marginal_separation, solve_primal,
+                        solve_superhedge)
 
 __all__ = [
     "Market",
@@ -69,9 +70,8 @@ class Market:
 
     def __post_init__(self):
         d = self.instance.axes[0].d
-        for ax in self.instance.axes:
-            if ax.d != d:
-                raise ValueError("all axes must share the asset dimension")
+        if any(ax.d != d for ax in self.instance.axes):
+            raise ValueError("all axes must share the asset dimension")
         if not self.instance.nonnegative:
             raise ValueError("market grids must have nonnegative coordinates")
         s0 = np.atleast_1d(np.asarray(self.s0, dtype=float))
@@ -100,11 +100,8 @@ class Market:
 
     def price_paths(self) -> list[np.ndarray]:
         """S_n along every path for n = 0..T; each entry is (n_paths, d)."""
-        n_paths = self.instance.n_paths
-        out = [np.broadcast_to(self.s0, (n_paths, self.d))]
-        for pos in range(self.horizon):
-            out.append(self.instance.coordinate_values(pos))
-        return out
+        return ([np.broadcast_to(self.s0, (self.instance.n_paths, self.d))]
+                + [self.instance.coordinate_values(pos) for pos in range(self.horizon)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,34 +111,18 @@ class SemiStaticStrategy:
     legs: tuple[DynamicLeg, ...]
 
     def cost(self, market: Market) -> float:
-        total = self.m
-        for pos, constraint in enumerate(market.instance.constraints):
-            total += sublinear_price(constraint, self.g[pos])
-        return float(total)
+        constraints = market.instance.constraints
+        return float(sum((sublinear_price(con, g) for con, g in zip(constraints, self.g)), self.m))
 
     def dynamic_gains(self, market: Market) -> np.ndarray:
         """Trading gains net of friction along every path."""
-        instance = market.instance
-        s = market.price_paths()
-        eps = market.epsilons
-        total = np.zeros(instance.n_paths)
-        for leg in self.legs:
-            for n in range(1, leg.maturity + 1):
-                pid = instance.prefix_ids(n - 1)
-                h_n = leg.h[n - 1][pid]  # (n_paths, d)
-                total += np.einsum("pd,pd->p", h_n, s[n] - s[n - 1])
-                if leg.u is not None:
-                    u_n = leg.u[n - 1][pid]
-                    total -= np.einsum("pd,pd->p", u_n * eps, s[n - 1])
-        return total
+        return reduce(lambda total, leg: leg.gains(market, total), self.legs,
+                      np.zeros(market.instance.n_paths))
 
     def outcome(self, market: Market) -> np.ndarray:
         """m + static legs + dynamic gains along every path."""
-        instance = market.instance
-        indices = instance.point_indices()
-        static = np.full(instance.n_paths, self.m)
-        for pos in range(instance.horizon):
-            static = static + self.g[pos][indices[pos]]
+        static = sum((g[idx] for g, idx in zip(self.g, market.instance.point_indices())),
+                     np.full(market.instance.n_paths, self.m))
         return static + self.dynamic_gains(market)
 
 
@@ -155,23 +136,19 @@ class SuperhedgeResult:
 
 def superhedge_dual(market: Market, payoff: Payoff,
                     force_frictional: bool = False) -> SuperhedgeResult:
-    """Cheapest semi-static superhedge of the payoff, read off the MOT
-    primal as in `superhedging_duality_report`.
-
-    Unbounded means a uniform arbitrage exists; the improving ray is
-    returned as a strategy-space direction.
-    """
-    return _hedge(market, payoff.table_for(market.instance), force_frictional)[1]
+    """Cheapest semi-static superhedge of the payoff, read off the MOT primal
+    (see `transport.hedge`).  Unbounded means a uniform arbitrage exists; the
+    improving ray, checked against the superhedge LP, is returned as a strategy."""
+    side = hedge(market.instance, payoff.table_for(market.instance), market, force_frictional)[2]
+    return _superhedge_result(side)
 
 
-def _superhedge_result(sol: LpSolution, sh) -> SuperhedgeResult:
-    """A solve of the superhedge LP `sh`, its point or ray read as a strategy."""
-    strategy = lambda x: SemiStaticStrategy(*sh.position(x), sh.trading.extract_legs(x))
-    if sol.status == "optimal":
-        return SuperhedgeResult("optimal", sol.value, strategy(sol.x))
-    if sol.status == "unbounded":
-        return SuperhedgeResult("unbounded", -np.inf, None, ray=strategy(sol.ray))
-    raise LpError(f"superhedge LP unexpectedly {sol.status}")  # pragma: no cover
+def _superhedge_result(side) -> SuperhedgeResult:
+    """A `transport.DualSide`, its point or ray read as a strategy."""
+    strategy = SemiStaticStrategy(side.m, side.g, side.legs)
+    ray = side.status == "unbounded"
+    return SuperhedgeResult(side.status, side.value, None if ray else strategy,
+                            strategy if ray else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,20 +161,14 @@ class MotPrimalResult:
 def primal_mot(market: Market, payoff: Payoff) -> MotPrimalResult:
     """Maximize <f, mu> over marginal-feasible couplings that price the
     underlying consistently (martingale when eps = 0, bid-ask bands else)."""
-    return _primal_mot(market, payoff.table_for(market.instance))[0]
+    return _mot_result(*solve_primal(market.instance, payoff.table_for(market.instance), market))
 
 
-def _primal_mot(market: Market, table: np.ndarray, force_frictional: bool = False):
-    """The MOT primal's result, layout and solution."""
-    primal = primal_lp(market.instance, table, market, force_frictional)
-    sol = solve(primal.lp)
+def _mot_result(primal, sol) -> MotPrimalResult:
+    """The result of a solve of the MOT primal `primal`."""
     if sol.status == "optimal":
-        result = MotPrimalResult("optimal", sol.value, primal.coupling(sol.x))
-    elif sol.status == "infeasible":
-        result = MotPrimalResult("infeasible", float("nan"), None)
-    else:  # pragma: no cover
-        raise LpError(f"martingale primal unexpectedly {sol.status}")
-    return result, primal, sol
+        return MotPrimalResult("optimal", sol.value, primal.coupling(sol.x))
+    return MotPrimalResult("infeasible", float("nan"), None)
 
 
 def feasibility_residual(market: Market, coupling: Coupling) -> float:
@@ -227,7 +198,8 @@ def feasibility_residual(market: Market, coupling: Coupling) -> float:
 class ArbitrageVerdict:
     """Classification with a validated witness strategy where applicable.
 
-    kind "uniform": witness cost < -1e-9, outcome >= -1e-9 on every path.
+    kind "uniform": the witness is an improving ray of superhedge(0) that
+    passed `check_unbounded_ray` (cost < 0, outcome >= 0 on every path).
     A model-independent arbitrage (cost <= 0, outcome >= 1 pointwise) would
     put superhedge(1) at or below 0; since superhedge(c) = c + superhedge(0)
     (the cash is a free column with cost 1 in every superhedge row), it
@@ -265,37 +237,26 @@ class FtapReport:
 def ftap_check(market: Market) -> FtapReport:
     """Evaluate the three no-arbitrage conditions and flag any disagreement.
 
-    The zero-payoff martingale primal is solved first; its status is the
-    martingale-set flag.  When its point passes `primal_residual` against
-    that LP's own rows and bounds, it is a coupling of mass 1 that meets
-    every marginal and pricing row, so superhedge(c) >= c by weak duality;
-    the cash position c costs c and superreplicates c on every path (cash
-    has coefficient 1 in every path row), so superhedge(0) = 0 and
-    superhedge(1) = 1 with no further LP.  Otherwise superhedge(0) is
-    solved, and its improving ray, once `check_unbounded_ray` passes
-    against that LP, also leaves superhedge(1) unbounded: the two differ
-    only in the rhs, and the cash position 1 is feasible.  A certificate
-    that fails its check makes superhedge(1) be solved too."""
+    The zero-payoff MOT primal's status is the martingale-set flag.  A point
+    of it that passes `primal_residual` on that LP is a coupling, so
+    superhedge(0) >= 0 by weak duality and cash 0 attains it with no further
+    LP.  Otherwise superhedge(0) comes from `transport.solve_superhedge`,
+    whose ray passed `check_unbounded_ray`.  superhedge(1) = superhedge(0) + 1
+    (see `ArbitrageVerdict`)."""
     instance = market.instance
     zero = Payoff.constant(0.0, instance).table
-    feas, primal, sol = _primal_mot(market, zero)
+    primal, sol = solve_primal(instance, zero, market)
+    feas = _mot_result(primal, sol)
     if feas.status == "optimal" and primal_residual(primal.lp, sol.x) <= RESIDUAL_TOL:
-        ua, strict_value = SuperhedgeResult("optimal", 0.0, None), 1.0
+        ua = SuperhedgeResult("optimal", 0.0, None)
     else:
-        sh = superhedge_lp(instance, zero, market)
-        raw = solve(sh.lp)
-        ua = _superhedge_result(raw, sh)
-        if ua.status == "unbounded" and check_unbounded_ray(sh.lp, raw.ray) <= RESIDUAL_TOL:
-            strict_value = -np.inf
-        else:
-            one = superhedge_lp(instance, Payoff.constant(1.0, instance).table, market)
-            strict_value = _superhedge_result(solve(one.lp), one).value
+        ua = _superhedge_result(solve_superhedge(instance, zero, market))
+    strict_value = ua.value + 1.0
     if ua.status == "unbounded" or ua.value < -ARBITRAGE_TOL:
         verdict = ArbitrageVerdict("uniform", ua.ray or ua.strategy, ua.value, -np.inf)
     else:
-        verdict = ArbitrageVerdict("no_arbitrage", None, ua.value, ua.value + 1.0)
-    no_uniform = verdict.kind != "uniform"
-    no_mia = strict_value > ARBITRAGE_TOL
+        verdict = ArbitrageVerdict("no_arbitrage", None, ua.value, strict_value)
+    no_uniform, no_mia = verdict.kind != "uniform", strict_value > ARBITRAGE_TOL
     nonempty = feas.status == "optimal"
     return FtapReport(no_model_independent=no_mia, no_uniform=no_uniform,
                       martingale_set_nonempty=nonempty,
@@ -313,49 +274,22 @@ class ArbitrageError(ValueError):
         self.primal_status, self.dual_status = primal_status, dual_status
 
 
-def _strategy_residuals(market: Market, table: np.ndarray, dual: SuperhedgeResult):
-    """superreplication_min and strategy_cost_identity of an optimal superhedge."""
-    return (float((dual.strategy.outcome(market) - table).min()),
-            abs(dual.strategy.cost(market) - dual.value))
-
-
-def _hedge(market: Market, table: np.ndarray, force_frictional: bool = False):
-    """The MOT primal's result, the superhedge, and the superhedge's
-    (superreplication_min, strategy_cost_identity), None unless it is
-    optimal.  Only the primal is solved: the superhedge is read off its
-    multipliers and kept once `certified` passes, else the superhedge LP
-    is solved, as it is for the status of an infeasible primal."""
-    primal, layout, sol = _primal_mot(market, table, force_frictional)
-    if primal.status == "optimal":
-        legs = layout.trading.extract_legs(sol.duals)
-        dual = SuperhedgeResult("optimal", float(sol.duals @ layout.lp.rhs),
-                                SemiStaticStrategy(*layout.static_side(sol)[:2], legs))
-        residuals = _strategy_residuals(market, table, dual)
-        if certified(primal.value, dual.value, *residuals):
-            return primal, dual, residuals
-    sh = superhedge_lp(market.instance, table, market, force_frictional)
-    dual = _superhedge_result(solve(sh.lp), sh)
-    return primal, dual, (_strategy_residuals(market, table, dual)
-                          if dual.status == "optimal" else None)
-
-
 def superhedging_duality_report(market: Market, payoff: Payoff) -> DualityReport:
     """Primal martingale value vs superhedging cost, from one MOT primal
-    solve (see `_hedge`); requires no arbitrage."""
-    table = payoff.table_for(market.instance)
-    primal, dual, dual_residuals = _hedge(market, table)
-    if primal.status != "optimal" or dual.status != "optimal":
-        raise ArbitrageError(primal.status, dual.status)
-    superrep, identity = dual_residuals
+    solve (see `transport.hedge`); requires no arbitrage."""
+    primal, sol, side, dual_residuals = hedge(market.instance, payoff.table_for(market.instance),
+                                              market)
+    result = _mot_result(primal, sol)
+    if result.status != "optimal" or side.status != "optimal":
+        raise ArbitrageError(result.status, side.status)
     residuals = {
-        "superreplication_min": superrep,
-        "strategy_cost_identity": identity,
-        "coupling_feasibility": feasibility_residual(market, primal.coupling),
+        "superreplication_min": dual_residuals[0],
+        "strategy_cost_identity": dual_residuals[1],
+        "coupling_feasibility": feasibility_residual(market, result.coupling),
     }
-    return DualityReport(primal_value=primal.value, dual_value=dual.value,
-                         gap=abs(primal.value - dual.value),
-                         coupling=primal.coupling, dual=dual.strategy,
-                         residuals=residuals)
+    return DualityReport(primal_value=result.value, dual_value=side.value,
+                         gap=abs(result.value - side.value), coupling=result.coupling,
+                         dual=_superhedge_result(side).strategy, residuals=residuals)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,20 +3,21 @@
 Primal: maximize <f, mu> over couplings whose n-th marginal equals nu_n
 (Exact) or lies in a convex hull of finitely many measures (ConvexHull).
 Dual: minimize m + sum_n price_n(g_n) over cash m and nonnegative per-axis
-legs g_n with m + sum_n g_n(x_n) >= f pointwise.  Both are LPs, but every
-entry point solves only the primal (one column per path, fewer rows than
-the dual has paths): the dual is read off its multipliers and kept once its
-residuals and the zero gap pass `certified`, else the dual LP is solved.
+legs g_n with m + sum_n g_n(x_n) >= f pointwise.  `hedge` answers both LPs,
+and given a market the martingale pair, solving only the primal (one column
+per path, fewer rows than the dual has paths): the dual is read off its
+multipliers and kept once `certified` passes, else the dual LP is solved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .assembly import certified, primal_lp, superhedge_lp
-from .lp import LpBuilder, LpError, solve
+from .assembly import DynamicLeg, certified, epigraph_rows, primal_lp, superhedge_lp
+from .lp import RESIDUAL_TOL, LpBuilder, LpError, LpNumericalError, check_unbounded_ray, solve
 from .model import (
     VALUE_TOL,
     Coupling,
@@ -30,9 +31,13 @@ from .model import (
 __all__ = [
     "TransportDualSolution",
     "DualityReport",
+    "DualSide",
     "ConjugateValue",
     "ConstantWitness",
     "SeparatingWitness",
+    "solve_primal",
+    "solve_superhedge",
+    "hedge",
     "primal_transport",
     "dual_transport",
     "conjugate_membership",
@@ -70,53 +75,93 @@ class DualityReport:
 
 
 # ---------------------------------------------------------------------------
-# operations
+# the duality route: transport with no market, martingale transport with one
 # ---------------------------------------------------------------------------
 
-def _primal_transport(instance: Instance, table: np.ndarray):
-    """Value, coupling, and the primal's layout and solution."""
-    primal = primal_lp(instance, table)
+@dataclass(frozen=True, eq=False)
+class DualSide:
+    """Cash m, static legs g >= 0, hull mixtures and (with a market) dynamic legs:
+    "optimal" at cost `value`, or "unbounded", a checked ray with no mixtures."""
+
+    status: str
+    value: float
+    m: float
+    g: tuple[np.ndarray, ...]
+    mixtures: tuple[np.ndarray, ...] | None
+    legs: tuple[DynamicLeg, ...]
+
+
+def solve_primal(instance: Instance, table: np.ndarray, market=None,
+                 force_frictional: bool = False):
+    """The primal LP and its solution: optimal, or infeasible under arbitrage."""
+    primal = primal_lp(instance, table, market, force_frictional)
     sol = solve(primal.lp)
-    if sol.status != "optimal":
-        raise LpError(f"transport primal unexpectedly {sol.status}")
-    return sol.value, primal.coupling(sol.x), primal, sol
+    if sol.status != "optimal" and (market is None or sol.status != "infeasible"):
+        raise LpError(f"primal LP unexpectedly {sol.status}")  # pragma: no cover
+    return primal, sol
+
+
+def solve_superhedge(instance: Instance, table: np.ndarray, market=None,
+                     force_frictional: bool = False) -> DualSide:
+    """Solve the superhedge LP: its optimal point, or its improving ray once
+    `check_unbounded_ray` passes against that LP (LpNumericalError if not)."""
+    tall = superhedge_lp(instance, table, market, force_frictional)
+    sol = solve(tall.lp)
+    legs = lambda x: () if market is None else tall.trading.extract_legs(x)
+    if sol.status == "optimal":
+        return DualSide("optimal", sol.value, *tall.position(sol.x), tall.mixtures(sol.duals),
+                        legs(sol.x))
+    if sol.status != "unbounded" or check_unbounded_ray(tall.lp, sol.ray) > RESIDUAL_TOL:
+        raise LpNumericalError(f"superhedge LP {sol.status} with no checked improving ray")
+    return DualSide("unbounded", -np.inf, *tall.position(sol.ray), None, legs(sol.ray))
+
+
+def _residuals(instance: Instance, table: np.ndarray, market, side: DualSide):
+    """superreplication_min and the cost identity of an optimal side."""
+    cover = sum((g[idx] for g, idx in zip(side.g, instance.point_indices())),
+                np.full(instance.n_paths, side.m))
+    cover = cover + reduce(lambda total, leg: leg.gains(market, total), side.legs,
+                           np.zeros(instance.n_paths))
+    cost = sum((sublinear_price(con, g) for con, g in zip(instance.constraints, side.g)), side.m)
+    return float((cover - table).min()), abs(side.value - cost)
+
+
+def hedge(instance: Instance, table: np.ndarray, market=None, force_frictional: bool = False):
+    """The primal LP, its solution, the dual side and the side's residuals
+    (superreplication_min, cost identity; None unless optimal).  Only the
+    primal is solved: the side is read off its multipliers and kept once
+    `certified` passes, else (as for an infeasible primal) `solve_superhedge`."""
+    primal, sol = solve_primal(instance, table, market, force_frictional)
+    if sol.status == "optimal":
+        legs = () if market is None else primal.trading.extract_legs(sol.duals)
+        side = DualSide("optimal", float(sol.duals @ primal.lp.rhs), *primal.static_side(sol),
+                        legs)
+        residuals = _residuals(instance, table, market, side)
+        if certified(sol.value, side.value, *residuals):
+            return primal, sol, side, residuals
+    side = solve_superhedge(instance, table, market, force_frictional)
+    return primal, sol, side, (_residuals(instance, table, market, side)
+                               if side.status == "optimal" else None)
 
 
 def primal_transport(instance: Instance, payoff: Payoff) -> tuple[float, Coupling]:
     """Maximize <f, mu> over the feasible couplings; returns an attaining one."""
-    return _primal_transport(instance, payoff.table_for(instance))[:2]
+    primal, sol = solve_primal(instance, payoff.table_for(instance))
+    return sol.value, primal.coupling(sol.x)
 
 
-def _dual_residuals(instance: Instance, table: np.ndarray, dual: TransportDualSolution):
-    """superreplication_min and dual_price_identity of a dual solution."""
-    indices = instance.point_indices()
-    static = dual.m + sum(dual.g[pos][indices[pos]] for pos in range(instance.horizon))
-    cost = dual.m + sum(sublinear_price(con, g) for con, g in zip(instance.constraints, dual.g))
-    return float((static - table).min()), abs(dual.value - cost)
-
-
-def _transport_duality(instance: Instance, table: np.ndarray):
-    """Primal value, coupling, dual solution and the dual's residuals
-    (superreplication_min, dual_price_identity).  Only the primal is solved:
-    the dual is read off its multipliers and kept once `certified` passes,
-    else the dual LP is solved."""
-    value, coupling, primal, sol = _primal_transport(instance, table)
-    dual = TransportDualSolution(float(sol.duals @ primal.lp.rhs), *primal.static_side(sol))
-    residuals = _dual_residuals(instance, table, dual)
-    if not certified(value, dual.value, *residuals):
-        tall = superhedge_lp(instance, table)
-        sol = solve(tall.lp)
-        if sol.status != "optimal":
-            raise LpError(f"transport dual unexpectedly {sol.status}")
-        dual = TransportDualSolution(sol.value, *tall.position(sol.x), tall.mixtures(sol.duals))
-        residuals = _dual_residuals(instance, table, dual)
-    return value, coupling, dual, residuals
+def _transport_dual(instance: Instance, payoff: Payoff):
+    """Primal value, coupling, dual solution and its residuals, from `hedge`."""
+    primal, sol, side, residuals = hedge(instance, payoff.table_for(instance))
+    if side.status != "optimal":  # pragma: no cover - the transport primal is feasible
+        raise LpError("transport dual unexpectedly unbounded")
+    dual = TransportDualSolution(side.value, side.m, side.g, side.mixtures)
+    return sol.value, primal.coupling(sol.x), dual, residuals
 
 
 def dual_transport(instance: Instance, payoff: Payoff) -> TransportDualSolution:
-    """Cheapest cash-plus-static superreplication of the payoff, read off
-    the primal as in `duality_report`."""
-    return _transport_duality(instance, payoff.table_for(instance))[2]
+    """Cheapest cash-plus-static superreplication of the payoff (see `hedge`)."""
+    return _transport_dual(instance, payoff)[2]
 
 
 @dataclass(frozen=True)
@@ -163,8 +208,7 @@ def _separation_value(constraint: MarginalConstraint, mu_weights: np.ndarray):
     g_vars = builder.add_variables(constraint.axis.npoints, lower=0.0, upper=1.0,
                                    objective=mu_weights)
     t_var = builder.add_variable(lower=-np.inf, objective=-1.0)
-    for nu in constraint.measures:
-        builder.add_row([(t_var, 1.0), *zip(g_vars, -nu.weights)], ">=", 0.0)
+    epigraph_rows(builder, t_var, g_vars, constraint.vertex_matrix)
     sol = solve(builder.build())
     if sol.status != "optimal":
         raise LpError(f"separation LP unexpectedly {sol.status}")
@@ -203,7 +247,7 @@ class RepresentationReport:
 def verify_representation(instance: Instance, payoffs) -> RepresentationReport:
     """Check dual(f) = primal(f) for each payoff (the finite-instance form
     of the conjugate max-representation), one primal solve per payoff."""
-    sides = [_transport_duality(instance, payoff.table_for(instance)) for payoff in payoffs]
+    sides = [_transport_dual(instance, payoff) for payoff in payoffs]
     primals = tuple(side[0] for side in sides)
     duals = tuple(side[2].value for side in sides)
     gaps = tuple(abs(p - d) for p, d in zip(primals, duals))
@@ -247,9 +291,8 @@ def functional_properties_check(instance: Instance, trials: int,
 
 def duality_report(instance: Instance, payoff: Payoff) -> DualityReport:
     """Primal and dual values side by side with certificate residuals, from
-    one primal solve (see `_transport_duality`)."""
-    primal_value, coupling, dual, (superrep, price_identity) = _transport_duality(
-        instance, payoff.table_for(instance))
+    one primal solve (see `hedge`)."""
+    primal_value, coupling, dual, (superrep, price_identity) = _transport_dual(instance, payoff)
     residuals = {
         "superreplication_min": superrep,
         "marginal_separation": marginal_separation(instance, coupling),

@@ -325,6 +325,25 @@ def test_no_module_imports_a_private_name_of_another():
     assert not private
 
 
+def test_only_transport_solves_or_certifies():
+    """The duality route stays one route: no module but transport binds
+    `lp.solve` or `assembly.certified`.  The package namespace re-exports
+    `solve` for library users and calls nothing."""
+    package = Path(motkit.__file__).resolve().parent
+    bound = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("transport.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                bound += [f"{path.name}: {alias.name}" for alias in node.names
+                          if alias.name in ("solve", "certified")]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and (node.value.id, node.attr) in (("lp", "solve"), ("assembly", "certified"))):
+                bound.append(f"{path.name}: {node.value.id}.{node.attr}")
+    assert not bound
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(motkit.__file__).resolve().parent.parent)
     code = ("import sys, motkit.cli; "
@@ -394,6 +413,16 @@ class TestSolveMot:
         assert doc["values"]["primal_value"] == pytest.approx(1.0, abs=1e-8)
         assert doc["values"]["dual_value"] == pytest.approx(1.0, abs=1e-8)
         assert doc["optimizers"]["legs"]
+
+    @pytest.mark.parametrize("block, value, field", [
+        ("market", {"s0": [1.0], "epsilon": [0.5]}, "$.market.epsilon"),
+        ("payoff", {"kind": "named", "name": "straddle", "params": {"n": 1, "k": 2}},
+         "$.payoff.params")])
+    def test_unknown_nested_field_exits_one(self, runner, tmp_path, block, value, field):
+        path = _write(tmp_path, "mot.json", {**_straddle_market_doc(), block: value})
+        result = runner.invoke(main, ["solve-mot", "-i", path])
+        assert result.exit_code == 1
+        assert f"error: {field}:" in result.output
 
     def test_infeasible_market_exits_two(self, runner, tmp_path):
         doc = {

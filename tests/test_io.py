@@ -76,6 +76,49 @@ class TestParsing:
         with pytest.raises(DocumentError, match="entries"):
             parse_instance(json.dumps(raw))
 
+    @pytest.mark.parametrize("block, field", [
+        ("axis", "$.axes[0].weights"),
+        ("constraint", "$.constraints[0].points"),
+        ("payoff-dense", "$.payoff.legs"),
+        ("payoff-separable", "$.payoff.table"),
+        ("payoff-named", "$.payoff.table"),
+        ("market", "$.market.epsilon"),
+        ("options", "$.options.pivot")])
+    def test_nested_unknown_fields_rejected(self, block, field):
+        raw = _minimal_doc()
+        if block == "axis":
+            raw["axes"][0]["weights"] = [0.5, 0.5]
+        elif block == "constraint":
+            raw["constraints"][0]["points"] = [[0.0], [1.0]]
+        elif block.startswith("payoff"):
+            kind = block.split("-")[1]
+            raw["payoff"] = {"dense": {"kind": "dense", "table": [1.0, 0.0], "legs": [[1.0]]},
+                             "separable": {"kind": "separable", "legs": [[1.0, 0.0]],
+                                           "table": [1.0, 0.0]},
+                             "named": {"kind": "named", "name": "forward",
+                                       "params": {"n": 1}, "table": [1.0, 0.0]}}[kind]
+        elif block == "market":
+            # a misspelt "epsilons" must not leave the market frictionless
+            raw["market"] = {"s0": [1.0], "epsilon": [0.5]}
+        else:
+            raw["options"] = {"tol": 1e-9, "pivot": "bland"}
+        with pytest.raises(DocumentError, match="unknown fields") as err:
+            parse_instance(json.dumps(raw))
+        assert err.value.path == field
+
+    @pytest.mark.parametrize("params", [{"n": 1, "k": 2}, {"n": 1}, {"instance": None}])
+    def test_named_payoff_params_must_fit_the_generator(self, params):
+        raw = _minimal_doc()
+        raw["axes"].append({"index": 2, "points": [[0.0], [2.0]]})
+        raw["constraints"].append({"kind": "exact", "weights": [0.5, 0.5]})
+        raw["payoff"] = {"kind": "named", "name": "straddle", "params": params}
+        with pytest.raises(DocumentError) as err:
+            parse_instance(json.dumps(raw))
+        assert err.value.path == "$.payoff.params"
+        raw["payoff"]["params"] = {"n": 1, "m": 2}
+        doc = parse_instance(json.dumps(raw))
+        assert doc.payoff.table_for(doc.instance).tolist() == [0.0, 2.0, 1.0, 1.0]
+
     def test_named_payoff_requires_known_generator(self):
         raw = _minimal_doc()
         raw["payoff"] = {"kind": "named", "name": "mystery"}

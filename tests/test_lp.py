@@ -395,7 +395,7 @@ class TestBuilderAndMps:
     def test_builder_accumulates_duplicates(self):
         b = LpBuilder("min")
         x = b.add_variable(objective=1.0)
-        b.add_row([(x, 1.0), (x, 1.0)], ">=", 2.0)
+        b.add_rows([0, 0], [x, x], [1.0, 1.0], ">=", 2.0)
         lp = b.build()
         assert lp.a[0, x] == 2.0
         sol = solve(lp)

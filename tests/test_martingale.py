@@ -5,9 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from motkit import martingale, transport
+from motkit import transport
 from motkit.assembly import _ancestor_prefix, primal_lp, superhedge_lp
-from motkit.lp import solve
+from motkit.lp import LpNumericalError, solve
 from motkit.martingale import (
     ArbitrageError,
     Market,
@@ -284,7 +284,7 @@ class TestFtapRoute:
             senses.append(lp.sense)
             return perturb(lp, solve(lp, **kwargs))
 
-        monkeypatch.setattr(martingale, "solve", counted)
+        monkeypatch.setattr(transport, "solve", counted)
         return senses
 
     def test_equals_three_lp_route(self, monkeypatch):
@@ -332,7 +332,7 @@ class TestFtapRoute:
         coupling = Coupling(market.instance, grid.ravel().copy())
         assert feasibility_residual(market, coupling) > 1e-6
 
-    def test_failed_coupling_certificate_solves_both_superhedges(self, monkeypatch):
+    def test_failed_coupling_certificate_solves_superhedge_zero(self, monkeypatch):
         cases = [(arbitrage_free_market(np.random.default_rng(3), horizon=2, d=1,
                                         epsilons=eps), perturb)
                  for eps, perturb in (([0.05], self._mass_off), ([0.0], self._martingale_off))]
@@ -347,22 +347,27 @@ class TestFtapRoute:
 
             senses = self._counting(monkeypatch, perturbed)
             report = ftap_check(market)
-            assert senses == ["max", "min", "min"]
+            # superhedge(0) only: superhedge(1) is superhedge(0) + 1
+            assert senses == ["max", "min"]
+            for field in ("no_model_independent", "no_uniform", "martingale_set_nonempty",
+                          "equivalent"):
+                assert getattr(report, field) == getattr(want, field), field
             assert (report.uniform_value, report.strict_value, report.verdict.kind) == (
                 want.uniform_value, want.strict_value, "no_arbitrage")
             assert report.equivalent and report.no_uniform and report.no_model_independent
 
-    def test_failed_ray_certificate_solves_superhedge_one(self, monkeypatch):
+    def test_failed_ray_certificate_raises(self, monkeypatch):
         def reversed_ray(lp, sol):
             return sol if sol.ray is None else dataclasses.replace(sol, ray=-sol.ray)
 
         market = _market([([0.0, 2.0], [0.5, 0.5])], [0.9], [0.0])
         senses = self._counting(monkeypatch, reversed_ray)
-        report = ftap_check(market)
-        assert senses == ["max", "min", "min"]
-        assert report.verdict.kind == "uniform"
-        assert report.strict_value == -np.inf
-        assert report.equivalent and not report.no_model_independent
+        # a ray that fails `check_unbounded_ray` is never handed out as a witness
+        with pytest.raises(LpNumericalError):
+            ftap_check(market)
+        assert senses == ["max", "min"]
+        with pytest.raises(LpNumericalError):
+            superhedge_dual(market, Payoff.constant(0.0, market.instance))
 
     def test_hull_axis_arbitrage_is_one_ray(self, monkeypatch):
         # the spot 3 is above every grid point: selling the asset forward is free money
@@ -402,16 +407,19 @@ class TestOneLpDuality:
 
     def test_matches_two_lp_route(self, monkeypatch):
         senses = []
-        monkeypatch.setattr(martingale, "solve",
+        monkeypatch.setattr(transport, "solve",
                             lambda lp, **kw: senses.append(lp.sense) or solve(lp, **kw))
         hulls = frictional = 0
         for market, table in self._markets():
-            hulls += any(not con.is_exact for con in market.instance.constraints)
+            hull_axes = sum(not con.is_exact for con in market.instance.constraints)
+            hulls += hull_axes > 0
             frictional += bool(np.any(market.epsilons > 0))
             payoff = Payoff.dense(table)
             senses.clear()
             report = superhedging_duality_report(market, payoff)
-            assert senses == ["max"]  # the multipliers passed: no superhedge LP
+            # the multipliers passed: no superhedge LP; the coupling's
+            # feasibility residual solves one separation LP per hull axis
+            assert senses == ["max"] * (1 + hull_axes)
             primal, dual = two_lp_superhedging(market, payoff)
             assert report.primal_value == primal.value
             assert np.array_equal(report.coupling.weights, primal.coupling.weights)
@@ -440,7 +448,7 @@ class TestOneLpDuality:
                 sol = dataclasses.replace(sol, duals=duals)
             return sol
 
-        monkeypatch.setattr(martingale, "solve", perturbed)
+        monkeypatch.setattr(transport, "solve", perturbed)
         report = superhedging_duality_report(market, payoff)
         assert senses == ["max", "min"]
         assert report.primal_value == primal.value
@@ -471,8 +479,7 @@ class TestOneLpEntryPoints:
             senses.append(lp.sense)
             return solve(lp, **kwargs)
 
-        for module in (martingale, transport):
-            monkeypatch.setattr(module, "solve", counted)
+        monkeypatch.setattr(transport, "solve", counted)
         return senses
 
     @staticmethod
