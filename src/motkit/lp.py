@@ -1,9 +1,8 @@
 """Dense linear programming with certificates.
 
-A small two-phase primal simplex for desk-scale LPs (thousands of nonzeros).
-Design goals, in order: correct status reporting, independently checkable
-certificates, and bit-level determinism.  Speed is a non-goal beyond what
-vectorized tableau pivots give for free.
+A two-phase primal simplex on a dense tableau.  Goals, in order: correct
+status reporting, independently checkable certificates, bit-level
+determinism, then the cost of one pivot.
 
 Problem form
 ------------
@@ -26,7 +25,16 @@ checkers recompute every residual from the raw problem data.
 Pivoting is largest-reduced-cost (Dantzig) with lowest-index tie breaking,
 falling back to Bland's rule after a fixed iteration budget so cycling
 cannot occur; a hard iteration cap raises ``LpNumericalError`` rather than
-returning a wrong status.
+returning a wrong status.  One iteration is one loop pass: the entering
+column by ``argmin``, the ratio test as one masked divide, the rank-1 update
+``tableau -= einsum("i,j->ij", column, pivot_row)``.  einsum forms the
+products of ``np.outer`` but adds each onto +0.0, so an entry can differ
+from the outer update only in the sign of a zero; decisions compare values,
+and outputs leave through ``np.maximum(., 0.0)``, ``1.0 - .`` or the basis,
+so the pivots and output bits are the outer update's.  Overflow: a bound on
+max|entry| grows by max|column| * max|pivot row| per pivot; only when it
+reaches 1e300 is the tableau scanned and the bound measured again, so an
+overflow raises on the pivot where a scan after every pivot would.
 """
 
 from __future__ import annotations
@@ -345,40 +353,17 @@ class _Standardizer:
 # simplex core
 # ---------------------------------------------------------------------------
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> tuple[float, float]:
+    """Pivot on (row, col); returns max|column| * max|pivot row| and max|pivot row|."""
     piv_row = tableau[row] / tableau[row, col]
-    colvals = tableau[:, col].copy()
-    tableau -= np.outer(colvals, piv_row)
+    column = tableau[:, col]
+    row_max = np.abs(piv_row).max()
+    growth = np.abs(column).max() * row_max
+    # the column view is read into the product before the update writes it
+    tableau -= np.einsum("i,j->ij", column, piv_row)
     tableau[row] = piv_row
     basis[row] = col
-
-
-def _choose_entering(costrow: np.ndarray, allowed: np.ndarray, bland: bool) -> int | None:
-    reduced = np.where(allowed, costrow, np.inf)
-    if bland:
-        neg = np.flatnonzero(reduced < -PIVOT_TOL)
-        return int(neg[0]) if neg.size else None
-    j = int(np.argmin(reduced))
-    return j if reduced[j] < -PIVOT_TOL else None
-
-
-def _choose_leaving(tableau: np.ndarray, basis: np.ndarray, col: int, bland: bool) -> int | None:
-    m = tableau.shape[0] - 1
-    colvals = tableau[:m, col]
-    rhs = tableau[:m, -1]
-    eligible = colvals > PIVOT_TOL
-    if not eligible.any():
-        return None
-    ratios = np.where(eligible, rhs / np.where(eligible, colvals, 1.0), np.inf)
-    best = ratios.min()
-    ties = np.flatnonzero(ratios <= best + 1e-12)
-    if bland or ties.size == 1:
-        # smallest basic-variable index among ties (Bland)
-        return int(ties[np.argmin(basis[ties])])
-    # deterministic Dantzig tie break: largest pivot element, then lowest basis id
-    piv = colvals[ties]
-    strongest = ties[piv >= piv.max() - 1e-12]
-    return int(strongest[np.argmin(basis[strongest])])
+    return growth, row_max
 
 
 def _run_simplex(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
@@ -388,20 +373,43 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
 
     Returns ("optimal", None) or ("unbounded", entering_column).
     """
+    m = tableau.shape[0] - 1
+    costrow, rhs = tableau[-1, :-1], tableau[:m, -1]
+    no_ratio = np.full(m, np.inf)
+    # never below max|entry|, since rounding is monotone; only a bound that
+    # reaches 1e300 pays for a pass over the whole tableau
+    bound = np.abs(tableau).max()
     while True:
         bland = pivot_rule == "bland" or iteration_budget[0] >= bland_after
-        col = _choose_entering(tableau[-1, :-1], allowed, bland)
-        if col is None:
+        reduced = np.where(allowed, costrow, np.inf)
+        # Bland: the first negative reduced cost; Dantzig: the most negative
+        col = int((reduced < -PIVOT_TOL).argmax() if bland else reduced.argmin())
+        if not reduced[col] < -PIVOT_TOL:
             return "optimal", None
-        row = _choose_leaving(tableau, basis, col, bland)
-        if row is None:
+        column = tableau[:m, col]
+        eligible = column > PIVOT_TOL
+        ratios = np.divide(rhs, column, out=no_ratio.copy(), where=eligible)
+        best = ratios.min(initial=np.inf)
+        if best == np.inf and not eligible.any():
             return "unbounded", col
-        _pivot(tableau, basis, row, col)
+        ties = (ratios <= best + 1e-12).nonzero()[0]
+        row = int(ties[0])
+        if ties.size > 1:
+            if not bland:
+                # Dantzig tie break: the largest pivot elements first
+                piv = column[ties]
+                ties = ties[piv >= piv.max() - 1e-12]
+            # then the smallest basic-variable index (Bland's tie break)
+            row = int(ties[basis[ties].argmin()])
+        growth, row_max = _pivot(tableau, basis, row, col)
         iteration_budget[0] += 1
         if iteration_budget[0] >= iteration_budget[1]:
             raise LpNumericalError("simplex iteration limit exceeded")
-        if not np.isfinite(tableau).all():
-            raise LpNumericalError("tableau overflow during pivoting")
+        bound = max(bound + growth, row_max)
+        if not bound < 1e300:  # also true for NaN
+            if not np.isfinite(tableau).all():
+                raise LpNumericalError("tableau overflow during pivoting")
+            bound = np.abs(tableau).max()
 
 
 def solve(lp: LinearProgram, *, pivot_rule: str | None = None,
@@ -419,8 +427,7 @@ def solve(lp: LinearProgram, *, pivot_rule: str | None = None,
     m, n = a.shape
 
     bland_after = 1000 + 20 * (m + n)
-    cap = max_iterations if max_iterations is not None else 20000 + 500 * (m + n)
-    budget = [0, cap]
+    budget = [0, max_iterations if max_iterations is not None else 20000 + 500 * (m + n)]
 
     # Phase 1: artificial basis, minimize total infeasibility.
     tableau = np.zeros((m + 1, n + m + 1))
@@ -435,15 +442,12 @@ def solve(lp: LinearProgram, *, pivot_rule: str | None = None,
     status, _ = _run_simplex(tableau, basis, allowed, pivot_rule, budget, bland_after)
     if status != "optimal":  # pragma: no cover - phase 1 is always bounded
         raise LpNumericalError("phase 1 terminated unbounded")
-    infeasibility = -tableau[-1, -1]
     feas_tol = PIVOT_TOL * (1.0 + np.abs(b).max(initial=0.0)) * 10.0
-    if infeasibility > feas_tol:
+    if -tableau[-1, -1] > feas_tol:  # the infeasibility left at the phase-1 optimum
         # the cost row holds reduced costs; artificial i has cost 1 and
         # column e_i, so r_i = 1 - y_i and the phase-1 duals are 1 - r_i
-        y_std = 1.0 - tableau[-1, n:n + m]
-        cert = std.farkas_from_std(y_std)
-        return LpSolution("infeasible", float("nan"), None, None, budget[0],
-                          farkas=cert)
+        cert = std.farkas_from_std(1.0 - tableau[-1, n:n + m])
+        return LpSolution("infeasible", float("nan"), None, None, budget[0], farkas=cert)
 
     # Drive leftover artificials out of the basis (degenerate pivots).
     for i in range(m):
@@ -461,12 +465,11 @@ def solve(lp: LinearProgram, *, pivot_rule: str | None = None,
     col_ids = np.flatnonzero(keep)  # narrow index -> standard column id
     narrow_of = -np.ones(n + m, dtype=np.intp)
     narrow_of[col_ids] = np.arange(col_ids.size)
-    tableau = np.ascontiguousarray(
-        tableau[:, np.concatenate([col_ids, [n + m]])])
+    narrow_cols = np.concatenate([col_ids, [n + m]])
+    tableau = np.ascontiguousarray(tableau[:, narrow_cols])
     basis = narrow_of[basis]
     allowed = col_ids < n
-    cost_full = np.concatenate([c, np.zeros(m)])
-    costrow = np.concatenate([cost_full[col_ids], [0.0]])
+    costrow = np.concatenate([c, np.zeros(m + 1)])[narrow_cols]
     for i in range(m):
         if costrow[basis[i]] != 0.0:
             costrow -= costrow[basis[i]] * tableau[i]
@@ -516,10 +519,6 @@ def _basis_duals(a: np.ndarray, c: np.ndarray, basis_cols: np.ndarray) -> np.nda
 # certificate checking (independent of the solver internals)
 # ---------------------------------------------------------------------------
 
-def _row_activities(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
-    return lp.a @ x if lp.n_rows else np.zeros(0)
-
-
 def _relation_violation(lp: LinearProgram, gap: np.ndarray) -> np.ndarray:
     """Per row, how far `gap` (activity minus rhs) breaks the relation: its
     excess on "<=" rows, its shortfall on ">=" rows, its size on "=" rows."""
@@ -541,7 +540,7 @@ def _worst(*violations) -> float:
 
 def primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
     """Largest violation of rows and bounds at x (absolute)."""
-    return _worst(_relation_violation(lp, _row_activities(lp, x) - lp.rhs),
+    return _worst(_relation_violation(lp, lp.a @ x - lp.rhs),
                   np.where(np.isfinite(lp.lower), lp.lower - x, -np.inf),
                   np.where(np.isfinite(lp.upper), x - lp.upper, -np.inf))
 
@@ -560,7 +559,7 @@ def check_certificates(lp: LinearProgram, sol: LpSolution,
     reduced = np.where(at_lo & at_up, 0.0,
                        np.where(at_lo, -zs, np.where(at_up, zs, np.abs(zs))))
     d_res = _worst(_sign_violation(lp, sgn * y), reduced)
-    comp = _worst(np.abs(y * (_row_activities(lp, x) - lp.rhs)))
+    comp = _worst(np.abs(y * (lp.a @ x - lp.rhs)))
     lo_term = (zs > tol) & np.isfinite(lp.lower)
     up_term = (zs < -tol) & np.isfinite(lp.upper)
     dual_obj = ((float(y @ lp.rhs) if lp.n_rows else 0.0)
@@ -592,7 +591,7 @@ def check_unbounded_ray(lp: LinearProgram, ray: np.ndarray,
     """Residual of an improving feasible ray; <= tol means valid."""
     drift = float(lp.objective @ ray)
     improving = -drift if lp.sense == "min" else drift
-    return max(_worst(_relation_violation(lp, _row_activities(lp, ray)),
+    return max(_worst(_relation_violation(lp, lp.a @ ray),
                       np.where(np.isfinite(lp.lower), -ray, -np.inf),
                       np.where(np.isfinite(lp.upper), ray, -np.inf)), tol - improving, 0.0)
 

@@ -12,6 +12,7 @@ Conventions used everywhere downstream:
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,6 +23,12 @@ VALUE_TOL = 1e-9
 
 # Dense payoff tables larger than this are refused (desk-scale guard).
 MAX_TABLE_ENTRIES = 10 ** 6
+
+
+def _check_table_cap(instance) -> None:
+    if instance.n_paths > MAX_TABLE_ENTRIES:
+        raise ValueError(f"dense table would need {instance.n_paths} entries "
+                         f"(cap {MAX_TABLE_ENTRIES})")
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
@@ -256,9 +263,15 @@ class Payoff:
                 raise ValueError("separable legs must be non-empty and finite")
             object.__setattr__(self, "legs", legs)
         else:
-            if not self.name:
-                raise ValueError("named payoff needs a generator name")
-            object.__setattr__(self, "params", dict(self.params or {}))
+            from .payoffs import PAYOFF_GENERATORS  # local import to avoid a cycle
+            params = dict(self.params or {})
+            try:
+                inspect.signature(PAYOFF_GENERATORS[self.name]).bind(None, **params)
+            except KeyError:
+                raise ValueError(f"unknown payoff generator {self.name!r}") from None
+            except TypeError as exc:  # the params do not fit the generator
+                raise ValueError(f"{self.name}: {exc}") from None
+            object.__setattr__(self, "params", params)
 
     @classmethod
     def dense(cls, table) -> "Payoff":
@@ -274,18 +287,12 @@ class Payoff:
 
     @classmethod
     def constant(cls, value: float, instance: Instance) -> "Payoff":
-        if instance.n_paths > MAX_TABLE_ENTRIES:
-            raise ValueError(
-                f"dense table would need {instance.n_paths} entries "
-                f"(cap {MAX_TABLE_ENTRIES})")
+        _check_table_cap(instance)
         return cls.dense(np.full(instance.n_paths, float(value)))
 
     def table_for(self, instance: Instance) -> np.ndarray:
         """Expand to a flat table over the instance's product grid."""
-        if instance.n_paths > MAX_TABLE_ENTRIES:
-            raise ValueError(
-                f"dense table would need {instance.n_paths} entries "
-                f"(cap {MAX_TABLE_ENTRIES})")
+        _check_table_cap(instance)
         if self.kind == "dense":
             if self.table.size != instance.n_paths:
                 raise ValueError("dense table length does not match the grid")

@@ -69,11 +69,7 @@ PAYOFF_GENERATORS = {
 
 
 def expand_named(name: str, params: dict, instance: Instance) -> np.ndarray:
-    try:
-        gen = PAYOFF_GENERATORS[name]
-    except KeyError:
-        raise ValueError(f"unknown payoff generator {name!r}") from None
-    table = np.asarray(gen(instance, **params), dtype=float)
+    table = np.asarray(PAYOFF_GENERATORS[name](instance, **params), dtype=float)
     if table.shape != (instance.n_paths,):
         raise ValueError(f"generator {name!r} produced a wrong-size table")
     return table

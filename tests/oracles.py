@@ -11,8 +11,9 @@ the two-LP duality routes and the three-LP FTAP route built on them are
 the oracle of the reports and of `ftap_check`, as the tall Bernoulli LP is
 of the counterexample.  The loop assembly and the variable-by-variable
 standard form are the references their index-array versions must match
-bit for bit, and the row-by-row certificate checkers those of the array
-checkers.
+bit for bit, the row-by-row certificate checkers those of the array
+checkers, and the unfused simplex loop (np.outer update, a full overflow
+check after every pivot) that of the fused one.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from motkit.assembly import superhedge_lp
 from motkit.lp import (
+    PIVOT_TOL,
     RESIDUAL_TOL,
     CertificateReport,
     FarkasCertificate,
@@ -503,6 +505,70 @@ def loop_basis_duals(a: np.ndarray, c: np.ndarray, basis_cols: np.ndarray) -> np
         return np.linalg.solve(bmat.T, cb)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - basis is nonsingular
         raise LpNumericalError("singular basis during dual recovery") from exc
+
+
+# ---------------------------------------------------------------------------
+# the simplex loop as it was before it was fused: the reference of
+# lp._run_simplex and lp._pivot
+# ---------------------------------------------------------------------------
+
+def loop_pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    piv_row = tableau[row] / tableau[row, col]
+    colvals = tableau[:, col].copy()
+    tableau -= np.outer(colvals, piv_row)
+    tableau[row] = piv_row
+    basis[row] = col
+
+
+def _choose_entering(costrow: np.ndarray, allowed: np.ndarray, bland: bool) -> int | None:
+    reduced = np.where(allowed, costrow, np.inf)
+    if bland:
+        neg = np.flatnonzero(reduced < -PIVOT_TOL)
+        return int(neg[0]) if neg.size else None
+    j = int(np.argmin(reduced))
+    return j if reduced[j] < -PIVOT_TOL else None
+
+
+def _choose_leaving(tableau: np.ndarray, basis: np.ndarray, col: int, bland: bool) -> int | None:
+    m = tableau.shape[0] - 1
+    colvals = tableau[:m, col]
+    rhs = tableau[:m, -1]
+    eligible = colvals > PIVOT_TOL
+    if not eligible.any():
+        return None
+    ratios = np.where(eligible, rhs / np.where(eligible, colvals, 1.0), np.inf)
+    best = ratios.min()
+    ties = np.flatnonzero(ratios <= best + 1e-12)
+    if bland or ties.size == 1:
+        # smallest basic-variable index among ties (Bland)
+        return int(ties[np.argmin(basis[ties])])
+    # deterministic Dantzig tie break: largest pivot element, then lowest basis id
+    piv = colvals[ties]
+    strongest = ties[piv >= piv.max() - 1e-12]
+    return int(strongest[np.argmin(basis[strongest])])
+
+
+def loop_run_simplex(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
+                     pivot_rule: str, iteration_budget: list[int],
+                     bland_after: int) -> tuple[str, int | None]:
+    """Iterate to optimality, checking the whole tableau after every pivot.
+
+    Returns ("optimal", None) or ("unbounded", entering_column).
+    """
+    while True:
+        bland = pivot_rule == "bland" or iteration_budget[0] >= bland_after
+        col = _choose_entering(tableau[-1, :-1], allowed, bland)
+        if col is None:
+            return "optimal", None
+        row = _choose_leaving(tableau, basis, col, bland)
+        if row is None:
+            return "unbounded", col
+        loop_pivot(tableau, basis, row, col)
+        iteration_budget[0] += 1
+        if iteration_budget[0] >= iteration_budget[1]:
+            raise LpNumericalError("simplex iteration limit exceeded")
+        if not np.isfinite(tableau).all():
+            raise LpNumericalError("tableau overflow during pivoting")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from motkit import lp as lp_module
+from motkit.assembly import primal_lp
 from motkit.lp import (
     LinearProgram,
     LpBuilder,
@@ -19,10 +20,18 @@ from motkit.lp import (
     write_mps,
 )
 
-from generators import RELATION_CHOICES, dyadic, random_tiny_lp
+from generators import (
+    RELATION_CHOICES,
+    binomial_market,
+    dyadic,
+    random_payoff_table,
+    random_tiny_lp,
+)
 from oracles import (
     LoopStandardizer,
     loop_basis_duals,
+    loop_pivot,
+    loop_run_simplex,
     loop_check_certificates,
     loop_check_farkas_certificate,
     loop_check_unbounded_ray,
@@ -360,6 +369,148 @@ class TestStandardForm:
                     assert same(check_unbounded_ray(lp, ray), loop_check_unbounded_ray(lp, ray))
                 seen[sol.status] += 1
         assert min(seen.values()) >= 20, seen
+
+
+def _same_solution(sol, ref):
+    assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
+    assert _bits(np.float64(sol.value)) == _bits(np.float64(ref.value))
+    for name in ("x", "duals", "ray"):
+        mine, theirs = getattr(sol, name), getattr(ref, name)
+        assert (mine is None) == (theirs is None), name
+        assert mine is None or _bits(mine) == _bits(theirs), name
+    assert (sol.farkas is None) == (ref.farkas is None)
+    if sol.farkas is not None:
+        for name in ("row_multipliers", "lower_multipliers", "upper_multipliers"):
+            assert _bits(getattr(sol.farkas, name)) == _bits(getattr(ref.farkas, name)), name
+
+
+class _ScanCounter:
+    """Stands in for numpy inside lp.py and counts the overflow scans, the
+    isfinite calls on a whole (two-dimensional) tableau."""
+
+    def __init__(self):
+        self.scans = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def isfinite(self, values):
+        self.scans += np.ndim(values) == 2
+        return np.isfinite(values)
+
+
+class TestFusedSimplex:
+    """lp._run_simplex and lp._pivot against the unfused loop in
+    tests/oracles.py (np.outer update, a full overflow scan after every
+    pivot): the same pivots to the same bits."""
+
+    @staticmethod
+    def _reference(monkeypatch, lp, pivot_rule, bland_after=None):
+        run = loop_run_simplex
+        if bland_after is not None:
+            run = lambda *args: loop_run_simplex(*args[:5], bland_after)
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_module, "_run_simplex", run)
+            patch.setattr(lp_module, "_pivot", loop_pivot)
+            return solve(lp, pivot_rule=pivot_rule)
+
+    @staticmethod
+    def _mot_primals():
+        rng = np.random.default_rng(23)
+        for horizon, d, eps in ((1, 1, [0.0]), (2, 1, [0.0]), (3, 1, [0.05]),
+                                (2, 2, [0.1, 0.0]), (3, 1, [0.0])):
+            market = binomial_market(rng, horizon, d=d, epsilons=eps)
+            yield primal_lp(market.instance, random_payoff_table(rng, market.instance),
+                            market).lp
+
+    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"])
+    def test_solves_are_bit_equal(self, monkeypatch, pivot_rule):
+        """The standard-form corpus, whose mirrored variables and negated
+        rows put -0.0 in the tableaux, and binomial-market MOT primals.  No
+        solve of either scans the tableau for overflow."""
+        zero_signs = 0
+        pivot = lp_module._pivot
+
+        def comparing(tableau, basis, row, col):
+            # where np.outer and einsum leave zeros of opposite sign
+            outer = tableau.copy()
+            loop_pivot(outer, basis.copy(), row, col)
+            result = pivot(tableau, basis, row, col)
+            nonlocal zero_signs
+            zero_signs += int((np.signbit(outer) != np.signbit(tableau)).sum())
+            assert np.array_equal(outer, tableau)
+            return result
+
+        statuses = Counter()
+        counter = _ScanCounter()
+        for lp in [*TestStandardForm._lps(), *self._mot_primals()]:
+            with monkeypatch.context() as patch:
+                patch.setattr(lp_module, "_pivot", comparing)
+                patch.setattr(lp_module, "np", counter)
+                sol = solve(lp, pivot_rule=pivot_rule)
+            _same_solution(sol, self._reference(monkeypatch, lp, pivot_rule))
+            statuses[sol.status] += 1
+        assert min(statuses.values()) >= 20, statuses
+        assert zero_signs > 0
+        assert counter.scans == 0
+
+    def test_crossing_the_bland_switch_is_bit_equal(self, monkeypatch):
+        """Both loops switch from Dantzig to Bland after three pivots."""
+        run = lp_module._run_simplex
+        monkeypatch.setattr(lp_module, "_run_simplex", lambda *args: run(*args[:5], 3))
+        crossed = 0
+        for lp in self._mot_primals():
+            sol = solve(lp, pivot_rule="dantzig")
+            _same_solution(sol, self._reference(monkeypatch, lp, "dantzig", bland_after=3))
+            crossed += sol.iterations > 4
+        assert crossed >= 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"])
+    @pytest.mark.parametrize("rows, rhs", [
+        # x1 enters on the first row, whose pivot 2e-9 turns 1e300 into inf
+        ([[2e-9, 1e300, 0.0], [1.0, -1e300, 0.0]], [2e-9, 2.0]),
+        # x1 enters on the first row; 1e200 * 1e200 overflows in the second
+        ([[1.0, 1e200, 0.0], [1e200, 0.0, 1.0]], [1.0, 2e200]),
+        # the phase-1 cost of x2, -(1e308 + 1e308), is -inf before any
+        # pivot; under Bland the first pivot (x1) grows nothing
+        ([[1.0, 0.0, 0.0], [0.0, 1e308, 1.0], [0.0, 1e308, 0.0]], [1.0, 1.0, 1.0]),
+        # the only ratio, 1e300 / 2e-9, is inf: a pivot still follows
+        ([[2e-9, 0.0, 0.0]], [1e300]),
+    ], ids=["pivot-row", "rank-1-update", "phase-1-costs", "infinite-ratio"])
+    def test_overflow_raises_on_the_reference_pivot(self, monkeypatch, pivot_rule, rows, rhs):
+        lp = _lp("min", [1.0, 0.0, 0.0], rows, ["="] * len(rhs), rhs)
+        pivots = []  # pivots made before the raise, read off the iteration budget
+        for run in (lp_module._run_simplex, loop_run_simplex):
+            budgets = []
+
+            def recording(*args, run=run):
+                budgets.append(args[4])
+                return run(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(lp_module, "_run_simplex", recording)
+                with pytest.raises(LpNumericalError, match="tableau overflow during pivoting"):
+                    solve(lp, pivot_rule=pivot_rule)
+            pivots.append(budgets[-1][0])
+        assert pivots[0] == pivots[1] >= 1
+
+    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"])
+    def test_large_finite_entries_solve(self, monkeypatch, pivot_rule):
+        """x1 enters on the first row: max|column| * max|pivot row| is
+        1e200 * 6e99, so the bound, 6e299 before, passes 1e300 while every
+        entry stays finite.  The scan runs and finds nothing, and the solve
+        is the reference's."""
+        lp = _lp("min", [1.0, 0.0, 0.0], [[1e200, 6e299, 0.0], [0.0, -6e299, 1.0]],
+                 ["=", "="], [6e299, 0.0])
+        counter = _ScanCounter()
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_module, "np", counter)
+            sol = solve(lp, pivot_rule=pivot_rule)
+        assert counter.scans >= 1
+        assert sol.status == "optimal" and sol.value == 0.0
+        assert primal_residual(lp, sol.x) == 0.0
+        _same_solution(sol, self._reference(monkeypatch, lp, pivot_rule))
 
 
 class TestDeterminismAndScaling:

@@ -399,6 +399,17 @@ class TestPayoffs:
         with pytest.raises(ValueError):
             Payoff.named("nope").table_for(inst)
 
+    @pytest.mark.parametrize("name, params, message", [
+        ("straddle", {"n": 1, "m": 2, "k": 3}, "straddle: got an unexpected keyword argument 'k'"),
+        ("straddle", {"n": 1}, "straddle: missing a required argument: 'm'"),
+        ("forward", {"instance": None}, "forward: multiple values for argument 'instance'"),
+        ("nope", {}, "unknown payoff generator 'nope'"),
+    ])
+    def test_named_params_checked_at_construction(self, name, params, message):
+        """No instance is needed: the error comes from Payoff.named itself."""
+        with pytest.raises(ValueError, match=message):
+            Payoff.named(name, **params)
+
     def test_dense_cap_enforced(self):
         shape = (101,) * 3
         axes = tuple(_axis(t + 1, np.arange(101.0)) for t in range(3))
