@@ -25,16 +25,17 @@ checkers recompute every residual from the raw problem data.
 Pivoting is largest-reduced-cost (Dantzig) with lowest-index tie breaking,
 falling back to Bland's rule after a fixed iteration budget so cycling
 cannot occur; a hard iteration cap raises ``LpNumericalError`` rather than
-returning a wrong status.  One iteration is one loop pass: the entering
-column by ``argmin``, the ratio test as one masked divide, the rank-1 update
-``tableau -= einsum("i,j->ij", column, pivot_row)``.  einsum forms the
-products of ``np.outer`` but adds each onto +0.0, so an entry can differ
-from the outer update only in the sign of a zero; decisions compare values,
-and outputs leave through ``np.maximum(., 0.0)``, ``1.0 - .`` or the basis,
-so the pivots and output bits are the outer update's.  Overflow: a bound on
-max|entry| grows by max|column| * max|pivot row| per pivot; only when it
-reaches 1e300 is the tableau scanned and the bound measured again, so an
-overflow raises on the pivot where a scan after every pivot would.
+returning a wrong status.  The tableau is condensed (Chvátal's dictionary):
+the nonbasic columns and the rhs, ``nonbasic`` naming the column in each
+slot.  A pivot gives the entering slot to the leaving variable, updated
+from its unit column as in the full tableau: 0 - column * (1/piv), 1/piv
+on the pivot row.  Entries equal the full tableau's up to the sign of a
+zero (einsum adds each product of the rank-1 update onto +0.0), which no
+decision reads and outputs drop through ``np.maximum(., 0.0)``, ``1.0 - .``
+or the basis; slot ties go to the lowest id, so pivots and output bits are
+the full tableau's.  Overflow: a bound on max|entry| grows by max|column| *
+max|pivot row| per pivot; only at 1e300 is the tableau scanned and the
+bound measured again, so an overflow raises on the pivot a scan would.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class LinearProgram:
         lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
         up = np.atleast_1d(np.asarray(self.upper, dtype=float))
         a = np.asarray(self.a, dtype=float)
-        if a.size == 0:
+        if a.size == 0 and a.ndim != 2:
             a = a.reshape(0, obj.size)
         if a.ndim != 2:
             raise ValueError("constraint matrix must be two-dimensional")
@@ -353,46 +354,56 @@ class _Standardizer:
 # simplex core
 # ---------------------------------------------------------------------------
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> tuple[float, float]:
-    """Pivot on (row, col); returns max|column| * max|pivot row| and max|pivot row|."""
-    piv_row = tableau[row] / tableau[row, col]
-    column = tableau[:, col]
-    row_max = np.abs(piv_row).max()
-    growth = np.abs(column).max() * row_max
-    # the column view is read into the product before the update writes it
+def _pivot(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
+           row: int, slot: int) -> tuple[float, float]:
+    """Pivot on (row, slot): the variable in `slot` enters the basis at `row`
+    and the leaving one takes the slot, updated from its unit column e_row.
+    Returns max|column| * max|pivot row| and max|pivot row|."""
+    column = tableau[:, slot].copy()
+    tableau[:, slot] = 0.0
+    tableau[row, slot] = 1.0
+    piv_row = tableau[row] / column[row]
+    # max|.| by argmax and argmin, cheaper per call than a max; both find a NaN
+    row_max = max(piv_row[piv_row.argmax()], -piv_row[piv_row.argmin()])
+    growth = max(column[column.argmax()], -column[column.argmin()]) * row_max
     tableau -= np.einsum("i,j->ij", column, piv_row)
     tableau[row] = piv_row
-    basis[row] = col
+    basis[row], nonbasic[slot] = nonbasic[slot], basis[row]
     return growth, row_max
 
 
-def _run_simplex(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
-                 pivot_rule: str, iteration_budget: list[int],
-                 bland_after: int) -> tuple[str, int | None]:
-    """Iterate to optimality.
-
-    Returns ("optimal", None) or ("unbounded", entering_column).
-    """
+def _run_simplex(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
+                 pivot_rule: str, iteration_budget: list[int], bland_after: int,
+                 enter_below: int = np.iinfo(np.intp).max) -> tuple[str, int | None]:
+    """Iterate to optimality, entering only ids below `enter_below`; returns
+    ("optimal", None) or ("unbounded", entering slot)."""
     m = tableau.shape[0] - 1
     costrow, rhs = tableau[-1, :-1], tableau[:m, -1]
     no_ratio = np.full(m, np.inf)
     # never below max|entry|, since rounding is monotone; only a bound that
     # reaches 1e300 pays for a pass over the whole tableau
     bound = np.abs(tableau).max()
-    while True:
+    masked = False  # until a variable that may not enter leaves the basis
+    while costrow.size:
         bland = pivot_rule == "bland" or iteration_budget[0] >= bland_after
-        reduced = np.where(allowed, costrow, np.inf)
-        # Bland: the first negative reduced cost; Dantzig: the most negative
-        col = int((reduced < -PIVOT_TOL).argmax() if bland else reduced.argmin())
-        if not reduced[col] < -PIVOT_TOL:
+        reduced = np.where(nonbasic < enter_below, costrow, np.inf) if masked else costrow
+        # Bland: the lowest id with a negative reduced cost; Dantzig: the
+        # most negative, exact ties to the lowest id
+        slot = int(np.where(reduced < -PIVOT_TOL, nonbasic, enter_below).argmin()
+                   if bland else reduced.argmin())
+        if not reduced[slot] < -PIVOT_TOL:
             return "optimal", None
-        column = tableau[:m, col]
+        if not bland and reduced[::-1].argmin() != reduced.size - 1 - slot:
+            ties = (reduced == reduced[slot]).nonzero()[0]
+            slot = int(ties[nonbasic[ties].argmin()])
+        column = tableau[:m, slot]
         eligible = column > PIVOT_TOL
         ratios = np.divide(rhs, column, out=no_ratio.copy(), where=eligible)
-        best = ratios.min(initial=np.inf)
+        best = ratios[ratios.argmin()] if m else np.inf
         if best == np.inf and not eligible.any():
-            return "unbounded", col
-        ties = (ratios <= best + 1e-12).nonzero()[0]
+            return "unbounded", slot
+        # where every eligible ratio overflowed to inf, only eligible rows tie
+        ties = (eligible if best == np.inf else ratios <= best + 1e-12).nonzero()[0]
         row = int(ties[0])
         if ties.size > 1:
             if not bland:
@@ -401,7 +412,8 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
                 ties = ties[piv >= piv.max() - 1e-12]
             # then the smallest basic-variable index (Bland's tie break)
             row = int(ties[basis[ties].argmin()])
-        growth, row_max = _pivot(tableau, basis, row, col)
+        masked = masked or basis[row] >= enter_below
+        growth, row_max = _pivot(tableau, basis, nonbasic, row, slot)
         iteration_budget[0] += 1
         if iteration_budget[0] >= iteration_budget[1]:
             raise LpNumericalError("simplex iteration limit exceeded")
@@ -410,6 +422,7 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
             if not np.isfinite(tableau).all():
                 raise LpNumericalError("tableau overflow during pivoting")
             bound = np.abs(tableau).max()
+    return "optimal", None
 
 
 def solve(lp: LinearProgram, *, pivot_rule: str | None = None,
@@ -429,58 +442,52 @@ def solve(lp: LinearProgram, *, pivot_rule: str | None = None,
     bland_after = 1000 + 20 * (m + n)
     budget = [0, max_iterations if max_iterations is not None else 20000 + 500 * (m + n)]
 
-    # Phase 1: artificial basis, minimize total infeasibility.
-    tableau = np.zeros((m + 1, n + m + 1))
+    # Phase 1: artificial basis (ids n..n+m-1), minimize total infeasibility.
+    tableau = np.empty((m + 1, n + 1))
     tableau[:m, :n] = a
-    tableau[:m, n:n + m] = np.eye(m)
     tableau[:m, -1] = b
     tableau[-1, :n] = -a.sum(axis=0)
     tableau[-1, -1] = -b.sum()
     basis = np.arange(n, n + m)
-    allowed = np.ones(n + m, dtype=bool)
+    nonbasic = np.arange(n)
 
-    status, _ = _run_simplex(tableau, basis, allowed, pivot_rule, budget, bland_after)
-    if status != "optimal":  # pragma: no cover - phase 1 is always bounded
+    if _run_simplex(tableau, basis, nonbasic, pivot_rule, budget, bland_after)[0] != "optimal":
         raise LpNumericalError("phase 1 terminated unbounded")
     feas_tol = PIVOT_TOL * (1.0 + np.abs(b).max(initial=0.0)) * 10.0
     if -tableau[-1, -1] > feas_tol:  # the infeasibility left at the phase-1 optimum
         # the cost row holds reduced costs; artificial i has cost 1 and
         # column e_i, so r_i = 1 - y_i and the phase-1 duals are 1 - r_i
-        cert = std.farkas_from_std(1.0 - tableau[-1, n:n + m])
+        y = np.ones(m)  # r_i = 0 while artificial i is basic
+        art = nonbasic >= n
+        y[nonbasic[art] - n] = 1.0 - tableau[-1, :-1][art]
+        cert = std.farkas_from_std(y)
         return LpSolution("infeasible", float("nan"), None, None, budget[0], farkas=cert)
 
-    # Drive leftover artificials out of the basis (degenerate pivots).
-    for i in range(m):
-        if basis[i] >= n:
-            candidates = np.flatnonzero(np.abs(tableau[i, :n]) > 1e-7)
-            if candidates.size:
-                j = int(candidates[np.argmax(np.abs(tableau[i, candidates]))])
-                _pivot(tableau, basis, i, j)
-            # else: redundant row, its artificial stays basic at level zero
+    # Drive leftover artificials out of the basis (degenerate pivots): the
+    # largest structural entry of the row, the lowest id among equals.
+    for i in np.flatnonzero(basis >= n):
+        size = np.where(nonbasic < n, np.abs(tableau[i, :-1]), 0.0)
+        if size.max(initial=0.0) > 1e-7:
+            ties = (size == size.max()).nonzero()[0]
+            _pivot(tableau, basis, nonbasic, i, int(ties[nonbasic[ties].argmin()]))
+        # else: redundant row, its artificial stays basic at level zero
 
-    # Phase 2 on a narrowed tableau: drop every artificial that left the
-    # basis (duals are recovered from the basis at the end instead).
-    keep = np.concatenate([np.ones(n, dtype=bool), np.zeros(m, dtype=bool)])
-    keep[basis] = True
-    col_ids = np.flatnonzero(keep)  # narrow index -> standard column id
-    narrow_of = -np.ones(n + m, dtype=np.intp)
-    narrow_of[col_ids] = np.arange(col_ids.size)
-    narrow_cols = np.concatenate([col_ids, [n + m]])
-    tableau = np.ascontiguousarray(tableau[:, narrow_cols])
-    basis = narrow_of[basis]
-    allowed = col_ids < n
-    costrow = np.concatenate([c, np.zeros(m + 1)])[narrow_cols]
-    for i in range(m):
-        if costrow[basis[i]] != 0.0:
-            costrow -= costrow[basis[i]] * tableau[i]
-    tableau[-1] = costrow
+    # Phase 2 keeps the nonbasic structural columns; an artificial left
+    # basic may leave the basis, then never enter it again.
+    keep = np.flatnonzero(nonbasic < n)
+    tableau = tableau.take(np.append(keep, -1), axis=1)  # C order, as tableau[:, .] is not
+    nonbasic = nonbasic[keep]
+    tableau[-1] = np.append(c[nonbasic], 0.0)
+    basic_cost = np.append(c, np.zeros(m))[basis]
+    for i in np.flatnonzero(basic_cost):
+        tableau[-1] -= basic_cost[i] * tableau[i]
 
-    status, entering = _run_simplex(tableau, basis, allowed, pivot_rule, budget, bland_after)
+    status, entering = _run_simplex(tableau, basis, nonbasic, pivot_rule, budget, bland_after, n)
 
     if status == "unbounded":
         dz = np.zeros(n + m)
-        dz[col_ids[entering]] = 1.0
-        dz[col_ids[basis]] = -tableau[:m, entering]
+        dz[nonbasic[entering]] = 1.0
+        dz[basis] = -tableau[:m, entering]
         ray = std.ray_from_z(np.maximum(dz[:n], 0.0))
         norm = np.abs(ray).max()
         if norm <= 0:  # pragma: no cover - entering column maps to a real var
@@ -490,28 +497,21 @@ def solve(lp: LinearProgram, *, pivot_rule: str | None = None,
         return LpSolution("unbounded", value, None, None, budget[0], ray=ray)
 
     z = np.zeros(n + m)
-    z[col_ids[basis]] = tableau[:m, -1]
+    z[basis] = tableau[:m, -1]
     z = np.maximum(z, 0.0)
     x = std.x_from_z(z[:n])
     x = np.clip(x, lp.lower, lp.upper)
-    y = std.duals_from_std(_basis_duals(a, c, col_ids[basis]))
+    y = std.duals_from_std(_basis_duals(a, c, basis))
     return LpSolution("optimal", float(lp.objective @ x), x, y, budget[0])
 
 
 def _basis_duals(a: np.ndarray, c: np.ndarray, basis_cols: np.ndarray) -> np.ndarray:
-    """Solve B'y = c_B for the final basis (artificial columns are unit
-    vectors with zero cost)."""
-    n = a.shape[1]
-    # "clip" keeps artificial ids in range; their entries are reset below
-    bmat = np.take(a, basis_cols, axis=1, mode="clip")
-    cb = np.take(c, basis_cols, mode="clip")
-    art = np.flatnonzero(basis_cols >= n)
-    bmat[:, art] = 0.0
-    bmat[basis_cols[art] - n, art] = 1.0
-    cb[art] = 0.0
+    """Solve B'y = c_B; artificial columns are unit vectors with zero cost."""
+    m = a.shape[0]
+    bmat = np.concatenate([a, np.eye(m)], axis=1)[:, basis_cols]
     try:
-        return np.linalg.solve(bmat.T, cb)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - basis is nonsingular
+        return np.linalg.solve(bmat.T, np.append(c, np.zeros(m))[basis_cols])
+    except np.linalg.LinAlgError as exc:
         raise LpNumericalError("singular basis during dual recovery") from exc
 
 

@@ -12,8 +12,8 @@ the oracle of the reports and of `ftap_check`, as the tall Bernoulli LP is
 of the counterexample.  The loop assembly and the variable-by-variable
 standard form are the references their index-array versions must match
 bit for bit, the row-by-row certificate checkers those of the array
-checkers, and the unfused simplex loop (np.outer update, a full overflow
-check after every pivot) that of the fused one.
+checkers, and the simplex on the full tableau (every column, the
+artificial identity block included) that of the condensed one.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from motkit.assembly import superhedge_lp
 from motkit.lp import (
+    PIVOT_RULE,
     PIVOT_TOL,
     RESIDUAL_TOL,
     CertificateReport,
@@ -34,6 +35,8 @@ from motkit.lp import (
     LpError,
     LpNumericalError,
     LpSolution,
+    _basis_duals,
+    _Standardizer,
     solve,
 )
 from motkit.bernoulli import bernoulli_instance
@@ -508,8 +511,9 @@ def loop_basis_duals(a: np.ndarray, c: np.ndarray, basis_cols: np.ndarray) -> np
 
 
 # ---------------------------------------------------------------------------
-# the simplex loop as it was before it was fused: the reference of
-# lp._run_simplex and lp._pivot
+# the simplex on the full tableau, every column of phase 1 including the
+# artificial identity block: the reference of lp.solve's condensed tableau.
+# loop_pivot is the np.outer update that full_tableau_pivot's einsum replaced.
 # ---------------------------------------------------------------------------
 
 def loop_pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -520,55 +524,152 @@ def loop_pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> No
     basis[row] = col
 
 
-def _choose_entering(costrow: np.ndarray, allowed: np.ndarray, bland: bool) -> int | None:
-    reduced = np.where(allowed, costrow, np.inf)
-    if bland:
-        neg = np.flatnonzero(reduced < -PIVOT_TOL)
-        return int(neg[0]) if neg.size else None
-    j = int(np.argmin(reduced))
-    return j if reduced[j] < -PIVOT_TOL else None
+def full_tableau_pivot(tableau: np.ndarray, basis: np.ndarray, row: int,
+                       col: int) -> tuple[float, float]:
+    """Pivot on (row, col); returns max|column| * max|pivot row| and max|pivot row|."""
+    piv_row = tableau[row] / tableau[row, col]
+    column = tableau[:, col]
+    row_max = np.abs(piv_row).max()
+    growth = np.abs(column).max() * row_max
+    # the column view is read into the product before the update writes it
+    tableau -= np.einsum("i,j->ij", column, piv_row)
+    tableau[row] = piv_row
+    basis[row] = col
+    return growth, row_max
 
 
-def _choose_leaving(tableau: np.ndarray, basis: np.ndarray, col: int, bland: bool) -> int | None:
-    m = tableau.shape[0] - 1
-    colvals = tableau[:m, col]
-    rhs = tableau[:m, -1]
-    eligible = colvals > PIVOT_TOL
-    if not eligible.any():
-        return None
-    ratios = np.where(eligible, rhs / np.where(eligible, colvals, 1.0), np.inf)
-    best = ratios.min()
-    ties = np.flatnonzero(ratios <= best + 1e-12)
-    if bland or ties.size == 1:
-        # smallest basic-variable index among ties (Bland)
-        return int(ties[np.argmin(basis[ties])])
-    # deterministic Dantzig tie break: largest pivot element, then lowest basis id
-    piv = colvals[ties]
-    strongest = ties[piv >= piv.max() - 1e-12]
-    return int(strongest[np.argmin(basis[strongest])])
-
-
-def loop_run_simplex(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
-                     pivot_rule: str, iteration_budget: list[int],
-                     bland_after: int) -> tuple[str, int | None]:
-    """Iterate to optimality, checking the whole tableau after every pivot.
+def full_tableau_run_simplex(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
+                             pivot_rule: str, iteration_budget: list[int],
+                             bland_after: int) -> tuple[str, int | None]:
+    """Iterate to optimality.
 
     Returns ("optimal", None) or ("unbounded", entering_column).
     """
+    m = tableau.shape[0] - 1
+    costrow, rhs = tableau[-1, :-1], tableau[:m, -1]
+    no_ratio = np.full(m, np.inf)
+    # never below max|entry|, since rounding is monotone; only a bound that
+    # reaches 1e300 pays for a pass over the whole tableau
+    bound = np.abs(tableau).max()
     while True:
         bland = pivot_rule == "bland" or iteration_budget[0] >= bland_after
-        col = _choose_entering(tableau[-1, :-1], allowed, bland)
-        if col is None:
+        reduced = np.where(allowed, costrow, np.inf)
+        # Bland: the first negative reduced cost; Dantzig: the most negative
+        col = int((reduced < -PIVOT_TOL).argmax() if bland else reduced.argmin())
+        if not reduced[col] < -PIVOT_TOL:
             return "optimal", None
-        row = _choose_leaving(tableau, basis, col, bland)
-        if row is None:
+        column = tableau[:m, col]
+        eligible = column > PIVOT_TOL
+        ratios = np.divide(rhs, column, out=no_ratio.copy(), where=eligible)
+        best = ratios.min(initial=np.inf)
+        if best == np.inf and not eligible.any():
             return "unbounded", col
-        loop_pivot(tableau, basis, row, col)
+        ties = (ratios <= best + 1e-12).nonzero()[0]
+        row = int(ties[0])
+        if ties.size > 1:
+            if not bland:
+                # Dantzig tie break: the largest pivot elements first
+                piv = column[ties]
+                ties = ties[piv >= piv.max() - 1e-12]
+            # then the smallest basic-variable index (Bland's tie break)
+            row = int(ties[basis[ties].argmin()])
+        growth, row_max = full_tableau_pivot(tableau, basis, row, col)
         iteration_budget[0] += 1
         if iteration_budget[0] >= iteration_budget[1]:
             raise LpNumericalError("simplex iteration limit exceeded")
-        if not np.isfinite(tableau).all():
-            raise LpNumericalError("tableau overflow during pivoting")
+        bound = max(bound + growth, row_max)
+        if not bound < 1e300:  # also true for NaN
+            if not np.isfinite(tableau).all():
+                raise LpNumericalError("tableau overflow during pivoting")
+            bound = np.abs(tableau).max()
+
+
+def full_tableau_solve(lp: LinearProgram, *, pivot_rule: str | None = None,
+                       max_iterations: int | None = None) -> LpSolution:
+    """Solve an LP; status is one of Optimal / Infeasible / Unbounded.
+
+    Deterministic: identical inputs take identical pivot sequences.
+    """
+    if pivot_rule is None:
+        pivot_rule = PIVOT_RULE.get()
+    if pivot_rule not in ("dantzig", "bland"):
+        raise ValueError("pivot_rule must be 'dantzig' or 'bland'")
+    std = _Standardizer(lp)
+    a, b, c = std.a_std, std.b_std, std.c_std
+    m, n = a.shape
+
+    bland_after = 1000 + 20 * (m + n)
+    budget = [0, max_iterations if max_iterations is not None else 20000 + 500 * (m + n)]
+
+    # Phase 1: artificial basis, minimize total infeasibility.
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = a
+    tableau[:m, n:n + m] = np.eye(m)
+    tableau[:m, -1] = b
+    tableau[-1, :n] = -a.sum(axis=0)
+    tableau[-1, -1] = -b.sum()
+    basis = np.arange(n, n + m)
+    allowed = np.ones(n + m, dtype=bool)
+
+    status, _ = full_tableau_run_simplex(tableau, basis, allowed, pivot_rule, budget,
+                                         bland_after)
+    if status != "optimal":  # pragma: no cover - phase 1 is always bounded
+        raise LpNumericalError("phase 1 terminated unbounded")
+    feas_tol = PIVOT_TOL * (1.0 + np.abs(b).max(initial=0.0)) * 10.0
+    if -tableau[-1, -1] > feas_tol:  # the infeasibility left at the phase-1 optimum
+        # the cost row holds reduced costs; artificial i has cost 1 and
+        # column e_i, so r_i = 1 - y_i and the phase-1 duals are 1 - r_i
+        cert = std.farkas_from_std(1.0 - tableau[-1, n:n + m])
+        return LpSolution("infeasible", float("nan"), None, None, budget[0], farkas=cert)
+
+    # Drive leftover artificials out of the basis (degenerate pivots).
+    for i in range(m):
+        if basis[i] >= n:
+            candidates = np.flatnonzero(np.abs(tableau[i, :n]) > 1e-7)
+            if candidates.size:
+                j = int(candidates[np.argmax(np.abs(tableau[i, candidates]))])
+                full_tableau_pivot(tableau, basis, i, j)
+            # else: redundant row, its artificial stays basic at level zero
+
+    # Phase 2 on a narrowed tableau: drop every artificial that left the
+    # basis (duals are recovered from the basis at the end instead).
+    keep = np.concatenate([np.ones(n, dtype=bool), np.zeros(m, dtype=bool)])
+    keep[basis] = True
+    col_ids = np.flatnonzero(keep)  # narrow index -> standard column id
+    narrow_of = -np.ones(n + m, dtype=np.intp)
+    narrow_of[col_ids] = np.arange(col_ids.size)
+    narrow_cols = np.concatenate([col_ids, [n + m]])
+    tableau = np.ascontiguousarray(tableau[:, narrow_cols])
+    basis = narrow_of[basis]
+    allowed = col_ids < n
+    costrow = np.concatenate([c, np.zeros(m + 1)])[narrow_cols]
+    for i in range(m):
+        if costrow[basis[i]] != 0.0:
+            costrow -= costrow[basis[i]] * tableau[i]
+    tableau[-1] = costrow
+
+    status, entering = full_tableau_run_simplex(tableau, basis, allowed, pivot_rule, budget,
+                                                bland_after)
+
+    if status == "unbounded":
+        dz = np.zeros(n + m)
+        dz[col_ids[entering]] = 1.0
+        dz[col_ids[basis]] = -tableau[:m, entering]
+        ray = std.ray_from_z(np.maximum(dz[:n], 0.0))
+        norm = np.abs(ray).max()
+        if norm <= 0:  # pragma: no cover - entering column maps to a real var
+            raise LpNumericalError("degenerate unbounded ray")
+        ray = ray / norm
+        value = -np.inf if lp.sense == "min" else np.inf
+        return LpSolution("unbounded", value, None, None, budget[0], ray=ray)
+
+    z = np.zeros(n + m)
+    z[col_ids[basis]] = tableau[:m, -1]
+    z = np.maximum(z, 0.0)
+    x = std.x_from_z(z[:n])
+    x = np.clip(x, lp.lower, lp.upper)
+    y = std.duals_from_std(_basis_duals(a, c, col_ids[basis]))
+    return LpSolution("optimal", float(lp.objective @ x), x, y, budget[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Solver-level tests: statuses, certificates, determinism, oracle agreement."""
 
 import dataclasses
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from motkit import lp as lp_module
-from motkit.assembly import primal_lp
+from motkit.assembly import primal_lp, superhedge_lp
 from motkit.lp import (
     LinearProgram,
     LpBuilder,
@@ -19,6 +20,8 @@ from motkit.lp import (
     solve,
     write_mps,
 )
+from motkit.martingale import Market
+from motkit.model import DiscreteAxis, DiscreteMeasure, Instance, MarginalConstraint
 
 from generators import (
     RELATION_CHOICES,
@@ -27,11 +30,12 @@ from generators import (
     random_payoff_table,
     random_tiny_lp,
 )
+import oracles
 from oracles import (
     LoopStandardizer,
+    full_tableau_solve,
     loop_basis_duals,
     loop_pivot,
-    loop_run_simplex,
     loop_check_certificates,
     loop_check_farkas_certificate,
     loop_check_unbounded_ray,
@@ -115,6 +119,20 @@ class TestBasicStatuses:
         else:
             assert sol.value == value
             assert check_unbounded_ray(lp, sol.ray) <= RESIDUAL_TOL
+
+    @pytest.mark.parametrize("relation, rhs, status", [
+        ("=", 1.0, "infeasible"), ("=", 0.0, "optimal"), ("<=", 1.0, "optimal"),
+    ], ids=["0=1", "0=0", "0<=1"])
+    def test_rows_without_variables(self, relation, rhs, status):
+        lp = _lp("min", [], np.zeros((1, 0)), [relation], [rhs])
+        assert lp.a.shape == (1, 0)
+        sol = solve(lp)
+        assert sol.status == status
+        if status == "optimal":
+            assert sol.value == 0.0 and sol.x.shape == (0,)
+            assert check_certificates(lp, sol).max_violation <= RESIDUAL_TOL
+        else:
+            assert check_farkas_certificate(lp, sol.farkas) <= RESIDUAL_TOL
 
     def test_iteration_cap_raises(self):
         lp = _lp("max", [1.0, 1.0], [[1.0, 2.0], [2.0, 1.0]], ["<=", "<="], [4.0, 4.0])
@@ -399,20 +417,58 @@ class _ScanCounter:
         return np.isfinite(values)
 
 
+def _outcome(run, lp, pivot_rule):
+    """The solution, or the message of the LpNumericalError raised."""
+    try:
+        return run(lp, pivot_rule=pivot_rule)
+    except LpNumericalError as exc:
+        return str(exc)
+
+
 class TestFusedSimplex:
-    """lp._run_simplex and lp._pivot against the unfused loop in
-    tests/oracles.py (np.outer update, a full overflow scan after every
-    pivot): the same pivots to the same bits."""
+    """lp.solve, which pivots a tableau of the nonbasic columns, against
+    full_tableau_solve in tests/oracles.py, which pivots every column: the
+    same pivots (row and entering id) to the same bits.  Each full pivot is
+    also checked against the np.outer update its einsum replaced."""
 
     @staticmethod
-    def _reference(monkeypatch, lp, pivot_rule, bland_after=None):
-        run = loop_run_simplex
-        if bland_after is not None:
-            run = lambda *args: loop_run_simplex(*args[:5], bland_after)
+    def _compare(monkeypatch, lp, pivot_rule, bland_after=None, zero_signs=None):
+        """Both solves with their pivots recorded; returns lp.solve's solution."""
+        mine, theirs = [], []
+        pivot, full_pivot = lp_module._pivot, oracles.full_tableau_pivot
+
+        def recording(tableau, basis, nonbasic, row, slot):
+            mine.append((row, int(nonbasic[slot])))
+            return pivot(tableau, basis, nonbasic, row, slot)
+
+        def full_recording(tableau, basis, row, col):
+            # every column the full tableau enters by is structural in phase
+            # 2, where its narrowed index is still its id
+            theirs.append((row, col))
+            outer = tableau.copy()
+            loop_pivot(outer, basis.copy(), row, col)
+            result = full_pivot(tableau, basis, row, col)
+            assert np.array_equal(outer, tableau)
+            if zero_signs is not None:  # where np.outer and einsum leave zeros of opposite sign
+                zero_signs.append(int((np.signbit(outer) != np.signbit(tableau)).sum()))
+            return result
+
         with monkeypatch.context() as patch:
-            patch.setattr(lp_module, "_run_simplex", run)
-            patch.setattr(lp_module, "_pivot", loop_pivot)
-            return solve(lp, pivot_rule=pivot_rule)
+            patch.setattr(lp_module, "_pivot", recording)
+            patch.setattr(oracles, "full_tableau_pivot", full_recording)
+            if bland_after is not None:
+                run, full_run = lp_module._run_simplex, oracles.full_tableau_run_simplex
+                patch.setattr(lp_module, "_run_simplex",
+                              lambda *args: run(*args[:5], bland_after, *args[6:]))
+                patch.setattr(oracles, "full_tableau_run_simplex",
+                              lambda *args: full_run(*args[:5], bland_after))
+            sol, ref = (_outcome(solver, lp, pivot_rule) for solver in (solve, full_tableau_solve))
+        assert mine == theirs
+        if isinstance(sol, str):  # both raised
+            assert sol == ref
+        else:
+            _same_solution(sol, ref)
+        return sol
 
     @staticmethod
     def _mot_primals():
@@ -423,45 +479,78 @@ class TestFusedSimplex:
             yield primal_lp(market.instance, random_payoff_table(rng, market.instance),
                             market).lp
 
+    @staticmethod
+    def _square_lps():
+        """LPs whose every structural column is basic after phase 1, so that
+        phase 2 has no nonbasic column."""
+        yield _lp("min", [1.0, 1.0], [[1.0, 2.0], [1.0, -1.0]], ["=", "="], [3.0, 0.0])
+        yield _lp("max", [1.0, -2.0], [[1.0, 1.0], [1.0, -1.0], [2.0, 0.0]],
+                  ["=", "=", "="], [2.0, 0.0, 2.0])
+        # the second row repeats the first, so its artificial stays basic
+        yield _lp("min", [3.0], [[2.0], [4.0]], ["=", "="], [1.0, 2.0])
+        # one transport plan of a 1 x 2 grid is forced: 2 paths, 3 marginal rows
+        yield _lp("max", [1.0, 0.5], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+                  ["=", "=", "="], [1.0, 0.25, 0.75])
+
     @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"])
     def test_solves_are_bit_equal(self, monkeypatch, pivot_rule):
         """The standard-form corpus, whose mirrored variables and negated
         rows put -0.0 in the tableaux, and binomial-market MOT primals.  No
         solve of either scans the tableau for overflow."""
-        zero_signs = 0
-        pivot = lp_module._pivot
-
-        def comparing(tableau, basis, row, col):
-            # where np.outer and einsum leave zeros of opposite sign
-            outer = tableau.copy()
-            loop_pivot(outer, basis.copy(), row, col)
-            result = pivot(tableau, basis, row, col)
-            nonlocal zero_signs
-            zero_signs += int((np.signbit(outer) != np.signbit(tableau)).sum())
-            assert np.array_equal(outer, tableau)
-            return result
-
+        zero_signs = []
         statuses = Counter()
         counter = _ScanCounter()
         for lp in [*TestStandardForm._lps(), *self._mot_primals()]:
             with monkeypatch.context() as patch:
-                patch.setattr(lp_module, "_pivot", comparing)
                 patch.setattr(lp_module, "np", counter)
-                sol = solve(lp, pivot_rule=pivot_rule)
-            _same_solution(sol, self._reference(monkeypatch, lp, pivot_rule))
+                sol = self._compare(monkeypatch, lp, pivot_rule, zero_signs=zero_signs)
             statuses[sol.status] += 1
         assert min(statuses.values()) >= 20, statuses
-        assert zero_signs > 0
+        assert sum(zero_signs) > 0
         assert counter.scans == 0
 
-    def test_crossing_the_bland_switch_is_bit_equal(self, monkeypatch):
-        """Both loops switch from Dantzig to Bland after three pivots."""
+    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"])
+    def test_empty_phase_two_is_bit_equal(self, monkeypatch, pivot_rule):
+        """Phase 2 starts on a tableau of the rhs column alone."""
+        widths = []
         run = lp_module._run_simplex
-        monkeypatch.setattr(lp_module, "_run_simplex", lambda *args: run(*args[:5], 3))
+
+        def recording(*args):
+            widths.append(args[0].shape[1])
+            return run(*args)
+
+        monkeypatch.setattr(lp_module, "_run_simplex", recording)
+        for lp in self._square_lps():
+            widths.clear()
+            sol = self._compare(monkeypatch, lp, pivot_rule)
+            assert sol.status == "optimal" and widths[-1] == 1
+            assert check_certificates(lp, sol).max_violation <= RESIDUAL_TOL
+
+    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"])
+    def test_drive_out_ties_are_bit_equal(self, monkeypatch, pivot_rule):
+        """Each last row repeats the first, scaled, so its artificial ends
+        phase 1 basic; under Bland the row it is driven out on has equal
+        largest entries, in slots out of id order."""
+        for rows, rhs, c in (
+                ([[1, -1, 1], [0, -2, 1], [-1, 1, -1]], [3, 3, -3], [-1, 0, -2]),
+                ([[2, 0, 2, -1, 1], [1, 0, 2, 0, 1], [-1, -1, 0, 0, 0], [-2, 0, -2, 1, -1]],
+                 [1, 1, 0, -1], [-1, 0, -1, 1, 2]),
+                ([[2, -2, 1, -1], [-2, -2, 0, 0], [4, -4, 2, -2]], [1, 0, 2], [-1, 1, 2, -1])):
+            lp = _lp("min", c, rows, ["="] * len(rhs), rhs)
+            assert self._compare(monkeypatch, lp, pivot_rule).status == "optimal"
+
+    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"])
+    def test_rescaled_units_are_bit_equal(self, monkeypatch, pivot_rule):
+        """Raises included; in phase 2 an artificial leaves the basis, and
+        both solvers keep it from entering again."""
+        for lp in TestRescaledUnits._lps():
+            self._compare(monkeypatch, lp, pivot_rule)
+
+    def test_crossing_the_bland_switch_is_bit_equal(self, monkeypatch):
+        """Both solvers switch from Dantzig to Bland after three pivots."""
         crossed = 0
         for lp in self._mot_primals():
-            sol = solve(lp, pivot_rule="dantzig")
-            _same_solution(sol, self._reference(monkeypatch, lp, "dantzig", bland_after=3))
+            sol = self._compare(monkeypatch, lp, "dantzig", bland_after=3)
             crossed += sol.iterations > 4
         assert crossed >= 3
 
@@ -481,19 +570,41 @@ class TestFusedSimplex:
     def test_overflow_raises_on_the_reference_pivot(self, monkeypatch, pivot_rule, rows, rhs):
         lp = _lp("min", [1.0, 0.0, 0.0], rows, ["="] * len(rhs), rhs)
         pivots = []  # pivots made before the raise, read off the iteration budget
-        for run in (lp_module._run_simplex, loop_run_simplex):
+        for module, name, run in ((lp_module, "_run_simplex", solve),
+                                  (oracles, "full_tableau_run_simplex", full_tableau_solve)):
             budgets = []
+            simplex = getattr(module, name)
 
-            def recording(*args, run=run):
+            def recording(*args, simplex=simplex):
                 budgets.append(args[4])
-                return run(*args)
+                return simplex(*args)
 
             with monkeypatch.context() as patch:
-                patch.setattr(lp_module, "_run_simplex", recording)
+                patch.setattr(module, name, recording)
                 with pytest.raises(LpNumericalError, match="tableau overflow during pivoting"):
-                    solve(lp, pivot_rule=pivot_rule)
+                    run(lp, pivot_rule=pivot_rule)
             pivots.append(budgets[-1][0])
         assert pivots[0] == pivots[1] >= 1
+
+    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"])
+    def test_overflowed_ratios_tie_only_eligible_rows(self, monkeypatch, pivot_rule):
+        """min x1 s.t. x2 = 1, 2e-9 x1 = 1e300: x1's only ratio, 1e300 / 2e-9,
+        is inf, and row 0 (entry 0.0) must not tie with it."""
+        lp = _lp("min", [1.0, 0.0], [[0.0, 1.0], [2e-9, 0.0]], ["=", "="], [1.0, 1e300])
+        elements = []
+        pivot = lp_module._pivot
+
+        def recording(tableau, basis, nonbasic, row, slot):
+            elements.append((int(nonbasic[slot]), float(tableau[row, slot])))
+            return pivot(tableau, basis, nonbasic, row, slot)
+
+        monkeypatch.setattr(lp_module, "_pivot", recording)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(LpNumericalError, match="tableau overflow during pivoting"):
+                solve(lp, pivot_rule=pivot_rule)
+        assert elements[-1] == (0, 2e-9)
+        assert not any("divide by zero" in str(w.message) for w in seen)
 
     @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"])
     def test_large_finite_entries_solve(self, monkeypatch, pivot_rule):
@@ -510,7 +621,52 @@ class TestFusedSimplex:
         assert counter.scans >= 1
         assert sol.status == "optimal" and sol.value == 0.0
         assert primal_residual(lp, sol.x) == 0.0
-        _same_solution(sol, self._reference(monkeypatch, lp, pivot_rule))
+        self._compare(monkeypatch, lp, pivot_rule)
+
+
+def _rescaled(market: Market, factor: float) -> Market:
+    """The market with every axis point and the spot prices times `factor`."""
+    axes, constraints = [], []
+    for axis, constraint in zip(market.instance.axes, market.instance.constraints):
+        axis = DiscreteAxis(axis.index, axis.points * factor)
+        axes.append(axis)
+        constraints.append(MarginalConstraint(constraint.kind, tuple(
+            DiscreteMeasure(axis, mu.weights) for mu in constraint.measures)))
+    return Market(Instance(tuple(axes), tuple(constraints)), market.s0 * factor,
+                  market.epsilons)
+
+
+class TestRescaledUnits:
+    """Prices in units a million times larger or smaller.  The superhedge LPs
+    of these markets at x1e6 can end phase 1 unbounded, and the MOT primals
+    at x1e-6 can end on a singular basis; a solve may raise LpNumericalError
+    but must not return a status its own checker rejects."""
+
+    @staticmethod
+    def _lps():
+        for seed in range(0, 12, 2):
+            market = binomial_market(np.random.default_rng(seed), 3, d=1, epsilons=[0.05])
+            table = random_payoff_table(np.random.default_rng(0), market.instance)
+            large, small = _rescaled(market, 1e6), _rescaled(market, 1e-6)
+            yield superhedge_lp(large.instance, table, large).lp
+            yield primal_lp(small.instance, table, small).lp
+
+    def test_raises_or_certifies(self):
+        outcomes = Counter()
+        for lp in self._lps():
+            try:
+                sol = solve(lp)
+            except LpNumericalError as exc:
+                outcomes[str(exc)] += 1
+                continue
+            if sol.status == "optimal":
+                assert check_certificates(lp, sol).max_violation <= RESIDUAL_TOL
+            elif sol.status == "infeasible":
+                assert check_farkas_certificate(lp, sol.farkas) <= RESIDUAL_TOL
+            else:
+                assert check_unbounded_ray(lp, sol.ray) <= RESIDUAL_TOL
+            outcomes[sol.status] += 1
+        assert sum(outcomes.values()) == 12, outcomes
 
 
 class TestDeterminismAndScaling:
