@@ -3,10 +3,13 @@
 The transport LPs are the market LPs with no market.  The primal holds one
 column per path and the marginal rows on them; a market adds one pricing
 row per prefix (martingale equalities, or ask and bid bands under costs).
-The superhedge LP holds cash, static legs and one superreplication row per
-path; a market adds one trading column per pricing row of the primal.
-Each builder returns the LP with the ids of its blocks, and solutions are
-read through those ids only.  Nothing here solves an LP.
+The superhedge LP is the primal's LP dual plus one free cash column: each
+primal row becomes a column (a static leg, a hull axis's price, a trading
+position) and each primal column a row (a path's superreplication row, a
+hull vertex's epigraph row), so it is laid out by index arithmetic on the
+primal and never assembled twice.  Each builder returns the LP with the ids
+of its blocks, and solutions are read through those ids only.  Nothing
+here solves an LP.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .lp import RESIDUAL_TOL, LinearProgram, LpBuilder
 from .model import Coupling, Instance
 
 __all__ = ["DynamicLeg", "TradingCatalog", "PrimalLp", "SuperhedgeLp",
-           "primal_lp", "superhedge_lp", "epigraph_rows", "certified"]
+           "primal_lp", "superhedge_lp", "certified"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,45 +58,25 @@ def _ancestor_prefix(instance: Instance, level: int, ancestor_level: int) -> np.
 
 @dataclass(frozen=True, eq=False)
 class TradingCatalog:
-    """Ids of a strategy's dynamic-trading terms: columns of the superhedge
-    LP, or the MOT primal rows whose multipliers they are.  ``h_vars[(a, n)]``
-    are the positions over period n per prefix of length n - 1 (frictionless
-    assets), ``trade_vars[(a, N, n)]`` the (buy, sell) trades opened at n - 1
-    and closed at N (frictional assets, ask and bid rows in the primal)."""
+    """Ids of a strategy's dynamic-trading terms: the MOT primal's pricing
+    rows, or the superhedge LP columns that are their multipliers (the same
+    catalog under `relabel`).  ``h_vars[(a, n)]`` are the positions over
+    period n per prefix of length n - 1 (frictionless assets, martingale
+    rows in the primal), ``trade_vars[(a, N, n)]`` the (buy, sell) trades
+    opened at n - 1 and closed at N (frictional assets, ask and bid rows)."""
 
     market: object  # a motkit.martingale.Market
     h_vars: dict
     trade_vars: dict
 
     @classmethod
-    def allocate(cls, builder: LpBuilder, market,
-                 force_frictional: bool = False) -> "TradingCatalog":
-        """The superhedge LP's columns.  ``force_frictional`` routes zero-cost
-        assets through the per-maturity trades too; the LP value is unchanged
-        (a maturity-N trade telescopes into one-step positions when trading
-        is free), which is exactly the frictionless-reduction check."""
-        instance = market.instance
-        t_horizon = market.horizon
-        h_vars, trade_vars = {}, {}
-        for a in range(market.d):
-            if market.epsilons[a] == 0.0 and not force_frictional:
-                for n in range(1, t_horizon + 1):
-                    h_vars[(a, n)] = builder.add_variables(
-                        instance.n_prefixes(n - 1), lower=-np.inf)
-            else:
-                for mat in range(1, t_horizon + 1):
-                    for n in range(1, mat + 1):
-                        count = instance.n_prefixes(n - 1)
-                        trade_vars[(a, mat, n)] = (builder.add_variables(count),
-                                                   builder.add_variables(count))
-        return cls(market, h_vars, trade_vars)
-
-    @classmethod
     def pricing_rows(cls, builder: LpBuilder, market, path_vars: np.ndarray,
                      force_frictional: bool = False) -> "TradingCatalog":
-        """The MOT primal's pricing rows on the path columns, the twin of
-        `allocate`: ``force_frictional`` gives zero-cost assets ask and bid
-        rows (at eps 0) in place of the martingale rows."""
+        """The MOT primal's pricing rows on the path columns.  ``force_frictional``
+        gives zero-cost assets ask and bid rows (at eps 0) in place of the
+        martingale rows; the LP value is unchanged (a maturity-N trade
+        telescopes into one-step positions when trading is free), which is
+        exactly the frictionless-reduction check."""
         instance = market.instance
         s = market.price_paths()
         h_rows, trade_rows = {}, {}
@@ -119,22 +102,11 @@ class TradingCatalog:
                     trade_rows[(a, mat, n + 1)] = (rows[0::2], rows[1::2])
         return cls(market, h_rows, trade_rows)
 
-    def path_coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dynamic-outcome terms of the superhedge rows as (path, column,
-        value) triplets: each column block holds one term for every path."""
-        instance = self.market.instance
-        s, eps = self.market.price_paths(), self.market.epsilons
-        cols, vals = [], []
-        for (a, n), ids in self.h_vars.items():
-            cols.append(ids[instance.prefix_ids(n - 1)])
-            vals.append(s[n][:, a] - s[n - 1][:, a])
-        for (a, mat, n), (buys, sells) in self.trade_vars.items():
-            prefix = instance.prefix_ids(n - 1)
-            cols += [buys[prefix], sells[prefix]]
-            vals += [s[mat][:, a] - (1.0 + eps[a]) * s[n - 1][:, a],
-                     (1.0 - eps[a]) * s[n - 1][:, a] - s[mat][:, a]]
-        paths = np.tile(np.arange(instance.n_paths), len(cols))
-        return paths, np.concatenate(cols), np.concatenate(vals)
+    def relabel(self, ids: np.ndarray) -> "TradingCatalog":
+        """The same terms under new ids: ``ids[k]`` replaces id k."""
+        return TradingCatalog(self.market, {key: ids[rows] for key, rows in self.h_vars.items()},
+                              {key: (ids[asks], ids[bids])
+                               for key, (asks, bids) in self.trade_vars.items()})
 
     def extract_legs(self, x: np.ndarray) -> tuple[DynamicLeg, ...]:
         """The legs at the superhedge point x, or at the primal multipliers x."""
@@ -185,13 +157,15 @@ def _mixtures(values: np.ndarray, blocks) -> tuple[np.ndarray, ...]:
 class PrimalLp:
     """max <f, mu>: one column per path, then per axis its marginal rows
     (a hull axis first adds one lambda column per vertex and, after the
-    rows, one row summing them to 1), then the market's pricing rows."""
+    rows, the row `lambda_rows` summing them to 1), then the market's
+    pricing rows."""
 
     instance: Instance
     lp: LinearProgram
     paths: np.ndarray
     marginal_rows: tuple[np.ndarray, ...]
     lambdas: tuple[np.ndarray | None, ...]
+    lambda_rows: tuple[int | None, ...]
     trading: TradingCatalog | None
 
     def coupling(self, x: np.ndarray) -> Coupling:
@@ -208,21 +182,19 @@ class PrimalLp:
 
 @dataclass(frozen=True, eq=False)
 class SuperhedgeLp:
-    """min cost: the cash column, then per axis its legs g_n >= 0 (a hull
-    axis first adds its price column t and, after the legs, one epigraph row
-    t >= <g_n, nu> per vertex nu), then the trading columns, then one
+    """min cost: the cash column 0, then per axis its legs g_n >= 0 (a hull
+    axis first adds its price column t), then the trading columns; per hull
+    axis one epigraph row t >= <g_n, nu> per vertex nu, then one
     superreplication row per path."""
 
     lp: LinearProgram
-    cash: int
     legs: tuple[np.ndarray, ...]
     epigraph_rows: tuple[np.ndarray | None, ...]
-    path_rows: np.ndarray
     trading: TradingCatalog | None
 
     def position(self, x: np.ndarray) -> tuple[float, tuple[np.ndarray, ...]]:
         """Cash and static legs at the point x."""
-        return float(x[self.cash]), tuple(x[ids] for ids in self.legs)
+        return float(x[0]), tuple(x[ids] for ids in self.legs)
 
     def mixtures(self, duals: np.ndarray) -> tuple[np.ndarray, ...]:
         """Hull mixture weights: the multipliers of the epigraph rows."""
@@ -237,12 +209,13 @@ def primal_lp(instance: Instance, table: np.ndarray, market=None,
     paths = builder.add_variables(instance.n_paths, objective=table)
     indices = instance.point_indices()
     ones = np.ones(indices.shape[1])
-    marginal_rows, lambdas = [], []
+    marginal_rows, lambdas, lambda_rows = [], [], []
     for pos, constraint in enumerate(instance.constraints):
         if constraint.is_exact:
             marginal_rows.append(builder.add_rows(indices[pos], paths, ones, "=",
                                                   constraint.measures[0].weights))
             lambdas.append(None)
+            lambda_rows.append(None)
             continue
         npts, k = instance.axes[pos].npoints, len(constraint.measures)
         lams = builder.add_variables(k)
@@ -251,52 +224,43 @@ def primal_lp(instance: Instance, table: np.ndarray, market=None,
             np.concatenate([indices[pos], np.repeat(np.arange(npts), k)]),
             np.concatenate([paths, np.tile(lams, npts)]),
             np.concatenate([ones, -constraint.vertex_matrix.T.ravel()]), "=", np.zeros(npts)))
-        builder.add_rows(np.zeros(k), lams, np.ones(k), "=", 1.0)
+        lambda_rows.append(int(builder.add_rows(np.zeros(k), lams, np.ones(k), "=", 1.0)[0]))
         lambdas.append(lams)
     trading = None if market is None else TradingCatalog.pricing_rows(builder, market, paths,
                                                                       force_frictional)
     return PrimalLp(instance, builder.build(), paths, tuple(marginal_rows), tuple(lambdas),
-                    trading)
+                    tuple(lambda_rows), trading)
 
 
-def superhedge_lp(instance: Instance, table: np.ndarray, market=None,
-                  force_frictional: bool = False) -> SuperhedgeLp:
-    """The transport dual of the payoff `table` (cash plus static legs priced
-    at the sublinear price), or the superhedge LP of `market`, which adds its
-    trading columns to every superreplication row."""
-    builder = LpBuilder("min")
-    cash = builder.add_variable(lower=-np.inf, objective=1.0)
-    legs, epigraph = [], []
-    for pos, constraint in enumerate(instance.constraints):
-        npts = instance.axes[pos].npoints
-        if constraint.is_exact:
-            legs.append(builder.add_variables(npts, objective=constraint.measures[0].weights))
-            epigraph.append(None)
-            continue
-        t_var = builder.add_variable(lower=-np.inf, objective=1.0)
-        legs.append(builder.add_variables(npts))
-        epigraph.append(epigraph_rows(builder, t_var, legs[-1], constraint.vertex_matrix))
-    trading = None if market is None else TradingCatalog.allocate(builder, market,
-                                                                  force_frictional)
-    # one row per path: m + sum_n g_n(x_n) + trading gains >= f(x)
-    indices = instance.point_indices()
-    n_paths = indices.shape[1]
-    terms = (np.tile(np.arange(n_paths), instance.horizon + 1),
-             np.concatenate([np.full(n_paths, cash)]
-                            + [legs[pos][indices[pos]] for pos in range(instance.horizon)]),
-             np.ones(n_paths * (instance.horizon + 1)))
-    if trading is not None:
-        terms = tuple(np.concatenate(pair) for pair in zip(terms, trading.path_coefficients()))
-    path_rows = builder.add_rows(*terms, ">=", table)
-    return SuperhedgeLp(builder.build(), cash, tuple(legs), tuple(epigraph), path_rows, trading)
-
-
-def epigraph_rows(builder: LpBuilder, t_var: int, g_vars, vertices: np.ndarray) -> np.ndarray:
-    """Rows t >= <g, nu>, one per vertex nu (a row of `vertices`): t >= price(g)."""
-    k, npts = vertices.shape
-    return builder.add_rows(np.concatenate([np.arange(k), np.repeat(np.arange(k), npts)]),
-                            np.concatenate([np.full(k, t_var), np.tile(g_vars, k)]),
-                            np.concatenate([np.ones(k), -vertices.ravel()]), ">=", np.zeros(k))
+def superhedge_lp(primal: PrimalLp) -> SuperhedgeLp:
+    """The LP dual of `primal` plus a free cash column in every path row.
+    Each primal row is a column priced at its rhs: free on "=", >= 0 on
+    "<=", and the legs (the marginal rows) >= 0.  Each primal column is a
+    ">=" row on its objective: the lambdas' epigraph rows, then the paths'
+    superreplication rows."""
+    lp, n_paths = primal.lp, primal.paths.size
+    # the primal rows in column order: a hull axis's lambda row (its price t)
+    # before its marginal rows, the ask rows of a trade block before its bids
+    order = np.arange(lp.n_rows)
+    for rows, lam_row in zip(primal.marginal_rows, primal.lambda_rows):
+        if lam_row is not None:
+            order[rows[0]: lam_row + 1] = np.r_[lam_row, rows]
+    for asks, bids in (primal.trading.trade_vars.values() if primal.trading else ()):
+        order[asks[0]: bids[-1] + 1] = np.r_[asks, bids]
+    column = np.empty_like(order)
+    column[order] = np.arange(1, lp.n_rows + 1)
+    sources = np.r_[n_paths: lp.n_variables, primal.paths]
+    a = np.zeros((lp.n_variables, lp.n_rows + 1))
+    a[lp.n_variables - n_paths:, 0] = 1.0
+    a[:, 1:] = lp.a[np.ix_(order, sources)].T
+    lower = np.r_[-np.inf, np.where(lp.relation_codes[order] == 0, -np.inf, 0.0)]
+    legs = tuple(column[rows] for rows in primal.marginal_rows)
+    lower[np.concatenate(legs)] = 0.0
+    dual = LinearProgram("min", np.r_[1.0, lp.rhs[order]], lower, np.full(lower.size, np.inf),
+                         a, (">=",) * lp.n_variables, lp.objective[sources])
+    epigraph = tuple(None if lams is None else lams - n_paths for lams in primal.lambdas)
+    trading = None if primal.trading is None else primal.trading.relabel(column)
+    return SuperhedgeLp(dual, legs, epigraph, trading)
 
 
 def certified(value: float, dual_value: float, superreplication_min: float,

@@ -20,6 +20,7 @@ from .assembly import primal_lp, superhedge_lp
 from .calls import CallQuoteCurve, StaticArbitrageError, marginal_from_calls
 from .documents import (
     DocumentError,
+    parse_call_quotes,
     parse_instance,
     render_result,
     write_output,
@@ -187,7 +188,8 @@ def check_arbitrage_cmd(input_path, output, fmt, dump_lp):
     market = _need(doc, "market")
     if dump_lp:
         zero = Payoff.constant(0.0, market.instance).table
-        write_output(write_mps(superhedge_lp(market.instance, zero, market).lp), dump_lp)
+        primal = primal_lp(market.instance, zero, market)
+        write_output(write_mps(superhedge_lp(primal).lp), dump_lp)
     ftap = ftap_check(market)
     verdict = ftap.verdict
     values = {
@@ -286,12 +288,9 @@ def bl_ingest_cmd(calls_path, maturity, output, fmt):
             raw = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         _fail(f"cannot read call quotes: {exc}")
-    if not isinstance(raw, dict) or "strikes" not in raw or "prices" not in raw:
-        _fail("call quote file needs 'strikes' and 'prices' arrays")
     try:
-        curve = CallQuoteCurve(maturity=maturity,
-                               strikes=np.asarray(raw["strikes"], dtype=float),
-                               prices=np.asarray(raw["prices"], dtype=float))
+        strikes, prices = parse_call_quotes(raw)
+        curve = CallQuoteCurve(maturity=maturity, strikes=strikes, prices=prices)
         measure = marginal_from_calls(curve)
     except StaticArbitrageError as exc:
         _emit("bl-ingest", "static_arbitrage",

@@ -34,6 +34,7 @@ __all__ = [
     "SolverOptions",
     "InstanceDocument",
     "parse_instance",
+    "parse_call_quotes",
     "serialize_instance",
     "render_result",
     "write_output",
@@ -82,8 +83,19 @@ def _fields(raw, path: str, what: str, known):
     _require(not unknown, f"{path}.{unknown[0]}" if unknown else path, f"unknown fields {unknown}")
 
 
+def _numbers(raw) -> bool:
+    """A JSON number (true and false are not), or a list of `_numbers`."""
+    if isinstance(raw, list):
+        return all(map(_numbers, raw))
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
 def _finite_floats(raw, path: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
+    _require(_numbers(raw), path, "entries must be numbers")
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (ValueError, OverflowError):
+        raise DocumentError(path, "must be a rectangular array of finite numbers") from None
     _require(arr.size > 0, path, "must be non-empty")
     _require(bool(np.all(np.isfinite(arr))), path, "entries must be finite numbers")
     return arr
@@ -93,7 +105,7 @@ def _parse_axis(raw, path: str) -> DiscreteAxis:
     _fields(raw, path, "axis", ("index", "points"))
     _require("index" in raw and "points" in raw, path, "axis needs index and points")
     index = raw["index"]
-    _require(isinstance(index, int) and index >= 1, f"{path}.index",
+    _require(isinstance(index, int) and _numbers(index) and index >= 1, f"{path}.index",
              "must be an integer time step >= 1")
     pts = _finite_floats(raw["points"], f"{path}.points")
     try:
@@ -166,7 +178,7 @@ def _parse_market(raw, instance: Instance, path: str) -> Market:
         eps = np.full(d, eps[0])
     _require(eps.size == d, f"{path}.epsilons", f"needs {d} entries")
     horizon = raw.get("horizon", instance.horizon)
-    _require(horizon == instance.horizon, f"{path}.horizon",
+    _require(horizon == instance.horizon and _numbers(horizon), f"{path}.horizon",
              f"must equal the number of axes ({instance.horizon})")
     try:
         return Market(instance=instance, s0=s0, epsilons=eps)
@@ -176,9 +188,8 @@ def _parse_market(raw, instance: Instance, path: str) -> Market:
 
 def _parse_options(raw, path: str) -> SolverOptions:
     _fields(raw, path, "options", ("tol", "pivot_rule"))
-    tol = raw.get("tol", 1e-9)
-    _require(isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0,
-             f"{path}.tol", "must be a positive number")
+    tol = _finite_floats(raw.get("tol", 1e-9), f"{path}.tol")
+    _require(tol.ndim == 0 and tol > 0, f"{path}.tol", "must be a positive number")
     rule = raw.get("pivot_rule", "dantzig")
     _require(rule in ("dantzig", "bland"), f"{path}.pivot_rule",
              "must be 'dantzig' or 'bland'")
@@ -196,7 +207,7 @@ def parse_instance(text: str) -> InstanceDocument:
     except json.JSONDecodeError as exc:
         raise DocumentError("$", f"invalid JSON: line {exc.lineno}: {exc.msg}") from None
     _fields(raw, "$", "document", _TOP_LEVEL_FIELDS)
-    _require(raw.get("version") == SCHEMA_VERSION, "$.version",
+    _require(raw.get("version") == SCHEMA_VERSION and _numbers(raw["version"]), "$.version",
              f"must be {SCHEMA_VERSION}")
     axes_raw = raw.get("axes")
     _require(isinstance(axes_raw, list) and axes_raw, "$.axes",
@@ -224,6 +235,13 @@ def parse_instance(text: str) -> InstanceDocument:
                  f"needs {instance.n_paths} entries (row-major, axis 1 slowest)")
     return InstanceDocument(version=SCHEMA_VERSION, label=label, instance=instance,
                             market=market, payoff=payoff, options=options)
+
+
+def parse_call_quotes(raw) -> tuple[np.ndarray, np.ndarray]:
+    """The strikes and prices of a parsed call quote file."""
+    _require(isinstance(raw, dict) and "strikes" in raw and "prices" in raw, "$",
+             "call quote file needs 'strikes' and 'prices' arrays")
+    return _finite_floats(raw["strikes"], "$.strikes"), _finite_floats(raw["prices"], "$.prices")
 
 
 def _axis_dict(ax: DiscreteAxis) -> dict:

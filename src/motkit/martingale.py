@@ -250,7 +250,7 @@ def ftap_check(market: Market) -> FtapReport:
     if feas.status == "optimal" and primal_residual(primal.lp, sol.x) <= RESIDUAL_TOL:
         ua = SuperhedgeResult("optimal", 0.0, None)
     else:
-        ua = _superhedge_result(solve_superhedge(instance, zero, market))
+        ua = _superhedge_result(solve_superhedge(primal))
     strict_value = ua.value + 1.0
     if ua.status == "unbounded" or ua.value < -ARBITRAGE_TOL:
         verdict = ArbitrageVerdict("uniform", ua.ray or ua.strategy, ua.value, -np.inf)

@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from .assembly import DynamicLeg, certified, epigraph_rows, primal_lp, superhedge_lp
+from .assembly import DynamicLeg, PrimalLp, certified, primal_lp, superhedge_lp
 from .lp import RESIDUAL_TOL, LpBuilder, LpError, LpNumericalError, check_unbounded_ray, solve
 from .model import (
     VALUE_TOL,
@@ -101,13 +101,13 @@ def solve_primal(instance: Instance, table: np.ndarray, market=None,
     return primal, sol
 
 
-def solve_superhedge(instance: Instance, table: np.ndarray, market=None,
-                     force_frictional: bool = False) -> DualSide:
-    """Solve the superhedge LP: its optimal point, or its improving ray once
-    `check_unbounded_ray` passes against that LP (LpNumericalError if not)."""
-    tall = superhedge_lp(instance, table, market, force_frictional)
+def solve_superhedge(primal: PrimalLp) -> DualSide:
+    """Solve the superhedge LP, the LP dual of `primal` plus cash: its optimal
+    point, or its improving ray once `check_unbounded_ray` passes against
+    that LP (LpNumericalError if not)."""
+    tall = superhedge_lp(primal)
     sol = solve(tall.lp)
-    legs = lambda x: () if market is None else tall.trading.extract_legs(x)
+    legs = lambda x: () if tall.trading is None else tall.trading.extract_legs(x)
     if sol.status == "optimal":
         return DualSide("optimal", sol.value, *tall.position(sol.x), tall.mixtures(sol.duals),
                         legs(sol.x))
@@ -139,7 +139,7 @@ def hedge(instance: Instance, table: np.ndarray, market=None, force_frictional: 
         residuals = _residuals(instance, table, market, side)
         if certified(sol.value, side.value, *residuals):
             return primal, sol, side, residuals
-    side = solve_superhedge(instance, table, market, force_frictional)
+    side = solve_superhedge(primal)
     return primal, sol, side, (_residuals(instance, table, market, side)
                                if side.status == "optimal" else None)
 
@@ -208,7 +208,10 @@ def _separation_value(constraint: MarginalConstraint, mu_weights: np.ndarray):
     g_vars = builder.add_variables(constraint.axis.npoints, lower=0.0, upper=1.0,
                                    objective=mu_weights)
     t_var = builder.add_variable(lower=-np.inf, objective=-1.0)
-    epigraph_rows(builder, t_var, g_vars, constraint.vertex_matrix)
+    # t - <g, nu> >= 0 for every vertex nu: t >= price(g)
+    k, npts = constraint.vertex_matrix.shape
+    builder.add_rows(np.repeat(np.arange(k), npts + 1), np.tile(np.r_[t_var, g_vars], k),
+                     np.c_[np.ones(k), -constraint.vertex_matrix].ravel(), ">=", np.zeros(k))
     sol = solve(builder.build())
     if sol.status != "optimal":
         raise LpError(f"separation LP unexpectedly {sol.status}")

@@ -3,27 +3,31 @@
 Everything here is deliberately independent of the production solver:
 Fractions instead of floats, enumeration instead of pivoting.  Keep these
 slow-and-sure; they are the second route of every dual-route check.  The
-tall LPs at the end, one row per path, are built with the production
-assembly and solved with the production solver.  `tall_superhedge` and
-`tall_dual_transport` are the oracle of the duality entry points, which
-solve only the short primal and read the dual side off its multipliers;
-the two-LP duality routes and the three-LP FTAP route built on them are
-the oracle of the reports and of `ftap_check`, as the tall Bernoulli LP is
-of the counterexample.  The loop assembly and the variable-by-variable
-standard form are the references their index-array versions must match
-bit for bit, the row-by-row certificate checkers those of the array
-checkers, and the simplex on the full tableau (every column, the
-artificial identity block included) that of the condensed one.
+tall LPs at the end, one row per path, are the production superhedge LP
+(the LP dual of the primal plus cash) solved with the production solver.
+`tall_superhedge` and `tall_dual_transport` are the oracle of the duality
+entry points, which solve only the short primal and read the dual side off
+its multipliers; the two-LP duality routes and the three-LP FTAP route
+built on them are the oracle of the reports and of `ftap_check`, as the
+tall Bernoulli LP is of the counterexample.  Since the superhedge LP is
+the primal's transpose, the loop assembly, which lays out the whole
+superhedge LP from the market path by path and vertex by vertex, is the
+only independent check of its layout.  The loop assembly and the
+variable-by-variable standard form are the references their index-array
+versions must match bit for bit, the row-by-row certificate checkers those
+of the array checkers, and the simplex on the full tableau (every column,
+the artificial identity block included) that of the condensed one.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from motkit.assembly import superhedge_lp
+from motkit.assembly import primal_lp, superhedge_lp
 from motkit.lp import (
     PIVOT_RULE,
     PIVOT_TOL,
@@ -53,25 +57,37 @@ from motkit.transport import TransportDualSolution, primal_transport
 
 
 def _solve_exact(matrix, rhs):
-    """Gaussian elimination over Fractions; returns None when singular."""
+    """Exact solution of a square system of Fractions; None when singular.
+
+    Fraction-free: each row, rhs included, is scaled to integers by the
+    common denominator of its entries, and Bareiss elimination keeps every
+    entry an integer (each division is exact).  Its last pivot is the
+    determinant D up to sign, so back-substitution solves for the integers
+    D x exactly; only the result is made of Fractions.
+    """
     n = len(rhs)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    m = []
+    for row, b in zip(matrix, rhs):
+        entries = [*row, b]
+        scale = math.lcm(*(v.denominator for v in entries))
+        m.append([v.numerator * (scale // v.denominator) for v in entries])
+    previous = 1
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
         if piv is None:
             return None
         m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1, 1) / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+        top, p = m[col], m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col]
+            m[r] = [0] * (col + 1) + [(p * a - f * b) // previous
+                                      for a, b in zip(m[r][col + 1:], top[col + 1:])]
+        previous = p
+    det, y = previous, [0] * n
+    for r in reversed(range(n)):
+        row = m[r]
+        y[r] = (det * row[n] - sum(row[k] * y[k] for k in range(r + 1, n))) // row[r]
+    return [Fraction(v, det) for v in y]
 
 
 def _extended_rows(lp: LinearProgram):
@@ -108,8 +124,9 @@ def _feasible(rows, x) -> bool:
 def enumerate_feasible_vertices(lp: LinearProgram):
     """All basic feasible points of an LP whose variables are bounded below.
 
-    Candidate vertices are exact solutions of n-subsets of tight rows that
-    always include the equality rows.  Requires a pointed feasible region,
+    Candidate vertices are the exact solutions of every n-subset of the
+    constraints (rows and finite bounds) taken as equalities; those that
+    satisfy every constraint are kept.  Requires a pointed feasible region,
     which finite lower bounds on every variable guarantee.
     """
     assert np.all(np.isfinite(lp.lower)), "oracle precondition: finite lower bounds"
@@ -287,28 +304,70 @@ def hull_membership_exact(vertices, target) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# path-by-path LP assembly: the reference the triplet assembly must match
+# path-by-path LP assembly: the reference the index-array assembly must match
 # ---------------------------------------------------------------------------
 
-def loop_superhedge_path_rows(market, n_variables, m_var, g_vars, columns) -> np.ndarray:
-    """The superreplication rows of the superhedge LP, one path at a time,
-    in the column order of the built LP (its epigraph rows come first)."""
-    inst = market.instance
-    idx = inst.point_indices()
-    s = market.price_paths()
-    a = np.zeros((inst.n_paths, n_variables))
-    for i in range(inst.n_paths):
-        a[i, m_var] = 1.0
-        for pos in range(inst.horizon):
-            a[i, g_vars[pos][idx[pos, i]]] = 1.0
-        for (k, n), ids in columns.h_vars.items():
-            a[i, ids[inst.prefix_ids(n - 1)[i]]] = s[n][i, k] - s[n - 1][i, k]
-        for (k, mat, n), (buys, sells) in columns.trade_vars.items():
-            e = market.epsilons[k]
-            p = inst.prefix_ids(n - 1)[i]
-            a[i, buys[p]] = s[mat][i, k] - (1.0 + e) * s[n - 1][i, k]
-            a[i, sells[p]] = (1.0 - e) * s[n - 1][i, k] - s[mat][i, k]
-    return a
+def loop_superhedge_lp(instance, table, market=None, force_frictional=False):
+    """The superhedge LP one vertex and one path at a time, laid out from the
+    market alone, and its ids: (LinearProgram, legs, epigraph rows, positions,
+    trades).  Columns: the free cash, then per axis its free price t (hull
+    axes) and its legs g_n >= 0 priced at the exact marginal (at 0 and
+    through t on a hull axis), then per asset its free positions h per
+    period and prefix, or (frictional or forced) per maturity and period its
+    buys and then its sells >= 0 per prefix.  Rows: per hull axis
+    t - <g_n, nu> >= 0 per vertex nu, then per path the cash, its legs and
+    its trading gains >= the payoff.  Every cell starts at 0.0 and adds its
+    term."""
+    objective, lower = [1.0], [-np.inf]
+
+    def columns(costs, low):
+        ids = list(range(len(objective), len(objective) + len(costs)))
+        objective.extend(costs)
+        lower.extend([low] * len(costs))
+        return ids
+
+    legs, prices = [], []
+    for pos, con in enumerate(instance.constraints):
+        prices.append(None if con.is_exact else columns([1.0], -np.inf)[0])
+        legs.append(columns(list(con.measures[0].weights) if con.is_exact
+                            else [0.0] * instance.axes[pos].npoints, 0.0))
+    positions, trades = {}, {}
+    for k in range(0 if market is None else market.d):
+        if market.epsilons[k] > 0.0 or force_frictional:
+            for mat in range(1, instance.horizon + 1):
+                for n in range(1, mat + 1):
+                    count = instance.n_prefixes(n - 1)
+                    trades[(k, mat, n)] = (columns([0.0] * count, 0.0),
+                                           columns([0.0] * count, 0.0))
+        else:
+            for n in range(1, instance.horizon + 1):
+                positions[(k, n)] = columns([0.0] * instance.n_prefixes(n - 1), -np.inf)
+    lines, epigraph = [], []  # each line: its (column, value) terms and its rhs
+    for pos, con in enumerate(instance.constraints):
+        epigraph.append(None if con.is_exact else
+                        list(range(len(lines), len(lines) + len(con.measures))))
+        for nu in ([] if con.is_exact else con.measures):
+            lines.append(([(prices[pos], 1.0)] + [(col, -w) for col, w in
+                                                   zip(legs[pos], nu.weights)], 0.0))
+    idx = instance.point_indices()
+    s = None if market is None else market.price_paths()
+    for i in range(instance.n_paths):
+        terms = [(0, 1.0)] + [(legs[pos][idx[pos, i]], 1.0) for pos in range(instance.horizon)]
+        for (k, n), ids in positions.items():
+            terms.append((ids[instance.prefix_ids(n - 1)[i]], s[n][i, k] - s[n - 1][i, k]))
+        for (k, mat, n), (buys, sells) in trades.items():
+            e, p = market.epsilons[k], instance.prefix_ids(n - 1)[i]
+            terms.append((buys[p], s[mat][i, k] - (1.0 + e) * s[n - 1][i, k]))
+            terms.append((sells[p], (1.0 - e) * s[n - 1][i, k] - s[mat][i, k]))
+        lines.append((terms, table[i]))
+    a = np.zeros((len(lines), len(objective)))
+    for r, (terms, _) in enumerate(lines):
+        for col, value in terms:
+            a[r, col] += value
+    lp = LinearProgram("min", np.array(objective), np.array(lower),
+                       np.full(len(objective), np.inf), a, (">=",) * len(lines),
+                       np.array([b for _, b in lines]))
+    return lp, legs, epigraph, positions, trades
 
 
 def loop_mot_primal_matrix(market, n_variables) -> np.ndarray:
@@ -866,7 +925,7 @@ def tall_tail_forced_dual_bound(depth: int):
     """The Bernoulli tail-forced superreplication LP itself, 2^N rows by
     2N + 1 columns: (value, certificate m, certificate legs)."""
     instance = bernoulli_instance(depth)
-    tall = superhedge_lp(instance, np.ones(instance.n_paths))
+    tall = superhedge_lp(primal_lp(instance, np.ones(instance.n_paths)))
     sol = solve(tall.lp)
     if sol.status != "optimal":
         raise LpError(f"tail-forced dual LP unexpectedly {sol.status}")
@@ -876,8 +935,8 @@ def tall_tail_forced_dual_bound(depth: int):
 def tall_superhedge(market, payoff, force_frictional=False) -> SuperhedgeResult:
     """The cheapest superhedge from the superhedge LP itself, one row per path;
     unbounded with the improving ray as a strategy under arbitrage."""
-    sh = superhedge_lp(market.instance, payoff.table_for(market.instance), market,
-                       force_frictional)
+    sh = superhedge_lp(primal_lp(market.instance, payoff.table_for(market.instance), market,
+                                 force_frictional))
     sol = solve(sh.lp)
     strategy = lambda x: SemiStaticStrategy(*sh.position(x), sh.trading.extract_legs(x))
     if sol.status == "optimal":
@@ -889,7 +948,7 @@ def tall_superhedge(market, payoff, force_frictional=False) -> SuperhedgeResult:
 
 def tall_dual_transport(instance, payoff) -> TransportDualSolution:
     """The transport dual from its own LP, one row per path."""
-    dual = superhedge_lp(instance, payoff.table_for(instance))
+    dual = superhedge_lp(primal_lp(instance, payoff.table_for(instance)))
     sol = solve(dual.lp)
     if sol.status != "optimal":
         raise LpError(f"transport dual unexpectedly {sol.status}")

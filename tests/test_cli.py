@@ -170,14 +170,15 @@ class TestSolveCounts:
         assert result.exit_code == 2
         assert json.loads(result.output)["values"] == {"primal_status": "infeasible",
                                                        "dual_status": "unbounded"}
-        assert lp_calls["solve"] == lp_calls["builders"] == 2
+        # the superhedge LP is the infeasible primal's transpose: one builder
+        assert (lp_calls["solve"], lp_calls["builders"]) == (2, 1)
 
     def test_uniform_arbitrage_takes_two_solves(self, runner, tmp_path, lp_calls):
         path = _write(tmp_path, "arb.json", _spot_mismatch_doc())
         result = runner.invoke(main, ["check-arbitrage", "-i", path])
         assert result.exit_code == 2
         assert json.loads(result.output)["values"]["verdict"] == "uniform"
-        assert (lp_calls["solve"], lp_calls["builders"]) == (2, 2)
+        assert (lp_calls["solve"], lp_calls["builders"]) == (2, 1)
 
     def test_counterexample_solves_only_short_lps(self, runner, lp_calls):
         # per depth n <= 6: the primals of the payoffs 1 and x_n, 2n rows each
@@ -404,6 +405,24 @@ class TestSolveTransport:
         assert text.startswith("NAME") and "ENDATA" in text
 
 
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: doc["axes"][0].update(points=[[0.0, 1.0], [2.0]]), "$.axes[0].points"),
+        (lambda doc: doc["axes"][1].update(index=True), "$.axes[1].index"),
+        (lambda doc: doc["constraints"][1].update(weights=[{"a": 1}, 0.5]),
+         "$.constraints[1].weights"),
+        (lambda doc: doc["constraints"][1].update(weights=[True, False]),
+         "$.constraints[1].weights"),
+        (lambda doc: doc.update(options={"tol": True}), "$.options.tol")])
+    @pytest.mark.parametrize("command", ["solve-transport", "verify-duality"])
+    def test_exit_one_naming_the_field(self, runner, tmp_path, command, edit, field):
+        doc = _transport_doc()
+        edit(doc)
+        result = runner.invoke(main, [command, "-i", _write(tmp_path, "doc.json", doc)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert f"error: {field}: " in result.output and "Traceback" not in result.output
+
+
 class TestSolveMot:
     def test_straddle_market(self, runner, tmp_path):
         path = _write(tmp_path, "mot.json", _straddle_market_doc())
@@ -491,6 +510,18 @@ class TestBlIngest:
         assert result.exit_code == 2
         payload = json.loads(result.output)
         assert payload["status"] == "static_arbitrage"
+
+    @pytest.mark.parametrize("quotes, field", [
+        ({"strikes": {"a": 1}, "prices": [1.0]}, "$.strikes"),
+        ({"strikes": [0.0, 1.0], "prices": [1.0, "0.5"]}, "$.prices"),
+        ({"strikes": [0.0, 1.0], "prices": [True, False]}, "$.prices"),
+        ({"strikes": [[0.0, 1.0], [2.0]], "prices": [1.0, 0.5]}, "$.strikes"),
+        ({"strikes": [0.0, 1.0]}, "$")])
+    def test_malformed_quotes_are_input_errors(self, runner, tmp_path, quotes, field):
+        calls = _write(tmp_path, "calls.json", quotes)
+        result = runner.invoke(main, ["bl-ingest", "--calls", calls, "--maturity", "1"])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert f"error: {field}: " in result.output and "Traceback" not in result.output
 
     def test_unreadable_file_is_input_error(self, runner, tmp_path):
         result = runner.invoke(main, ["bl-ingest", "--calls",

@@ -119,6 +119,30 @@ class TestParsing:
         doc = parse_instance(json.dumps(raw))
         assert doc.payoff.table_for(doc.instance).tolist() == [0.0, 2.0, 1.0, 1.0]
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda raw: raw["axes"][0].update(points=[[0.0, 1.0], [2.0]]), "$.axes[0].points"),
+        (lambda raw: raw["axes"][0].update(points=[[0.0], [10 ** 400]]), "$.axes[0].points"),
+        (lambda raw: raw["axes"][0].update(points="[0, 1]"), "$.axes[0].points"),
+        (lambda raw: raw["axes"][0].update(index=True), "$.axes[0].index"),
+        (lambda raw: raw["constraints"][0].update(weights=[{"a": 1}, 0.5]),
+         "$.constraints[0].weights"),
+        (lambda raw: raw["constraints"][0].update(weights=[True, False]),
+         "$.constraints[0].weights"),
+        (lambda raw: raw.update(options={"tol": True}), "$.options.tol"),
+        (lambda raw: raw.update(options={"tol": [1e-9]}), "$.options.tol"),
+        (lambda raw: raw.update(market={"s0": [[1.0], [2.0, 3.0]]}), "$.market.s0"),
+        (lambda raw: raw.update(market={"s0": [1.0], "horizon": True}), "$.market.horizon"),
+        (lambda raw: raw.update(payoff={"kind": "dense", "table": [1.0, None]}),
+         "$.payoff.table"),
+        (lambda raw: raw.update(version=True), "$.version")])
+    def test_malformed_numbers_name_the_field(self, edit, field):
+        # ragged or non-numeric arrays and JSON booleans are not numbers
+        raw = _minimal_doc()
+        edit(raw)
+        with pytest.raises(DocumentError) as err:
+            parse_instance(json.dumps(raw))
+        assert err.value.path == field
+
     def test_named_payoff_requires_known_generator(self):
         raw = _minimal_doc()
         raw["payoff"] = {"kind": "named", "name": "mystery"}

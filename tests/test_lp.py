@@ -648,7 +648,7 @@ class TestRescaledUnits:
             market = binomial_market(np.random.default_rng(seed), 3, d=1, epsilons=[0.05])
             table = random_payoff_table(np.random.default_rng(0), market.instance)
             large, small = _rescaled(market, 1e6), _rescaled(market, 1e-6)
-            yield superhedge_lp(large.instance, table, large).lp
+            yield superhedge_lp(primal_lp(large.instance, table, large)).lp
             yield primal_lp(small.instance, table, small).lp
 
     def test_raises_or_certifies(self):

@@ -5,8 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from motkit import lp as lp_module
 from motkit import transport
 from motkit.assembly import _ancestor_prefix, primal_lp, superhedge_lp
+from motkit.bernoulli import bernoulli_instance
 from motkit.lp import LpNumericalError, solve
 from motkit.martingale import (
     ArbitrageError,
@@ -32,12 +34,13 @@ from motkit.transport import dual_transport, verify_representation
 from generators import (
     arbitrage_free_market,
     binomial_market,
+    random_hull_instance,
     random_market,
     random_payoff_table,
 )
 from oracles import (
     loop_mot_primal_matrix,
-    loop_superhedge_path_rows,
+    loop_superhedge_lp,
     strategy_residuals,
     tall_dual_transport,
     tall_superhedge,
@@ -190,33 +193,67 @@ class TestFtap:
         assert report.martingale_set_nonempty
 
 
-def _catalog_shape(catalog):
-    """The keys of a trading catalog with the number of ids behind each."""
-    return ({key: len(ids) for key, ids in catalog.h_vars.items()},
-            {key: (len(buys), len(sells)) for key, (buys, sells) in catalog.trade_vars.items()})
+def _builders(monkeypatch):
+    """The sense of every LpBuilder constructed, in order."""
+    senses, init = [], lp_module.LpBuilder.__init__
+    monkeypatch.setattr(lp_module.LpBuilder, "__init__",
+                        lambda self, sense: senses.append(sense) or init(self, sense))
+    return senses
+
+
+def _assert_same_bits(got, want):
+    """Two LPs equal field for field, bit for bit."""
+    assert (got.sense, got.relations) == (want.sense, want.relations)
+    for field in ("a", "objective", "lower", "upper", "rhs"):
+        x, y = getattr(got, field), getattr(want, field)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), field
 
 
 class TestTripletAssembly:
+    """The superhedge LP, transposed from the primal, equals the loop
+    reference laid out from the market path by path and vertex by vertex."""
+
+    @staticmethod
+    def _assert_loop_layout(instance, table, market=None, forced=False):
+        sh = superhedge_lp(primal_lp(instance, table, market, forced))
+        lp, legs, epigraph, positions, trades = loop_superhedge_lp(instance, table, market,
+                                                                   forced)
+        _assert_same_bits(sh.lp, lp)
+        assert [g.tolist() for g in sh.legs] == legs
+        assert [None if e is None else e.tolist() for e in sh.epigraph_rows] == epigraph
+        if market is None:
+            assert sh.trading is None
+            return
+        assert {key: ids.tolist() for key, ids in sh.trading.h_vars.items()} == positions
+        assert {key: (buys.tolist(), sells.tolist())
+                for key, (buys, sells) in sh.trading.trade_vars.items()} == trades
+
     def test_matrices_equal_path_by_path_assembly(self):
         rng = np.random.default_rng(8)
+        hulls = 0
         for trial in range(12):
             d = 2 if trial % 3 == 0 else 1
             market = binomial_market(rng, horizon=2 if d == 2 else 1 + trial % 4, d=d,
                                      epsilons=[[0.05, 0.0], [0.1], [0.0]][trial % 3],
                                      hull_prob=0.5 if trial % 2 else 0.0)
             table = random_payoff_table(rng, market.instance)
+            hulls += any(not con.is_exact for con in market.instance.constraints)
             for forced in (False, True):
-                sh = superhedge_lp(market.instance, table, market, forced)
-                lp = sh.lp
-                expected = loop_superhedge_path_rows(market, lp.n_variables, sh.cash, sh.legs,
-                                                     sh.trading)
-                assert np.array_equal(lp.a[-market.instance.n_paths:], expected)
-                # the primal's pricing rows are the twin of the trading columns
-                twin = primal_lp(market.instance, table, market, forced).trading
-                assert _catalog_shape(twin) == _catalog_shape(sh.trading)
+                self._assert_loop_layout(market.instance, table, market, forced)
+            self._assert_loop_layout(market.instance, table)
             lp = primal_lp(market.instance, table, market).lp
             assert np.array_equal(lp.a, loop_mot_primal_matrix(market, lp.n_variables))
             assert np.array_equal(lp.objective[: market.instance.n_paths], table)
+        assert hulls
+
+    def test_transport_lps_equal_path_by_path_assembly(self):
+        rng = np.random.default_rng(12)
+        for trial in range(8):
+            instance = random_hull_instance(rng, n_axes=1 + trial % 3)
+            self._assert_loop_layout(instance, random_payoff_table(rng, instance))
+        for depth in range(1, 11):
+            instance = bernoulli_instance(depth)
+            self._assert_loop_layout(instance, np.ones(instance.n_paths))
 
 
 class TestSharedSolves:
@@ -376,9 +413,10 @@ class TestFtapRoute:
             [DiscreteMeasure(axis, np.array(w)) for w in ([0.5, 0.5], [0.25, 0.75])])
         market = Market(Instance((axis,), (hull,)), np.array([3.0]), np.array([0.0]))
         expected = three_lp_ftap(market)
-        senses = self._counting(monkeypatch)
+        senses, built = self._counting(monkeypatch), _builders(monkeypatch)
         report = ftap_check(market)
-        assert senses == ["max", "min"]
+        # the superhedge LP solved for the ray is the primal's transpose
+        assert senses == ["max", "min"] and built == ["max"]
         assert report.verdict.kind == "uniform"
         assert report.strict_value == -np.inf
         for field in ("no_model_independent", "no_uniform", "martingale_set_nonempty",
@@ -533,16 +571,18 @@ class TestOneLpEntryPoints:
                 assert senses == ["max"] * solves
 
     def test_arbitrage_market_returns_an_improving_ray(self, monkeypatch):
-        senses = self._counting(monkeypatch)
+        senses, built = self._counting(monkeypatch), _builders(monkeypatch)
         for market in self._markets():
             # a spot above every grid point: selling the underlying forward wins
             top = max(float(ax.points.max()) for ax in market.instance.axes)
             shifted = Market(market.instance, np.full(market.d, 2.0 * top + 1.0),
                              market.epsilons)
             senses.clear()
+            built.clear()
             res = superhedge_dual(shifted, Payoff.constant(0.0, shifted.instance))
-            # the infeasible primal, then the superhedge LP for its ray
-            assert senses == ["max", "min"]
+            # the infeasible primal, then the superhedge LP for its ray,
+            # transposed from that primal with no builder of its own
+            assert senses == ["max", "min"] and built == ["max"]
             assert res.status == "unbounded" and res.strategy is None
             assert res.ray.cost(shifted) < 0.0
             assert float(res.ray.outcome(shifted).min()) >= -1e-9
@@ -602,8 +642,8 @@ class TestWeakDuality:
 class TestFrictionlessReduction:
     def test_no_trade_columns_without_costs(self):
         market = straddle_market()
-        columns = superhedge_lp(market.instance, np.zeros(market.instance.n_paths),
-                                market).trading
+        columns = superhedge_lp(primal_lp(market.instance, np.zeros(market.instance.n_paths),
+                                          market)).trading
         assert not columns.trade_vars
         assert columns.h_vars
 
@@ -621,8 +661,9 @@ class TestFrictionlessReduction:
     def test_builder_is_deterministic_across_equal_markets(self):
         market = straddle_market()
         table = np.zeros(market.instance.n_paths)
-        lp1 = superhedge_lp(market.instance, table, market).lp
-        lp2 = superhedge_lp(market.instance, table, market.with_epsilons(np.zeros(1))).lp
+        lp1 = superhedge_lp(primal_lp(market.instance, table, market)).lp
+        lp2 = superhedge_lp(primal_lp(market.instance, table,
+                                      market.with_epsilons(np.zeros(1)))).lp
         assert np.array_equal(lp1.a, lp2.a)
         assert np.array_equal(lp1.objective, lp2.objective)
         assert lp1.relations == lp2.relations
