@@ -14,7 +14,7 @@ here solves an LP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -170,6 +170,12 @@ class PrimalLp:
 
     def coupling(self, x: np.ndarray) -> Coupling:
         return Coupling(self.instance, x[self.paths])
+
+    def with_payoff(self, table: np.ndarray) -> "PrimalLp":
+        """The primal of another payoff: these rows and ids, the same arrays."""
+        objective = np.zeros(self.lp.n_variables)
+        objective[self.paths] = table
+        return replace(self, lp=replace(self.lp, objective=objective))
 
     def static_side(self, sol):
         """Cash m, legs g_n >= 0 and hull mixtures read off an optimal primal:

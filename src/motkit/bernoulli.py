@@ -12,6 +12,9 @@ computations:
 * the primal side is the two-point measure (all-ones + all-zeros)/2, which
   evaluates to 1/2, together with the depth-N LP bound max E[x_N] = 1/2.
 
+Per depth, `gap_report` solves both primals from one instance, one
+assembly and one phase 1 (`transport.solve_primals`).
+
 The gap 1/2 persists at every depth; the cylinder payoff (without tail
 forcing) shows zero gap at each finite depth, isolating the gap as a pure
 limit phenomenon.
@@ -23,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Coupling, DiscreteAxis, DiscreteMeasure, Instance, MarginalConstraint, Payoff
-from .transport import duality_report, primal_transport
+from .model import Coupling, DiscreteAxis, DiscreteMeasure, Instance, MarginalConstraint
+from .transport import hedge, solve_primal, solve_primals
 
 __all__ = [
     "BernoulliGapReport",
@@ -37,6 +40,7 @@ __all__ = [
 ]
 
 DUAL_TOL = 1e-9
+_CANDIDATE = 0.5 * 1.0 + 0.5 * 0.0  # <f, mu*>: f = liminf is 1 on ones, 0 on zeros
 
 
 def bernoulli_instance(depth: int) -> Instance:
@@ -55,7 +59,10 @@ def bernoulli_instance(depth: int) -> Instance:
 
 def two_point_measure(depth: int) -> Coupling:
     """(delta_all_ones + delta_all_zeros) / 2 truncated to the given depth."""
-    instance = bernoulli_instance(depth)
+    return _two_point(bernoulli_instance(depth))
+
+
+def _two_point(instance: Instance) -> Coupling:
     w = np.zeros(instance.n_paths)
     w[0] = 0.5            # all-zeros path (row-major, axis 1 slowest)
     w[-1] = 0.5           # all-ones path
@@ -78,8 +85,8 @@ def tail_forced_dual_bound(depth: int) -> tuple[float, float, tuple[np.ndarray, 
     LP above is solved).  Returns (value, certificate m, certificate legs).
     """
     instance = bernoulli_instance(depth)
-    report = duality_report(instance, Payoff.constant(1.0, instance))
-    return report.dual_value, report.dual.m, report.dual.g
+    side = hedge(instance, np.ones(instance.n_paths))[2]
+    return side.value, side.m, side.g
 
 
 def liminf_primal_value(depth: int) -> tuple[float, float]:
@@ -89,10 +96,9 @@ def liminf_primal_value(depth: int) -> tuple[float, float]:
     the bound is the LP value of max E[x_N] over feasible couplings, which
     realizes the liminf bound <f, mu> <= liminf_n E[x_n] = 1/2.
     """
-    candidate = 0.5 * 1.0 + 0.5 * 0.0  # f = liminf is 1 on ones, 0 on zeros
     instance = bernoulli_instance(depth)
     last = instance.coordinate_values(depth - 1)[:, 0]
-    return candidate, primal_transport(instance, Payoff.dense(last))[0]
+    return _CANDIDATE, solve_primal(instance, last)[1].value
 
 
 def window_min_expectations(depth: int, start: int = 1) -> np.ndarray:
@@ -144,16 +150,18 @@ class BernoulliGapReport:
 
 def gap_report(depth: int) -> BernoulliGapReport:
     """Assemble the per-depth gap table row; the gap is 1/2 at every depth."""
-    dual_value, cert_m, cert_legs = tail_forced_dual_bound(depth)
-    candidate, upper = liminf_primal_value(depth)
+    instance = bernoulli_instance(depth)
+    ones, last = np.ones(instance.n_paths), instance.coordinate_values(depth - 1)[:, 0]
+    unit, bound = solve_primals(instance, [ones, last])
+    side = hedge(instance, ones, solved=unit)[2]
     return BernoulliGapReport(
         depth=depth,
-        dual_value=dual_value,
+        dual_value=side.value,
         dual_upper_bound=1.0,
-        primal_candidate_value=candidate,
-        primal_upper_bound=upper,
-        gap=dual_value - candidate,
-        certificate_m=cert_m,
-        certificate_legs=cert_legs,
-        attaining_measure=two_point_measure(depth),
+        primal_candidate_value=_CANDIDATE,
+        primal_upper_bound=bound[1].value,
+        gap=side.value - _CANDIDATE,
+        certificate_m=side.m,
+        certificate_legs=side.g,
+        attaining_measure=_two_point(instance),
     )

@@ -22,6 +22,11 @@ nonnegative combination of the rows and bounds); unbounded solves carry an
 improving feasible ray.  ``check_certificates`` and the two ray/Farkas
 checkers recompute every residual from the raw problem data.
 
+Phase 1 reads only the rows, rhs, bounds and relations.  A start
+(``phase_one``) holds its result; ``solve`` runs phase 2 from one made from
+the same row arrays (``dataclasses.replace`` of the objective shares them),
+by default from ``phase_one(lp)``, so a warm solve is the cold one's bits.
+
 Pivoting is largest-reduced-cost (Dantzig) with lowest-index tie breaking,
 falling back to Bland's rule after a fixed iteration budget so cycling
 cannot occur; a hard iteration cap raises ``LpNumericalError`` rather than
@@ -53,6 +58,8 @@ __all__ = [
     "CertificateReport",
     "LpError",
     "LpNumericalError",
+    "PhaseOne",
+    "phase_one",
     "solve",
     "check_certificates",
     "check_farkas_certificate",
@@ -270,12 +277,12 @@ class _Standardizer:
     about a finite upper bound (sign -1).  A free variable (split) is
     z[col[j]] - z[col[j] + 1].  The rows are the LP's, then one "<=" row
     z[col[j]] <= upper_j - lower_j per boxed variable; slack columns follow
-    the structural ones, and rows with a negative rhs are negated.
+    the structural ones, and rows with a negative rhs are negated.  Only
+    `cost` and `duals_from_std` read an objective or sense.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        self.obj_sign = -1.0 if lp.sense == "max" else 1.0
         has_lo, has_up = np.isfinite(lp.lower), np.isfinite(lp.upper)
         self.split = ~has_lo & ~has_up
         self.sign = np.where(has_lo | self.split, 1.0, -1.0)
@@ -284,8 +291,8 @@ class _Standardizer:
         self.offsets = np.where(has_lo, lp.lower, np.where(has_up, lp.upper, 0.0))
 
         # structural z columns: the variable of each, and its sign
-        src = np.repeat(np.arange(lp.n_variables), width)
-        zsign = self.sign[src]
+        self.src = src = np.repeat(np.arange(lp.n_variables), width)
+        self.zsign = zsign = self.sign[src]
         zsign[self.col[self.split] + 1] = -1.0
         boxed = np.flatnonzero(has_lo & has_up)
         # a "<=" row (and each bound row) gets slack +1, a ">=" row -1
@@ -309,10 +316,13 @@ class _Standardizer:
         a_std *= self.sigma[:, None]
 
         self.m_orig = m_orig
-        self.c_std = np.concatenate([self.obj_sign * lp.objective[src] * zsign,
-                                     np.zeros(slack_rows.size)])
         self.a_std = a_std
         self.b_std = rhs * self.sigma
+
+    def cost(self, lp: LinearProgram) -> np.ndarray:
+        """c of min c'z for the objective and sense of `lp`, an LP on these rows."""
+        return np.concatenate([(-1.0 if lp.sense == "max" else 1.0) * lp.objective[self.src]
+                               * self.zsign, np.zeros(self.a_std.shape[1] - self.src.size)])
 
     def _unsplit(self, v: np.ndarray, z: np.ndarray) -> np.ndarray:
         """v with each free variable's entry set to its positive part minus
@@ -327,10 +337,10 @@ class _Standardizer:
     def ray_from_z(self, dz: np.ndarray) -> np.ndarray:
         return self._unsplit(self.sign * dz[self.col], dz)
 
-    def duals_from_std(self, y_std: np.ndarray) -> np.ndarray:
+    def duals_from_std(self, y_std: np.ndarray, sense: str) -> np.ndarray:
         # undo row negation, then undo the sense flip
         y = (self.sigma * y_std)[: self.m_orig]
-        return self.obj_sign * y
+        return (-1.0 if sense == "max" else 1.0) * y
 
     def farkas_from_std(self, y_std: np.ndarray) -> FarkasCertificate:
         lp = self.lp
@@ -425,24 +435,37 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
     return "optimal", None
 
 
-def solve(lp: LinearProgram, *, pivot_rule: str | None = None,
-          max_iterations: int | None = None) -> LpSolution:
-    """Solve an LP; status is one of Optimal / Infeasible / Unbounded.
+@dataclass(frozen=True, eq=False)
+class PhaseOne:
+    """A start for `solve`: the standard form of an LP's rows, phase 1's
+    condensed tableau, basis and nonbasic after the artificial drive-out
+    (read-only), its pivots and Bland switch point; if infeasible, Farkas."""
 
-    Deterministic: identical inputs take identical pivot sequences.
-    """
+    std: _Standardizer
+    tableau: np.ndarray
+    basis: np.ndarray
+    nonbasic: np.ndarray
+    budget: tuple[int, int]  # pivots taken, cap
+    bland_after: int
+    pivot_rule: str
+    infeasible: LpSolution | None
+
+
+def phase_one(lp: LinearProgram, *, pivot_rule: str | None = None,
+              max_iterations: int | None = None) -> PhaseOne:
+    """Phase 1 of `solve` on the rows of `lp`; its objective is not read."""
     if pivot_rule is None:
         pivot_rule = PIVOT_RULE.get()
     if pivot_rule not in ("dantzig", "bland"):
         raise ValueError("pivot_rule must be 'dantzig' or 'bland'")
     std = _Standardizer(lp)
-    a, b, c = std.a_std, std.b_std, std.c_std
+    a, b = std.a_std, std.b_std
     m, n = a.shape
 
     bland_after = 1000 + 20 * (m + n)
     budget = [0, max_iterations if max_iterations is not None else 20000 + 500 * (m + n)]
 
-    # Phase 1: artificial basis (ids n..n+m-1), minimize total infeasibility.
+    # Artificial basis (ids n..n+m-1), minimize total infeasibility.
     tableau = np.empty((m + 1, n + 1))
     tableau[:m, :n] = a
     tableau[:m, -1] = b
@@ -453,6 +476,7 @@ def solve(lp: LinearProgram, *, pivot_rule: str | None = None,
 
     if _run_simplex(tableau, basis, nonbasic, pivot_rule, budget, bland_after)[0] != "optimal":
         raise LpNumericalError("phase 1 terminated unbounded")
+    infeasible = None
     feas_tol = PIVOT_TOL * (1.0 + np.abs(b).max(initial=0.0)) * 10.0
     if -tableau[-1, -1] > feas_tol:  # the infeasibility left at the phase-1 optimum
         # the cost row holds reduced costs; artificial i has cost 1 and
@@ -461,22 +485,51 @@ def solve(lp: LinearProgram, *, pivot_rule: str | None = None,
         art = nonbasic >= n
         y[nonbasic[art] - n] = 1.0 - tableau[-1, :-1][art]
         cert = std.farkas_from_std(y)
-        return LpSolution("infeasible", float("nan"), None, None, budget[0], farkas=cert)
+        infeasible = LpSolution("infeasible", float("nan"), None, None, budget[0], farkas=cert)
+    else:
+        # Drive leftover artificials out of the basis (degenerate pivots): the
+        # largest structural entry of the row, the lowest id among equals.
+        for i in np.flatnonzero(basis >= n):
+            size = np.where(nonbasic < n, np.abs(tableau[i, :-1]), 0.0)
+            if size.max(initial=0.0) > 1e-7:
+                ties = (size == size.max()).nonzero()[0]
+                _pivot(tableau, basis, nonbasic, i, int(ties[nonbasic[ties].argmin()]))
+            # else: redundant row, its artificial stays basic at level zero
+    for arr in (tableau, basis, nonbasic):
+        arr.setflags(write=False)
+    return PhaseOne(std, tableau, basis, nonbasic, tuple(budget), bland_after, pivot_rule,
+                    infeasible)
 
-    # Drive leftover artificials out of the basis (degenerate pivots): the
-    # largest structural entry of the row, the lowest id among equals.
-    for i in np.flatnonzero(basis >= n):
-        size = np.where(nonbasic < n, np.abs(tableau[i, :-1]), 0.0)
-        if size.max(initial=0.0) > 1e-7:
-            ties = (size == size.max()).nonzero()[0]
-            _pivot(tableau, basis, nonbasic, i, int(ties[nonbasic[ties].argmin()]))
-        # else: redundant row, its artificial stays basic at level zero
+
+def solve(lp: LinearProgram, *, pivot_rule: str | None = None,
+          max_iterations: int | None = None, start: PhaseOne | None = None) -> LpSolution:
+    """Solve an LP; status is one of Optimal / Infeasible / Unbounded.
+
+    Phase 2 runs from `start`, by default `phase_one(lp)`; a start made from
+    other row arrays or under another pivot rule raises ValueError, and
+    `max_iterations` (None: the start's cap) caps the pivots of both phases.
+    Deterministic: identical inputs take identical pivot sequences.
+    """
+    if start is None:
+        start = phase_one(lp, pivot_rule=pivot_rule, max_iterations=max_iterations)
+    elif start.pivot_rule != (pivot_rule or PIVOT_RULE.get()) or any(
+            getattr(start.std.lp, name) is not getattr(lp, name)
+            for name in ("a", "rhs", "lower", "upper", "relations")):
+        raise ValueError("start made from other rows or under another pivot rule")
+    if start.infeasible is not None:
+        return start.infeasible
+    std = start.std
+    a, c = std.a_std, std.cost(lp)
+    m, n = a.shape
+    budget = [start.budget[0], start.budget[1] if max_iterations is None else max_iterations]
+    bland_after, pivot_rule = start.bland_after, start.pivot_rule
 
     # Phase 2 keeps the nonbasic structural columns; an artificial left
     # basic may leave the basis, then never enter it again.
-    keep = np.flatnonzero(nonbasic < n)
-    tableau = tableau.take(np.append(keep, -1), axis=1)  # C order, as tableau[:, .] is not
-    nonbasic = nonbasic[keep]
+    keep = np.flatnonzero(start.nonbasic < n)
+    tableau = start.tableau.take(np.append(keep, -1), axis=1)  # a C-order copy
+    basis, nonbasic = start.basis.copy(), start.nonbasic[keep]
+    del start  # a cold start's phase-1 tableau is freed before phase 2 pivots
     tableau[-1] = np.append(c[nonbasic], 0.0)
     basic_cost = np.append(c, np.zeros(m))[basis]
     for i in np.flatnonzero(basic_cost):
@@ -501,7 +554,7 @@ def solve(lp: LinearProgram, *, pivot_rule: str | None = None,
     z = np.maximum(z, 0.0)
     x = std.x_from_z(z[:n])
     x = np.clip(x, lp.lower, lp.upper)
-    y = std.duals_from_std(_basis_duals(a, c, basis))
+    y = std.duals_from_std(_basis_duals(a, c, basis), lp.sense)
     return LpSolution("optimal", float(lp.objective @ x), x, y, budget[0])
 
 

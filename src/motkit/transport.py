@@ -7,6 +7,8 @@ legs g_n with m + sum_n g_n(x_n) >= f pointwise.  `hedge` answers both LPs,
 and given a market the martingale pair, solving only the primal (one column
 per path, fewer rows than the dual has paths): the dual is read off its
 multipliers and kept once `certified` passes, else the dual LP is solved.
+Payoffs on one instance share the primal's rows, so `solve_primals` solves
+them from one assembly and one phase 1.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from functools import reduce
 import numpy as np
 
 from .assembly import DynamicLeg, PrimalLp, certified, primal_lp, superhedge_lp
-from .lp import RESIDUAL_TOL, LpBuilder, LpError, LpNumericalError, check_unbounded_ray, solve
+from .lp import (RESIDUAL_TOL, LpBuilder, LpError, LpNumericalError, check_unbounded_ray,
+                 phase_one, solve)
 from .model import (
     VALUE_TOL,
     Coupling,
@@ -36,6 +39,7 @@ __all__ = [
     "ConstantWitness",
     "SeparatingWitness",
     "solve_primal",
+    "solve_primals",
     "solve_superhedge",
     "hedge",
     "primal_transport",
@@ -91,14 +95,26 @@ class DualSide:
     legs: tuple[DynamicLeg, ...]
 
 
+def solve_primals(instance: Instance, tables, market=None, force_frictional: bool = False):
+    """The primal LP of each payoff table and its solution (optimal, or
+    infeasible under arbitrage), from one assembly and one phase 1."""
+    if not tables:
+        return []
+    first = primal_lp(instance, tables[0], market, force_frictional)
+    start = phase_one(first.lp)
+    pairs = []
+    for primal in [first] + [first.with_payoff(table) for table in tables[1:]]:
+        sol = solve(primal.lp, start=start)
+        if sol.status != "optimal" and (market is None or sol.status != "infeasible"):
+            raise LpError(f"primal LP unexpectedly {sol.status}")  # pragma: no cover
+        pairs.append((primal, sol))
+    return pairs
+
+
 def solve_primal(instance: Instance, table: np.ndarray, market=None,
                  force_frictional: bool = False):
-    """The primal LP and its solution: optimal, or infeasible under arbitrage."""
-    primal = primal_lp(instance, table, market, force_frictional)
-    sol = solve(primal.lp)
-    if sol.status != "optimal" and (market is None or sol.status != "infeasible"):
-        raise LpError(f"primal LP unexpectedly {sol.status}")  # pragma: no cover
-    return primal, sol
+    """The primal LP and its solution: `solve_primals` of one table."""
+    return solve_primals(instance, [table], market, force_frictional)[0]
 
 
 def solve_superhedge(primal: PrimalLp) -> DualSide:
@@ -126,12 +142,14 @@ def _residuals(instance: Instance, table: np.ndarray, market, side: DualSide):
     return float((cover - table).min()), abs(side.value - cost)
 
 
-def hedge(instance: Instance, table: np.ndarray, market=None, force_frictional: bool = False):
+def hedge(instance: Instance, table: np.ndarray, market=None, force_frictional: bool = False,
+          solved=None):
     """The primal LP, its solution, the dual side and the side's residuals
     (superreplication_min, cost identity; None unless optimal).  Only the
-    primal is solved: the side is read off its multipliers and kept once
-    `certified` passes, else (as for an infeasible primal) `solve_superhedge`."""
-    primal, sol = solve_primal(instance, table, market, force_frictional)
+    primal is solved, unless `solved` already holds its pair: the side is read
+    off its multipliers and kept once `certified` passes, else (as for an
+    infeasible primal) `solve_superhedge`."""
+    primal, sol = solved or solve_primal(instance, table, market, force_frictional)
     if sol.status == "optimal":
         legs = () if market is None else primal.trading.extract_legs(sol.duals)
         side = DualSide("optimal", float(sol.duals @ primal.lp.rhs), *primal.static_side(sol),
@@ -249,9 +267,11 @@ class RepresentationReport:
 
 def verify_representation(instance: Instance, payoffs) -> RepresentationReport:
     """Check dual(f) = primal(f) for each payoff (the finite-instance form
-    of the conjugate max-representation), one primal solve per payoff."""
-    sides = [_transport_dual(instance, payoff) for payoff in payoffs]
-    primals = tuple(side[0] for side in sides)
+    of the conjugate max-representation), one primal phase 2 per payoff."""
+    tables = [payoff.table_for(instance) for payoff in payoffs]
+    sides = [hedge(instance, table, solved=pair)
+             for table, pair in zip(tables, solve_primals(instance, tables))]
+    primals = tuple(side[1].value for side in sides)
     duals = tuple(side[2].value for side in sides)
     gaps = tuple(abs(p - d) for p, d in zip(primals, duals))
     return RepresentationReport(primals, duals, gaps, max(gaps, default=0.0))

@@ -422,13 +422,10 @@ class LoopStandardizer:
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         n = lp.n_variables
-        sign = -1.0 if lp.sense == "max" else 1.0
-        c_orig = sign * lp.objective
 
         # var j -> (kind, columns); kind in {"shift", "mirror", "split"}
         self.var_map: list[tuple[str, tuple[int, ...]]] = []
         self.offsets = np.zeros(n)
-        cols_c: list[float] = []
         cols_a: list[np.ndarray] = []  # column snippets over original rows
         bound_rows: list[tuple[int, float]] = []  # (z column, range upper-lower)
 
@@ -436,31 +433,27 @@ class LoopStandardizer:
             lo, up = lp.lower[j], lp.upper[j]
             col = lp.a[:, j]
             if np.isfinite(lo):
-                z = len(cols_c)
+                z = len(cols_a)
                 self.var_map.append(("shift", (z,)))
                 self.offsets[j] = lo
-                cols_c.append(c_orig[j])
                 cols_a.append(col)
                 if np.isfinite(up):
                     bound_rows.append((z, up - lo))
             elif np.isfinite(up):
-                z = len(cols_c)
+                z = len(cols_a)
                 self.var_map.append(("mirror", (z,)))
                 self.offsets[j] = up
-                cols_c.append(-c_orig[j])
                 cols_a.append(-col)
             else:
-                zp = len(cols_c)
-                cols_c.append(c_orig[j])
+                zp = len(cols_a)
                 cols_a.append(col)
-                zm = len(cols_c)
-                cols_c.append(-c_orig[j])
+                zm = len(cols_a)
                 cols_a.append(-col)
                 self.var_map.append(("split", (zp, zm)))
 
         m_orig = lp.n_rows
         m_bound = len(bound_rows)
-        n_struct = len(cols_c)
+        n_struct = len(cols_a)
 
         body = np.empty((m_orig + m_bound, n_struct))
         if n_struct:
@@ -494,10 +487,23 @@ class LoopStandardizer:
         self.m_bound = m_bound
         self.bound_rows = bound_rows
         self.n_struct = n_struct
-        self.c_std = np.concatenate([np.array(cols_c), np.zeros(n_slack)])
+        self.n_slack = n_slack
         self.a_std = a_std
         self.b_std = rhs
-        self.obj_sign = sign
+
+    def cost(self, lp: LinearProgram) -> np.ndarray:
+        """c of the standard form for the objective and sense of `lp`."""
+        sign = -1.0 if lp.sense == "max" else 1.0
+        c_orig = sign * lp.objective
+        cols_c: list[float] = []
+        for j, (kind, cols) in enumerate(self.var_map):
+            if kind == "shift":
+                cols_c.append(c_orig[j])
+            elif kind == "mirror":
+                cols_c.append(-c_orig[j])
+            else:
+                cols_c.extend([c_orig[j], -c_orig[j]])
+        return np.concatenate([np.array(cols_c), np.zeros(self.n_slack)])
 
     def x_from_z(self, z: np.ndarray) -> np.ndarray:
         x = np.empty(self.lp.n_variables)
@@ -521,10 +527,10 @@ class LoopStandardizer:
                 r[j] = dz[cols[0]] - dz[cols[1]]
         return r
 
-    def duals_from_std(self, y_std: np.ndarray) -> np.ndarray:
+    def duals_from_std(self, y_std: np.ndarray, sense: str) -> np.ndarray:
         # undo row negation, then undo the sense flip
         y = (self.sigma * y_std)[: self.m_orig]
-        return self.obj_sign * y
+        return (-1.0 if sense == "max" else 1.0) * y
 
     def farkas_from_std(self, y_std: np.ndarray) -> FarkasCertificate:
         yhat = self.sigma * y_std
@@ -654,7 +660,7 @@ def full_tableau_solve(lp: LinearProgram, *, pivot_rule: str | None = None,
     if pivot_rule not in ("dantzig", "bland"):
         raise ValueError("pivot_rule must be 'dantzig' or 'bland'")
     std = _Standardizer(lp)
-    a, b, c = std.a_std, std.b_std, std.c_std
+    a, b, c = std.a_std, std.b_std, std.cost(lp)
     m, n = a.shape
 
     bland_after = 1000 + 20 * (m + n)
@@ -727,7 +733,7 @@ def full_tableau_solve(lp: LinearProgram, *, pivot_rule: str | None = None,
     z = np.maximum(z, 0.0)
     x = std.x_from_z(z[:n])
     x = np.clip(x, lp.lower, lp.upper)
-    y = std.duals_from_std(_basis_duals(a, c, col_ids[basis]))
+    y = std.duals_from_std(_basis_duals(a, c, col_ids[basis]), lp.sense)
     return LpSolution("optimal", float(lp.objective @ x), x, y, budget[0])
 
 

@@ -26,12 +26,12 @@ def runner():
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """Counts solve() calls at every motkit binding of it, LpBuilder
-    constructions and payoff expansions; "rows_max" is the most rows of
-    any LP solved."""
+    """Counts solve() and phase_one() calls at every motkit binding of them,
+    LpBuilder constructions and payoff expansions; "rows_max" is the most
+    rows of any LP solved."""
     counts = Counter()
-    originals = {"solve": lp_module.solve, "builders": lp_module.LpBuilder.__init__,
-                 "expansions": Payoff.table_for}
+    originals = {"solve": lp_module.solve, "phase_one": lp_module.phase_one,
+                 "builders": lp_module.LpBuilder.__init__, "expansions": Payoff.table_for}
 
     def counting(key):
         def wrapper(*args, **kwargs):
@@ -44,8 +44,9 @@ def lp_calls(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "motkit" and module is not None:
             for attr, value in list(vars(module).items()):
-                if value is originals["solve"]:
-                    monkeypatch.setattr(module, attr, counting("solve"))
+                for key in ("solve", "phase_one"):
+                    if value is originals[key]:
+                        monkeypatch.setattr(module, attr, counting(key))
     monkeypatch.setattr(lp_module.LpBuilder, "__init__", counting("builders"))
     monkeypatch.setattr(Payoff, "table_for", counting("expansions"))
     return counts
@@ -181,10 +182,11 @@ class TestSolveCounts:
         assert (lp_calls["solve"], lp_calls["builders"]) == (2, 1)
 
     def test_counterexample_solves_only_short_lps(self, runner, lp_calls):
-        # per depth n <= 6: the primals of the payoffs 1 and x_n, 2n rows each
+        # per depth n <= 6: the primals of the payoffs 1 and x_n, 2n rows each,
+        # from one assembly and one phase 1
         result = runner.invoke(main, ["counterexample", "--depth", "6"])
         assert result.exit_code == 0, result.output
-        assert lp_calls["solve"] == lp_calls["builders"] == 12
+        assert (lp_calls["solve"], lp_calls["builders"], lp_calls["phase_one"]) == (12, 6, 6)
         assert lp_calls["rows_max"] == 12
 
 
@@ -328,8 +330,8 @@ def test_no_module_imports_a_private_name_of_another():
 
 def test_only_transport_solves_or_certifies():
     """The duality route stays one route: no module but transport binds
-    `lp.solve` or `assembly.certified`.  The package namespace re-exports
-    `solve` for library users and calls nothing."""
+    `lp.solve`, `lp.phase_one` or `assembly.certified`.  The package
+    namespace re-exports `solve` for library users and calls nothing."""
     package = Path(motkit.__file__).resolve().parent
     bound = []
     for path in sorted(package.glob("*.py")):
@@ -338,9 +340,10 @@ def test_only_transport_solves_or_certifies():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ImportFrom):
                 bound += [f"{path.name}: {alias.name}" for alias in node.names
-                          if alias.name in ("solve", "certified")]
+                          if alias.name in ("solve", "phase_one", "certified")]
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and (node.value.id, node.attr) in (("lp", "solve"), ("assembly", "certified"))):
+                  and (node.value.id, node.attr) in (("lp", "solve"), ("lp", "phase_one"),
+                                                     ("assembly", "certified"))):
                 bound.append(f"{path.name}: {node.value.id}.{node.attr}")
     assert not bound
 

@@ -16,6 +16,7 @@ from motkit.lp import (
     check_certificates,
     check_farkas_certificate,
     check_unbounded_ray,
+    phase_one,
     primal_residual,
     solve,
     write_mps,
@@ -309,14 +310,17 @@ class TestStandardForm:
             # the relation codes the standard form and the checkers read
             assert lp.relation_codes.tolist() == [lp_module.RELATIONS[r] for r in lp.relations]
             assert not lp.relation_codes.flags.writeable
-            for attr in ("a_std", "b_std", "c_std"):
+            for attr in ("a_std", "b_std"):
                 assert _bits(getattr(new, attr)) == _bits(getattr(ref, attr)), attr
+            assert _bits(new.cost(lp)) == _bits(ref.cost(lp))
             m, n = new.a_std.shape
             z = dyadic(rng, 0, 3, size=n, scale=4)
             z[rng.random(n) < 0.3] = -0.0
             y = dyadic(rng, -2, 2, size=m, scale=4)
-            for name, arg in (("x_from_z", z), ("ray_from_z", z), ("duals_from_std", y)):
-                assert _bits(getattr(new, name)(arg)) == _bits(getattr(ref, name)(arg)), name
+            for name, *args in (("x_from_z", z), ("ray_from_z", z),
+                                ("duals_from_std", y, lp.sense)):
+                mine, theirs = getattr(new, name)(*args), getattr(ref, name)(*args)
+                assert _bits(mine) == _bits(theirs), name
             seen.update(self.KINDS[lo, up] for lo, up in zip(np.isfinite(lp.lower),
                                                             np.isfinite(lp.upper)))
             seen.update(lp.relations + (lp.sense,))
@@ -622,6 +626,56 @@ class TestFusedSimplex:
         assert sol.status == "optimal" and sol.value == 0.0
         assert primal_residual(lp, sol.x) == 0.0
         self._compare(monkeypatch, lp, pivot_rule)
+
+
+class TestWarmStart:
+    """solve(lp, start=phase_one(...)) from the rows of another objective:
+    phase 1 reads only the rows, so a warm solve is the cold solve, bit for
+    bit, and the full-tableau oracle's."""
+
+    def test_warm_equals_cold_and_full_tableau(self):
+        rng = np.random.default_rng(20)
+        statuses = Counter()
+        for lp in TestStandardForm._lps():
+            start = phase_one(lp)
+            snapshot = [_bits(arr) for arr in (start.tableau, start.basis, start.nonbasic)]
+            for sense in ("min", "max"):
+                lp2 = dataclasses.replace(
+                    lp, objective=dyadic(rng, -2, 2, size=lp.n_variables, scale=4), sense=sense)
+                warm = solve(lp2, start=start)
+                _same_solution(warm, solve(lp2))
+                _same_solution(warm, full_tableau_solve(lp2))
+                statuses[warm.status] += 1
+            assert [_bits(arr) for arr in (start.tableau, start.basis, start.nonbasic)] == snapshot
+            assert not start.tableau.flags.writeable
+        assert len(statuses) == 3 and min(statuses.values()) >= 20, statuses
+
+    def test_start_reused_gives_the_same_bytes(self):
+        market = binomial_market(np.random.default_rng(24), 2, d=1, epsilons=[0.0])
+        primal = primal_lp(market.instance, random_payoff_table(
+            np.random.default_rng(25), market.instance), market)
+        start = phase_one(primal.lp)
+        first = solve(primal.lp, start=start)
+        assert first.status == "optimal" and first.iterations > start.budget[0]
+        for _ in range(3):
+            _same_solution(solve(primal.lp, start=start), first)
+        _same_solution(solve(dataclasses.replace(primal.lp, sense="min"), start=start),
+                       solve(dataclasses.replace(primal.lp, sense="min")))
+
+    def test_other_rows_or_pivot_rule_raise(self):
+        lp = _lp("min", [1.0, 1.0], [[1.0, 2.0], [1.0, -1.0]], ["<=", ">="], [3.0, 0.0])
+        start = phase_one(lp)
+        copies = {"a": lp.a.copy(), "rhs": lp.rhs.copy(), "lower": lp.lower.copy(),
+                  "upper": lp.upper.copy(), "relations": tuple(list(lp.relations))}
+        for name, equal in copies.items():
+            with pytest.raises(ValueError, match="other rows"):
+                solve(dataclasses.replace(lp, **{name: equal}), start=start)
+        with pytest.raises(ValueError, match="pivot rule"):
+            solve(lp, start=start, pivot_rule="bland")
+        with pytest.raises(ValueError, match="pivot rule"):
+            solve(lp, start=phase_one(lp, pivot_rule="bland"))
+        _same_solution(solve(lp, start=phase_one(lp, pivot_rule="bland"), pivot_rule="bland"),
+                       solve(lp, pivot_rule="bland"))
 
 
 def _rescaled(market: Market, factor: float) -> Market:

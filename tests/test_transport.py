@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from motkit import transport
-from motkit.lp import solve
+from motkit.lp import phase_one, solve
 from motkit.model import (
     Coupling,
     DiscreteAxis,
@@ -217,6 +217,22 @@ class TestRepresentation:
             report = verify_representation(inst, payoffs)
             worst = max(worst, report.max_gap)
         assert worst <= GAP_TOL
+
+    def test_one_phase_one_and_the_cold_bits(self, monkeypatch):
+        """All payoffs of one instance from one phase 1, each value the bits
+        of its own cold solve."""
+        rng = np.random.default_rng(6)
+        inst = random_hull_instance(rng, 2, max_points=3)
+        payoffs = [Payoff.dense(random_payoff_table(rng, inst)) for _ in range(4)]
+        starts = []
+        monkeypatch.setattr(transport, "phase_one",
+                            lambda lp, **kw: starts.append(lp) or phase_one(lp, **kw))
+        report = verify_representation(inst, payoffs)
+        assert len(starts) == 1
+        monkeypatch.undo()
+        for payoff, primal, dual in zip(payoffs, report.primal_values, report.dual_values):
+            assert primal == primal_transport(inst, payoff)[0]
+            assert dual == dual_transport(inst, payoff).value
 
 
 class TestFunctionalProperties:
