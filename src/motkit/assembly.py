@@ -7,9 +7,11 @@ The superhedge LP is the primal's LP dual plus one free cash column: each
 primal row becomes a column (a static leg, a hull axis's price, a trading
 position) and each primal column a row (a path's superreplication row, a
 hull vertex's epigraph row), so it is laid out by index arithmetic on the
-primal and never assembled twice.  Each builder returns the LP with the ids
-of its blocks, and solutions are read through those ids only.  Nothing
-here solves an LP.
+primal and never assembled twice.  The primal's rows and columns are the
+only ids of a dual side: `superhedge_lp` returns the two maps that carry
+its point and duals back onto them, and `PrimalLp.side` reads the primal's
+multipliers and the superhedge LP's solution alike.  Nothing here solves
+an LP.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 from .lp import RESIDUAL_TOL, LinearProgram, LpBuilder
 from .model import Coupling, Instance
 
-__all__ = ["DynamicLeg", "TradingCatalog", "PrimalLp", "SuperhedgeLp",
-           "primal_lp", "superhedge_lp", "certified"]
+__all__ = ["DynamicLeg", "DualSide", "TradingCatalog", "PrimalLp", "primal_lp",
+           "superhedge_lp", "certified"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +52,19 @@ class DynamicLeg:
         return total
 
 
+@dataclass(frozen=True, eq=False)
+class DualSide:
+    """Cash m, static legs g >= 0, hull mixtures and (with a market) dynamic legs:
+    "optimal" at cost `value`, or "unbounded", a checked ray with no mixtures."""
+
+    status: str
+    value: float
+    m: float
+    g: tuple[np.ndarray, ...]
+    mixtures: tuple[np.ndarray, ...] | None
+    legs: tuple[DynamicLeg, ...]
+
+
 def _ancestor_prefix(instance: Instance, level: int, ancestor_level: int) -> np.ndarray:
     """Map prefix ids at `level` to their ancestor ids at `ancestor_level`."""
     stride = int(np.prod(instance.shape[ancestor_level:level], initial=1))
@@ -59,11 +74,10 @@ def _ancestor_prefix(instance: Instance, level: int, ancestor_level: int) -> np.
 @dataclass(frozen=True, eq=False)
 class TradingCatalog:
     """Ids of a strategy's dynamic-trading terms: the MOT primal's pricing
-    rows, or the superhedge LP columns that are their multipliers (the same
-    catalog under `relabel`).  ``h_vars[(a, n)]`` are the positions over
-    period n per prefix of length n - 1 (frictionless assets, martingale
-    rows in the primal), ``trade_vars[(a, N, n)]`` the (buy, sell) trades
-    opened at n - 1 and closed at N (frictional assets, ask and bid rows)."""
+    rows, whose multipliers are the terms.  ``h_vars[(a, n)]`` are the
+    positions over period n per prefix of length n - 1 (frictionless assets,
+    martingale rows), ``trade_vars[(a, N, n)]`` the (buy, sell) trades opened
+    at n - 1 and closed at N (frictional assets, ask and bid rows)."""
 
     market: object  # a motkit.martingale.Market
     h_vars: dict
@@ -102,14 +116,8 @@ class TradingCatalog:
                     trade_rows[(a, mat, n + 1)] = (rows[0::2], rows[1::2])
         return cls(market, h_rows, trade_rows)
 
-    def relabel(self, ids: np.ndarray) -> "TradingCatalog":
-        """The same terms under new ids: ``ids[k]`` replaces id k."""
-        return TradingCatalog(self.market, {key: ids[rows] for key, rows in self.h_vars.items()},
-                              {key: (ids[asks], ids[bids])
-                               for key, (asks, bids) in self.trade_vars.items()})
-
     def extract_legs(self, x: np.ndarray) -> tuple[DynamicLeg, ...]:
-        """The legs at the superhedge point x, or at the primal multipliers x."""
+        """The legs at the multipliers x of the primal's rows."""
         market = self.market
         instance = market.instance
         t_horizon = market.horizon
@@ -177,34 +185,16 @@ class PrimalLp:
         objective[self.paths] = table
         return replace(self, lp=replace(self.lp, objective=objective))
 
-    def static_side(self, sol):
-        """Cash m, legs g_n >= 0 and hull mixtures read off an optimal primal:
-        the multipliers of axis n's marginal rows are a free leg whose minimum
-        moves into the cash (the marginals are probabilities), lambda the mixture."""
-        free = [sol.duals[rows] for rows in self.marginal_rows]
-        return (float(sum(g.min() for g in free)), tuple(g - g.min() for g in free),
-                _mixtures(sol.x, self.lambdas))
-
-
-@dataclass(frozen=True, eq=False)
-class SuperhedgeLp:
-    """min cost: the cash column 0, then per axis its legs g_n >= 0 (a hull
-    axis first adds its price column t), then the trading columns; per hull
-    axis one epigraph row t >= <g_n, nu> per vertex nu, then one
-    superreplication row per path."""
-
-    lp: LinearProgram
-    legs: tuple[np.ndarray, ...]
-    epigraph_rows: tuple[np.ndarray | None, ...]
-    trading: TradingCatalog | None
-
-    def position(self, x: np.ndarray) -> tuple[float, tuple[np.ndarray, ...]]:
-        """Cash and static legs at the point x."""
-        return float(x[0]), tuple(x[ids] for ids in self.legs)
-
-    def mixtures(self, duals: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Hull mixture weights: the multipliers of the epigraph rows."""
-        return _mixtures(duals, self.epigraph_rows)
+    def side(self, status: str, value: float, cash: float, rows: np.ndarray,
+             columns: np.ndarray | None) -> DualSide:
+        """The dual side with cash `cash` and multiplier rows[i] on primal row
+        i: the legs g_n from the marginal rows, dynamic legs from the pricing
+        rows, and hull mixtures from the lambda entries of `columns`, a value
+        per primal column (None for a ray)."""
+        legs = () if self.trading is None else self.trading.extract_legs(rows)
+        mixtures = None if columns is None else _mixtures(columns, self.lambdas)
+        return DualSide(status, value, cash, tuple(rows[ids] for ids in self.marginal_rows),
+                        mixtures, legs)
 
 
 def primal_lp(instance: Instance, table: np.ndarray, market=None,
@@ -238,12 +228,13 @@ def primal_lp(instance: Instance, table: np.ndarray, market=None,
                     tuple(lambda_rows), trading)
 
 
-def superhedge_lp(primal: PrimalLp) -> SuperhedgeLp:
-    """The LP dual of `primal` plus a free cash column in every path row.
-    Each primal row is a column priced at its rhs: free on "=", >= 0 on
-    "<=", and the legs (the marginal rows) >= 0.  Each primal column is a
-    ">=" row on its objective: the lambdas' epigraph rows, then the paths'
-    superreplication rows."""
+def superhedge_lp(primal: PrimalLp) -> tuple[LinearProgram, np.ndarray, np.ndarray]:
+    """The LP dual of `primal` plus a free cash column 0 in every path row,
+    and its maps onto the primal: column 1 + k is primal row ``order[k]``,
+    row i is primal column ``sources[i]``.  Each primal row is a column
+    priced at its rhs: free on "=", >= 0 on "<=", and the legs (the marginal
+    rows) >= 0.  Each primal column is a ">=" row on its objective: the
+    lambdas' epigraph rows, then the paths' superreplication rows."""
     lp, n_paths = primal.lp, primal.paths.size
     # the primal rows in column order: a hull axis's lambda row (its price t)
     # before its marginal rows, the ask rows of a trade block before its bids
@@ -253,20 +244,16 @@ def superhedge_lp(primal: PrimalLp) -> SuperhedgeLp:
             order[rows[0]: lam_row + 1] = np.r_[lam_row, rows]
     for asks, bids in (primal.trading.trade_vars.values() if primal.trading else ()):
         order[asks[0]: bids[-1] + 1] = np.r_[asks, bids]
-    column = np.empty_like(order)
-    column[order] = np.arange(1, lp.n_rows + 1)
     sources = np.r_[n_paths: lp.n_variables, primal.paths]
     a = np.zeros((lp.n_variables, lp.n_rows + 1))
     a[lp.n_variables - n_paths:, 0] = 1.0
     a[:, 1:] = lp.a[np.ix_(order, sources)].T
-    lower = np.r_[-np.inf, np.where(lp.relation_codes[order] == 0, -np.inf, 0.0)]
-    legs = tuple(column[rows] for rows in primal.marginal_rows)
-    lower[np.concatenate(legs)] = 0.0
-    dual = LinearProgram("min", np.r_[1.0, lp.rhs[order]], lower, np.full(lower.size, np.inf),
-                         a, (">=",) * lp.n_variables, lp.objective[sources])
-    epigraph = tuple(None if lams is None else lams - n_paths for lams in primal.lambdas)
-    trading = None if primal.trading is None else primal.trading.relabel(column)
-    return SuperhedgeLp(dual, legs, epigraph, trading)
+    lower = np.where(lp.relation_codes == 0, -np.inf, 0.0)
+    lower[np.concatenate(primal.marginal_rows)] = 0.0
+    dual = LinearProgram("min", np.r_[1.0, lp.rhs[order]], np.r_[-np.inf, lower[order]],
+                         np.full(lp.n_rows + 1, np.inf), a, (">=",) * lp.n_variables,
+                         lp.objective[sources])
+    return dual, order, sources
 
 
 def certified(value: float, dual_value: float, superreplication_min: float,

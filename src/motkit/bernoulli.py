@@ -85,7 +85,8 @@ def tail_forced_dual_bound(depth: int) -> tuple[float, float, tuple[np.ndarray, 
     LP above is solved).  Returns (value, certificate m, certificate legs).
     """
     instance = bernoulli_instance(depth)
-    side = hedge(instance, np.ones(instance.n_paths))[2]
+    ones = np.ones(instance.n_paths)
+    side = hedge(*solve_primal(instance, ones), ones)[0]
     return side.value, side.m, side.g
 
 
@@ -153,7 +154,7 @@ def gap_report(depth: int) -> BernoulliGapReport:
     instance = bernoulli_instance(depth)
     ones, last = np.ones(instance.n_paths), instance.coordinate_values(depth - 1)[:, 0]
     unit, bound = solve_primals(instance, [ones, last])
-    side = hedge(instance, ones, solved=unit)[2]
+    side = hedge(*unit, ones)[0]
     return BernoulliGapReport(
         depth=depth,
         dual_value=side.value,

@@ -189,7 +189,7 @@ def check_arbitrage_cmd(input_path, output, fmt, dump_lp):
     if dump_lp:
         zero = Payoff.constant(0.0, market.instance).table
         primal = primal_lp(market.instance, zero, market)
-        write_output(write_mps(superhedge_lp(primal).lp), dump_lp)
+        write_output(write_mps(superhedge_lp(primal)[0]), dump_lp)
     ftap = ftap_check(market)
     verdict = ftap.verdict
     values = {

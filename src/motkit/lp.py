@@ -18,9 +18,10 @@ Solutions carry one dual multiplier per constraint row.  Sign convention:
     sense = "max":  all inequalities above are mirrored.
 
 Infeasible solves carry a Farkas certificate (a contradiction-producing
-nonnegative combination of the rows and bounds); unbounded solves carry an
-improving feasible ray.  ``check_certificates`` and the two ray/Farkas
-checkers recompute every residual from the raw problem data.
+nonnegative combination of the rows and bounds), which phase 1 checks before
+it reports infeasibility; unbounded solves carry an improving feasible ray.
+``check_certificates`` and the two ray/Farkas checkers recompute every
+residual from the raw problem data.
 
 Phase 1 reads only the rows, rhs, bounds and relations.  A start
 (``phase_one``) holds its result; ``solve`` runs phase 2 from one made from
@@ -485,6 +486,8 @@ def phase_one(lp: LinearProgram, *, pivot_rule: str | None = None,
         art = nonbasic >= n
         y[nonbasic[art] - n] = 1.0 - tableau[-1, :-1][art]
         cert = std.farkas_from_std(y)
+        if not check_farkas_certificate(lp, cert) <= RESIDUAL_TOL:
+            raise LpNumericalError("phase 1 infeasible with no checked Farkas certificate")
         infeasible = LpSolution("infeasible", float("nan"), None, None, budget[0], farkas=cert)
     else:
         # Drive leftover artificials out of the basis (degenerate pivots): the
@@ -598,8 +601,7 @@ def primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
                   np.where(np.isfinite(lp.upper), x - lp.upper, -np.inf))
 
 
-def check_certificates(lp: LinearProgram, sol: LpSolution,
-                       tol: float = RESIDUAL_TOL) -> CertificateReport:
+def check_certificates(lp: LinearProgram, sol: LpSolution) -> CertificateReport:
     """Recompute all four optimality residuals from scratch."""
     if sol.status != "optimal":
         raise ValueError("check_certificates expects an Optimal solution")
@@ -613,19 +615,18 @@ def check_certificates(lp: LinearProgram, sol: LpSolution,
                        np.where(at_lo, -zs, np.where(at_up, zs, np.abs(zs))))
     d_res = _worst(_sign_violation(lp, sgn * y), reduced)
     comp = _worst(np.abs(y * (lp.a @ x - lp.rhs)))
-    lo_term = (zs > tol) & np.isfinite(lp.lower)
-    up_term = (zs < -tol) & np.isfinite(lp.upper)
+    lo_term = (zs > RESIDUAL_TOL) & np.isfinite(lp.lower)
+    up_term = (zs < -RESIDUAL_TOL) & np.isfinite(lp.upper)
     dual_obj = ((float(y @ lp.rhs) if lp.n_rows else 0.0)
                 + float(z[lo_term] @ lp.lower[lo_term] + z[up_term] @ lp.upper[up_term]))
     gap = abs(sol.value - dual_obj) / max(1.0, abs(sol.value))
     return CertificateReport(primal_residual(lp, x), d_res, comp, gap)
 
 
-def check_farkas_certificate(lp: LinearProgram, cert: FarkasCertificate,
-                             tol: float = RESIDUAL_TOL) -> float:
-    """Residual of an infeasibility certificate; <= tol means valid.
+def check_farkas_certificate(lp: LinearProgram, cert: FarkasCertificate) -> float:
+    """Residual of an infeasibility certificate; <= RESIDUAL_TOL means valid.
 
-    Returns max(sign violations, |aggregated row|_inf, tol - margin) so a
+    Returns max(sign violations, |aggregated row|_inf, RESIDUAL_TOL - margin) so a
     valid, strictly separating certificate scores 0.
     """
     w, p, q = cert.row_multipliers, cert.lower_multipliers, cert.upper_multipliers
@@ -636,17 +637,17 @@ def check_farkas_certificate(lp: LinearProgram, cert: FarkasCertificate,
     margin += float((q[up_mask] * lp.upper[up_mask]).sum())
     # multipliers on infinite bounds must vanish
     return max(_worst(_sign_violation(lp, w), -p, q, np.abs(np.where(lo_mask, 0.0, p)),
-                      np.abs(np.where(up_mask, 0.0, q)), np.abs(agg)), tol - margin, 0.0)
+                      np.abs(np.where(up_mask, 0.0, q)), np.abs(agg)), RESIDUAL_TOL - margin, 0.0)
 
 
-def check_unbounded_ray(lp: LinearProgram, ray: np.ndarray,
-                        tol: float = RESIDUAL_TOL) -> float:
-    """Residual of an improving feasible ray; <= tol means valid."""
+def check_unbounded_ray(lp: LinearProgram, ray: np.ndarray) -> float:
+    """Residual of an improving feasible ray; <= RESIDUAL_TOL means valid."""
     drift = float(lp.objective @ ray)
     improving = -drift if lp.sense == "min" else drift
     return max(_worst(_relation_violation(lp, lp.a @ ray),
                       np.where(np.isfinite(lp.lower), -ray, -np.inf),
-                      np.where(np.isfinite(lp.upper), ray, -np.inf)), tol - improving, 0.0)
+                      np.where(np.isfinite(lp.upper), ray, -np.inf)),
+               RESIDUAL_TOL - improving, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -657,9 +658,9 @@ def _mps_name(prefix: str, i: int) -> str:
     return f"{prefix}{i + 1:07d}"
 
 
-def write_mps(lp: LinearProgram, name: str = "MOTKITLP") -> str:
+def write_mps(lp: LinearProgram) -> str:
     """Render the LP in fixed-width MPS for external cross-checking."""
-    rows = [f"NAME          {name}"]
+    rows = ["NAME          MOTKITLP"]
     if lp.sense == "max":
         rows.append("OBJSENSE")
         rows.append("    MAX")

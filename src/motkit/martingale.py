@@ -139,12 +139,13 @@ def superhedge_dual(market: Market, payoff: Payoff,
     """Cheapest semi-static superhedge of the payoff, read off the MOT primal
     (see `transport.hedge`).  Unbounded means a uniform arbitrage exists; the
     improving ray, checked against the superhedge LP, is returned as a strategy."""
-    side = hedge(market.instance, payoff.table_for(market.instance), market, force_frictional)[2]
-    return _superhedge_result(side)
+    table = payoff.table_for(market.instance)
+    return _superhedge_result(hedge(*solve_primal(market.instance, table, market,
+                                                  force_frictional), table)[0])
 
 
 def _superhedge_result(side) -> SuperhedgeResult:
-    """A `transport.DualSide`, its point or ray read as a strategy."""
+    """An `assembly.DualSide`, its point or ray read as a strategy."""
     strategy = SemiStaticStrategy(side.m, side.g, side.legs)
     ray = side.status == "unbounded"
     return SuperhedgeResult(side.status, side.value, None if ray else strategy,
@@ -277,8 +278,9 @@ class ArbitrageError(ValueError):
 def superhedging_duality_report(market: Market, payoff: Payoff) -> DualityReport:
     """Primal martingale value vs superhedging cost, from one MOT primal
     solve (see `transport.hedge`); requires no arbitrage."""
-    primal, sol, side, dual_residuals = hedge(market.instance, payoff.table_for(market.instance),
-                                              market)
+    table = payoff.table_for(market.instance)
+    primal, sol = solve_primal(market.instance, table, market)
+    side, dual_residuals = hedge(primal, sol, table)
     result = _mot_result(primal, sol)
     if result.status != "optimal" or side.status != "optimal":
         raise ArbitrageError(result.status, side.status)

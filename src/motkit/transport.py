@@ -3,12 +3,13 @@
 Primal: maximize <f, mu> over couplings whose n-th marginal equals nu_n
 (Exact) or lies in a convex hull of finitely many measures (ConvexHull).
 Dual: minimize m + sum_n price_n(g_n) over cash m and nonnegative per-axis
-legs g_n with m + sum_n g_n(x_n) >= f pointwise.  `hedge` answers both LPs,
-and given a market the martingale pair, solving only the primal (one column
-per path, fewer rows than the dual has paths): the dual is read off its
-multipliers and kept once `certified` passes, else the dual LP is solved.
-Payoffs on one instance share the primal's rows, so `solve_primals` solves
-them from one assembly and one phase 1.
+legs g_n with m + sum_n g_n(x_n) >= f pointwise; given a market, the
+martingale pair.  Only the primal is solved (one column per path, fewer rows
+than the dual has paths): `hedge` reads the dual off its multipliers and
+keeps it once `certified` passes, else `solve_superhedge` solves the dual LP
+and carries its solution back onto the primal's rows and columns, where
+`PrimalLp.side` reads both.  Payoffs on one instance share the primal's
+rows, so `solve_primals` solves them from one assembly and one phase 1.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import reduce
 
 import numpy as np
 
-from .assembly import DynamicLeg, PrimalLp, certified, primal_lp, superhedge_lp
+from .assembly import DualSide, PrimalLp, certified, primal_lp, superhedge_lp
 from .lp import (RESIDUAL_TOL, LpBuilder, LpError, LpNumericalError, check_unbounded_ray,
                  phase_one, solve)
 from .model import (
@@ -34,7 +35,6 @@ from .model import (
 __all__ = [
     "TransportDualSolution",
     "DualityReport",
-    "DualSide",
     "ConjugateValue",
     "ConstantWitness",
     "SeparatingWitness",
@@ -82,19 +82,6 @@ class DualityReport:
 # the duality route: transport with no market, martingale transport with one
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class DualSide:
-    """Cash m, static legs g >= 0, hull mixtures and (with a market) dynamic legs:
-    "optimal" at cost `value`, or "unbounded", a checked ray with no mixtures."""
-
-    status: str
-    value: float
-    m: float
-    g: tuple[np.ndarray, ...]
-    mixtures: tuple[np.ndarray, ...] | None
-    legs: tuple[DynamicLeg, ...]
-
-
 def solve_primals(instance: Instance, tables, market=None, force_frictional: bool = False):
     """The primal LP of each payoff table and its solution (optimal, or
     infeasible under arbitrage), from one assembly and one phase 1."""
@@ -120,20 +107,26 @@ def solve_primal(instance: Instance, table: np.ndarray, market=None,
 def solve_superhedge(primal: PrimalLp) -> DualSide:
     """Solve the superhedge LP, the LP dual of `primal` plus cash: its optimal
     point, or its improving ray once `check_unbounded_ray` passes against
-    that LP (LpNumericalError if not)."""
-    tall = superhedge_lp(primal)
-    sol = solve(tall.lp)
-    legs = lambda x: () if tall.trading is None else tall.trading.extract_legs(x)
+    that LP (LpNumericalError if not), read onto the primal's rows and its
+    duals onto the primal's columns."""
+    lp, order, sources = superhedge_lp(primal)
+    sol = solve(lp)
     if sol.status == "optimal":
-        return DualSide("optimal", sol.value, *tall.position(sol.x), tall.mixtures(sol.duals),
-                        legs(sol.x))
-    if sol.status != "unbounded" or check_unbounded_ray(tall.lp, sol.ray) > RESIDUAL_TOL:
+        point, columns = sol.x, np.empty(primal.lp.n_variables)
+        columns[sources] = sol.duals
+    elif sol.status != "unbounded" or check_unbounded_ray(lp, sol.ray) > RESIDUAL_TOL:
         raise LpNumericalError(f"superhedge LP {sol.status} with no checked improving ray")
-    return DualSide("unbounded", -np.inf, *tall.position(sol.ray), None, legs(sol.ray))
+    else:
+        point, columns = sol.ray, None
+    rows = np.empty(primal.lp.n_rows)
+    rows[order] = point[1:]
+    return primal.side(sol.status, sol.value, float(point[0]), rows, columns)
 
 
-def _residuals(instance: Instance, table: np.ndarray, market, side: DualSide):
+def _residuals(primal: PrimalLp, table: np.ndarray, side: DualSide):
     """superreplication_min and the cost identity of an optimal side."""
+    instance = primal.instance
+    market = None if primal.trading is None else primal.trading.market
     cover = sum((g[idx] for g, idx in zip(side.g, instance.point_indices())),
                 np.full(instance.n_paths, side.m))
     cover = cover + reduce(lambda total, leg: leg.gains(market, total), side.legs,
@@ -142,24 +135,25 @@ def _residuals(instance: Instance, table: np.ndarray, market, side: DualSide):
     return float((cover - table).min()), abs(side.value - cost)
 
 
-def hedge(instance: Instance, table: np.ndarray, market=None, force_frictional: bool = False,
-          solved=None):
-    """The primal LP, its solution, the dual side and the side's residuals
-    (superreplication_min, cost identity; None unless optimal).  Only the
-    primal is solved, unless `solved` already holds its pair: the side is read
-    off its multipliers and kept once `certified` passes, else (as for an
-    infeasible primal) `solve_superhedge`."""
-    primal, sol = solved or solve_primal(instance, table, market, force_frictional)
+def hedge(primal: PrimalLp, sol, table: np.ndarray):
+    """The dual side of the solved primal of `table` and the side's residuals
+    (superreplication_min, cost identity; None unless optimal).  The side is
+    read off the multipliers and kept once `certified` passes, else (as for
+    an infeasible primal) `solve_superhedge`."""
     if sol.status == "optimal":
-        legs = () if market is None else primal.trading.extract_legs(sol.duals)
-        side = DualSide("optimal", float(sol.duals @ primal.lp.rhs), *primal.static_side(sol),
-                        legs)
-        residuals = _residuals(instance, table, market, side)
+        # the marginals are probabilities: each axis's free multipliers move
+        # their minimum into the cash, leaving legs g_n >= 0
+        rows = sol.duals.copy()
+        floors = [rows[ids].min() for ids in primal.marginal_rows]
+        for ids, floor in zip(primal.marginal_rows, floors):
+            rows[ids] -= floor
+        side = primal.side("optimal", float(sol.duals @ primal.lp.rhs), float(sum(floors)),
+                           rows, sol.x)
+        residuals = _residuals(primal, table, side)
         if certified(sol.value, side.value, *residuals):
-            return primal, sol, side, residuals
+            return side, residuals
     side = solve_superhedge(primal)
-    return primal, sol, side, (_residuals(instance, table, market, side)
-                               if side.status == "optimal" else None)
+    return side, _residuals(primal, table, side) if side.status == "optimal" else None
 
 
 def primal_transport(instance: Instance, payoff: Payoff) -> tuple[float, Coupling]:
@@ -170,7 +164,9 @@ def primal_transport(instance: Instance, payoff: Payoff) -> tuple[float, Couplin
 
 def _transport_dual(instance: Instance, payoff: Payoff):
     """Primal value, coupling, dual solution and its residuals, from `hedge`."""
-    primal, sol, side, residuals = hedge(instance, payoff.table_for(instance))
+    table = payoff.table_for(instance)
+    primal, sol = solve_primal(instance, table)
+    side, residuals = hedge(primal, sol, table)
     if side.status != "optimal":  # pragma: no cover - the transport primal is feasible
         raise LpError("transport dual unexpectedly unbounded")
     dual = TransportDualSolution(side.value, side.m, side.g, side.mixtures)
@@ -269,10 +265,10 @@ def verify_representation(instance: Instance, payoffs) -> RepresentationReport:
     """Check dual(f) = primal(f) for each payoff (the finite-instance form
     of the conjugate max-representation), one primal phase 2 per payoff."""
     tables = [payoff.table_for(instance) for payoff in payoffs]
-    sides = [hedge(instance, table, solved=pair)
-             for table, pair in zip(tables, solve_primals(instance, tables))]
-    primals = tuple(side[1].value for side in sides)
-    duals = tuple(side[2].value for side in sides)
+    pairs = solve_primals(instance, tables)
+    primals = tuple(sol.value for _, sol in pairs)
+    duals = tuple(hedge(primal, sol, table)[0].value
+                  for table, (primal, sol) in zip(tables, pairs))
     gaps = tuple(abs(p - d) for p, d in zip(primals, duals))
     return RepresentationReport(primals, duals, gaps, max(gaps, default=0.0))
 

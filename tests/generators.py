@@ -265,3 +265,15 @@ def product_coupling_weights(marginals) -> np.ndarray:
     for nu in marginals:
         w = np.outer(w, np.asarray(nu, dtype=float)).ravel()
     return w
+
+
+def rescaled_market(market: Market, factor: float) -> Market:
+    """The market with every axis point and the spot prices times `factor`."""
+    axes, constraints = [], []
+    for axis, constraint in zip(market.instance.axes, market.instance.constraints):
+        axis = DiscreteAxis(axis.index, axis.points * factor)
+        axes.append(axis)
+        constraints.append(MarginalConstraint(constraint.kind, tuple(
+            DiscreteMeasure(axis, mu.weights) for mu in constraint.measures)))
+    return Market(Instance(tuple(axes), tuple(constraints)), market.s0 * factor,
+                  market.epsilons)

@@ -4,7 +4,9 @@ Everything here is deliberately independent of the production solver:
 Fractions instead of floats, enumeration instead of pivoting.  Keep these
 slow-and-sure; they are the second route of every dual-route check.  The
 tall LPs at the end, one row per path, are the production superhedge LP
-(the LP dual of the primal plus cash) solved with the production solver.
+(the LP dual of the primal plus cash) solved with the production solver,
+its solution carried onto the primal's rows and columns by the two maps
+`superhedge_lp` returns and read here, not by `PrimalLp.side`.
 `tall_superhedge` and `tall_dual_transport` are the oracle of the duality
 entry points, which solve only the short primal and read the dual side off
 its multipliers; the two-LP duality routes and the three-LP FTAP route
@@ -927,24 +929,39 @@ def translation_check(constraint, values, shift: float) -> bool:
 # the LPs that cheaper routes replaced, kept as the reference of those routes
 # ---------------------------------------------------------------------------
 
+def _solve_tall(primal):
+    """The superhedge LP of `primal` solved, and a reader of its points and
+    rays: (cash, static legs, the multiplier of every primal row)."""
+    lp, order, sources = superhedge_lp(primal)
+    sol = solve(lp)
+
+    def read(x):
+        rows = np.empty(primal.lp.n_rows)
+        rows[order] = x[1:]
+        return float(x[0]), tuple(rows[ids] for ids in primal.marginal_rows), rows
+    return sol, sources, read
+
+
 def tall_tail_forced_dual_bound(depth: int):
     """The Bernoulli tail-forced superreplication LP itself, 2^N rows by
     2N + 1 columns: (value, certificate m, certificate legs)."""
     instance = bernoulli_instance(depth)
-    tall = superhedge_lp(primal_lp(instance, np.ones(instance.n_paths)))
-    sol = solve(tall.lp)
+    sol, _, read = _solve_tall(primal_lp(instance, np.ones(instance.n_paths)))
     if sol.status != "optimal":
         raise LpError(f"tail-forced dual LP unexpectedly {sol.status}")
-    return (sol.value, *tall.position(sol.x))
+    return (sol.value, *read(sol.x)[:2])
 
 
 def tall_superhedge(market, payoff, force_frictional=False) -> SuperhedgeResult:
     """The cheapest superhedge from the superhedge LP itself, one row per path;
     unbounded with the improving ray as a strategy under arbitrage."""
-    sh = superhedge_lp(primal_lp(market.instance, payoff.table_for(market.instance), market,
-                                 force_frictional))
-    sol = solve(sh.lp)
-    strategy = lambda x: SemiStaticStrategy(*sh.position(x), sh.trading.extract_legs(x))
+    primal = primal_lp(market.instance, payoff.table_for(market.instance), market,
+                       force_frictional)
+    sol, _, read = _solve_tall(primal)
+
+    def strategy(x):
+        m, g, rows = read(x)
+        return SemiStaticStrategy(m, g, primal.trading.extract_legs(rows))
     if sol.status == "optimal":
         return SuperhedgeResult("optimal", sol.value, strategy(sol.x))
     if sol.status == "unbounded":
@@ -953,12 +970,20 @@ def tall_superhedge(market, payoff, force_frictional=False) -> SuperhedgeResult:
 
 
 def tall_dual_transport(instance, payoff) -> TransportDualSolution:
-    """The transport dual from its own LP, one row per path."""
-    dual = superhedge_lp(primal_lp(instance, payoff.table_for(instance)))
-    sol = solve(dual.lp)
+    """The transport dual from its own LP, one row per path; a hull axis's
+    mixture is the normalized multipliers of its vertices' epigraph rows."""
+    primal = primal_lp(instance, payoff.table_for(instance))
+    sol, sources, read = _solve_tall(primal)
     if sol.status != "optimal":
         raise LpError(f"transport dual unexpectedly {sol.status}")
-    return TransportDualSolution(sol.value, *dual.position(sol.x), dual.mixtures(sol.duals))
+    row_of = np.empty_like(sources)
+    row_of[sources] = np.arange(sources.size)
+    mixtures = []
+    for lams in primal.lambdas:
+        lam = np.array([1.0]) if lams is None else np.maximum(sol.duals[row_of[lams]], 0.0)
+        total = lam.sum()
+        mixtures.append(lam / total if total > 0 else lam)
+    return TransportDualSolution(sol.value, *read(sol.x)[:2], tuple(mixtures))
 
 
 def three_lp_ftap(market) -> FtapReport:

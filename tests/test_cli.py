@@ -348,6 +348,21 @@ def test_only_transport_solves_or_certifies():
     assert not bound
 
 
+def test_only_primal_side_builds_a_dual_side():
+    """A dual side has one id layout and one reader: the only call that
+    constructs a `DualSide` is in `assembly.PrimalLp.side`."""
+    package = Path(motkit.__file__).resolve().parent
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        readers = [(node.lineno, node.end_lineno) for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "side"]
+        calls += [(path.name, any(first <= node.lineno <= last for first, last in readers))
+                  for node in ast.walk(tree) if isinstance(node, ast.Call) and "DualSide" in (
+                      getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert calls == [("assembly.py", True)]
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(motkit.__file__).resolve().parent.parent)
     code = ("import sys, motkit.cli; "

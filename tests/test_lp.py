@@ -21,8 +21,6 @@ from motkit.lp import (
     solve,
     write_mps,
 )
-from motkit.martingale import Market
-from motkit.model import DiscreteAxis, DiscreteMeasure, Instance, MarginalConstraint
 
 from generators import (
     RELATION_CHOICES,
@@ -30,6 +28,7 @@ from generators import (
     dyadic,
     random_payoff_table,
     random_tiny_lp,
+    rescaled_market,
 )
 import oracles
 from oracles import (
@@ -678,18 +677,6 @@ class TestWarmStart:
                        solve(lp, pivot_rule="bland"))
 
 
-def _rescaled(market: Market, factor: float) -> Market:
-    """The market with every axis point and the spot prices times `factor`."""
-    axes, constraints = [], []
-    for axis, constraint in zip(market.instance.axes, market.instance.constraints):
-        axis = DiscreteAxis(axis.index, axis.points * factor)
-        axes.append(axis)
-        constraints.append(MarginalConstraint(constraint.kind, tuple(
-            DiscreteMeasure(axis, mu.weights) for mu in constraint.measures)))
-    return Market(Instance(tuple(axes), tuple(constraints)), market.s0 * factor,
-                  market.epsilons)
-
-
 class TestRescaledUnits:
     """Prices in units a million times larger or smaller.  The superhedge LPs
     of these markets at x1e6 can end phase 1 unbounded, and the MOT primals
@@ -701,8 +688,8 @@ class TestRescaledUnits:
         for seed in range(0, 12, 2):
             market = binomial_market(np.random.default_rng(seed), 3, d=1, epsilons=[0.05])
             table = random_payoff_table(np.random.default_rng(0), market.instance)
-            large, small = _rescaled(market, 1e6), _rescaled(market, 1e-6)
-            yield superhedge_lp(primal_lp(large.instance, table, large)).lp
+            large, small = rescaled_market(market, 1e6), rescaled_market(market, 1e-6)
+            yield superhedge_lp(primal_lp(large.instance, table, large))[0]
             yield primal_lp(small.instance, table, small).lp
 
     def test_raises_or_certifies(self):
@@ -721,6 +708,18 @@ class TestRescaledUnits:
                 assert check_unbounded_ray(lp, sol.ray) <= RESIDUAL_TOL
             outcomes[sol.status] += 1
         assert sum(outcomes.values()) == 12, outcomes
+
+    @pytest.mark.parametrize("seed", [18, 19, 33])
+    def test_unchecked_infeasible_raises(self, seed):
+        """Phase 1 of these x1e-6 zero-payoff MOT primals ends with a
+        leftover infeasibility whose Farkas certificate fails its check
+        (residual about 4e-7); at x1 they are optimal.  The market is
+        arbitrage-free, so "infeasible" would be a wrong answer."""
+        market = rescaled_market(binomial_market(np.random.default_rng(seed), 3, d=1,
+                                                 epsilons=[0.05]), 1e-6)
+        lp = primal_lp(market.instance, np.zeros(market.instance.n_paths), market).lp
+        with pytest.raises(LpNumericalError, match="Farkas"):
+            solve(lp)
 
 
 class TestDeterminismAndScaling:

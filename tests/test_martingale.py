@@ -37,6 +37,7 @@ from generators import (
     random_hull_instance,
     random_market,
     random_payoff_table,
+    rescaled_market,
 )
 from oracles import (
     loop_mot_primal_matrix,
@@ -215,18 +216,26 @@ class TestTripletAssembly:
 
     @staticmethod
     def _assert_loop_layout(instance, table, market=None, forced=False):
-        sh = superhedge_lp(primal_lp(instance, table, market, forced))
+        primal = primal_lp(instance, table, market, forced)
+        tall, order, sources = superhedge_lp(primal)
         lp, legs, epigraph, positions, trades = loop_superhedge_lp(instance, table, market,
                                                                    forced)
-        _assert_same_bits(sh.lp, lp)
-        assert [g.tolist() for g in sh.legs] == legs
-        assert [None if e is None else e.tolist() for e in sh.epigraph_rows] == epigraph
+        _assert_same_bits(tall, lp)
+        # the ids of the loop layout, taken from the maps onto the primal
+        column = np.empty_like(order)
+        column[order] = np.arange(1, order.size + 1)
+        row = np.empty_like(sources)
+        row[sources] = np.arange(sources.size)
+        assert [column[ids].tolist() for ids in primal.marginal_rows] == legs
+        assert [None if lams is None else row[lams].tolist()
+                for lams in primal.lambdas] == epigraph
         if market is None:
-            assert sh.trading is None
+            assert primal.trading is None
             return
-        assert {key: ids.tolist() for key, ids in sh.trading.h_vars.items()} == positions
-        assert {key: (buys.tolist(), sells.tolist())
-                for key, (buys, sells) in sh.trading.trade_vars.items()} == trades
+        assert {key: column[ids].tolist()
+                for key, ids in primal.trading.h_vars.items()} == positions
+        assert {key: (column[buys].tolist(), column[sells].tolist())
+                for key, (buys, sells) in primal.trading.trade_vars.items()} == trades
 
     def test_matrices_equal_path_by_path_assembly(self):
         rng = np.random.default_rng(8)
@@ -393,6 +402,18 @@ class TestFtapRoute:
                 want.uniform_value, want.strict_value, "no_arbitrage")
             assert report.equivalent and report.no_uniform and report.no_model_independent
 
+    @pytest.mark.parametrize("seed, epsilons", [(1, [0.05]), (5, [0.0])])
+    def test_unforced_fallback_answers(self, monkeypatch, seed, epsilons):
+        """At prices a million times smaller the zero-payoff primal's point
+        fails `primal_residual` with nothing forcing it, and superhedge(0)
+        answers: the market is arbitrage-free, as at x1."""
+        market = rescaled_market(binomial_market(np.random.default_rng(seed), 3, d=1,
+                                                 epsilons=epsilons), 1e-6)
+        senses = self._counting(monkeypatch)
+        report = ftap_check(market)
+        assert senses == ["max", "min"]
+        assert report.verdict.kind == "no_arbitrage" and report.equivalent
+
     def test_failed_ray_certificate_raises(self, monkeypatch):
         def reversed_ray(lp, sol):
             return sol if sol.ray is None else dataclasses.replace(sol, ray=-sol.ray)
@@ -495,6 +516,24 @@ class TestOneLpDuality:
         assert all(np.array_equal(a, b) for a, b in zip(report.dual.g, dual.strategy.g))
         assert report.residuals["superreplication_min"] == float(
             (dual.strategy.outcome(market) - table).min())
+
+    def test_unforced_fallback_answers(self, monkeypatch):
+        """At prices a million times smaller the read-off fails `certified`
+        with nothing forcing it, and the superhedge LP answers.  The primal's
+        point at this scale breaks its own rows, so only the dual side, which
+        is unit-free, is compared with the market at x1."""
+        market = binomial_market(np.random.default_rng(21), 3, d=1, epsilons=[0.0])
+        table = random_payoff_table(np.random.default_rng(0), market.instance)
+        expected = superhedging_duality_report(market, Payoff.dense(table)).dual_value
+        small = rescaled_market(market, 1e-6)
+        senses = []
+        monkeypatch.setattr(transport, "solve",
+                            lambda lp, **kw: senses.append(lp.sense) or solve(lp, **kw))
+        report = superhedging_duality_report(small, Payoff.dense(table))
+        assert senses == ["max", "min"]
+        assert abs(report.dual_value - expected) <= GAP_TOL * max(1.0, abs(expected))
+        superrep, identity = strategy_residuals(small, table, report.dual_value, report.dual)
+        assert superrep >= -1e-8 and identity <= 1e-8
 
     def test_infeasible_primal_reports_both_statuses(self):
         market = _market([([0.0, 2.0], [0.5, 0.5])], [0.9], [0.0])
@@ -642,10 +681,9 @@ class TestWeakDuality:
 class TestFrictionlessReduction:
     def test_no_trade_columns_without_costs(self):
         market = straddle_market()
-        columns = superhedge_lp(primal_lp(market.instance, np.zeros(market.instance.n_paths),
-                                          market)).trading
-        assert not columns.trade_vars
-        assert columns.h_vars
+        trading = primal_lp(market.instance, np.zeros(market.instance.n_paths), market).trading
+        assert not trading.trade_vars
+        assert trading.h_vars
 
     def test_forced_trade_machinery_matches_position_machinery(self):
         rng = np.random.default_rng(4)
@@ -661,9 +699,9 @@ class TestFrictionlessReduction:
     def test_builder_is_deterministic_across_equal_markets(self):
         market = straddle_market()
         table = np.zeros(market.instance.n_paths)
-        lp1 = superhedge_lp(primal_lp(market.instance, table, market)).lp
+        lp1 = superhedge_lp(primal_lp(market.instance, table, market))[0]
         lp2 = superhedge_lp(primal_lp(market.instance, table,
-                                      market.with_epsilons(np.zeros(1)))).lp
+                                      market.with_epsilons(np.zeros(1))))[0]
         assert np.array_equal(lp1.a, lp2.a)
         assert np.array_equal(lp1.objective, lp2.objective)
         assert lp1.relations == lp2.relations
