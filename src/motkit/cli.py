@@ -160,8 +160,7 @@ def solve_mot_cmd(input_path, output, fmt, tol, dump_lp):
     except ArbitrageError as exc:
         values = {"primal_status": exc.primal_status, "dual_status": exc.dual_status}
         residuals = {"detection_tolerance": ARBITRAGE_TOL}
-        _emit("solve-mot", "infeasible" if exc.primal_status == "infeasible" else "arbitrage",
-              values, {}, residuals, started, output, fmt)
+        _emit("solve-mot", "infeasible", values, {}, residuals, started, output, fmt)
         sys.exit(2)
     values = _duality_values(report, tol)
     optimizers = {

@@ -27,7 +27,7 @@ from .model import (
     Payoff,
 )
 from .martingale import Market
-from .payoffs import PAYOFF_GENERATORS
+from .payoffs import PAYOFF_GENERATORS, param_error
 
 __all__ = [
     "DocumentError",
@@ -141,7 +141,7 @@ def _parse_constraint(raw, axis: DiscreteAxis, path: str) -> MarginalConstraint:
     return MarginalConstraint.convex_hull(measures)
 
 
-def _parse_payoff(raw, path: str) -> Payoff:
+def _parse_payoff(raw, instance: Instance, path: str) -> Payoff:
     _require(isinstance(raw, dict), path, "payoff must be an object")
     kind = raw.get("kind")
     fields = {"dense": ("table",), "separable": ("legs",), "named": ("name", "params")}
@@ -162,9 +162,13 @@ def _parse_payoff(raw, path: str) -> Payoff:
     params = raw.get("params", {})
     _require(isinstance(params, dict), f"{path}.params", "must be an object")
     try:
-        return Payoff("named", name=name, params=params)
+        payoff = Payoff("named", name=name, params=params)
     except ValueError as exc:
         raise DocumentError(f"{path}.params", str(exc)) from None
+    error = param_error(payoff.params, instance)
+    if error is not None:
+        raise DocumentError(f"{path}.params.{error[0]}", f"must be {error[1]}")
+    return payoff
 
 
 def _parse_market(raw, instance: Instance, path: str) -> Market:
@@ -226,7 +230,7 @@ def parse_instance(text: str) -> InstanceDocument:
         raise DocumentError("$", str(exc)) from None
     market = (_parse_market(raw["market"], instance, "$.market")
               if raw.get("market") is not None else None)
-    payoff = (_parse_payoff(raw["payoff"], "$.payoff")
+    payoff = (_parse_payoff(raw["payoff"], instance, "$.payoff")
               if raw.get("payoff") is not None else None)
     options = (_parse_options(raw["options"], "$.options")
                if raw.get("options") is not None else SolverOptions())

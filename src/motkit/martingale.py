@@ -137,11 +137,12 @@ class SuperhedgeResult:
 def superhedge_dual(market: Market, payoff: Payoff,
                     force_frictional: bool = False) -> SuperhedgeResult:
     """Cheapest semi-static superhedge of the payoff, read off the MOT primal
-    (see `transport.hedge`).  Unbounded means a uniform arbitrage exists; the
-    improving ray, checked against the superhedge LP, is returned as a strategy."""
+    (see `transport.hedge`).  Unbounded means a uniform arbitrage exists, and
+    an infeasible primal's `solve_superhedge` ray is returned as a strategy."""
     table = payoff.table_for(market.instance)
-    return _superhedge_result(hedge(*solve_primal(market.instance, table, market,
-                                                  force_frictional), table)[0])
+    primal, sol = solve_primal(market.instance, table, market, force_frictional)
+    side = hedge(primal, sol, table)[0] if sol.status == "optimal" else solve_superhedge(primal)
+    return _superhedge_result(side)
 
 
 def _superhedge_result(side) -> SuperhedgeResult:
@@ -267,30 +268,31 @@ def ftap_check(market: Market) -> FtapReport:
 
 
 class ArbitrageError(ValueError):
-    """No superhedging duality: the MOT primal is infeasible."""
+    """An infeasible MOT primal: the superhedge LP is unbounded, with no LP solved.  The
+    cash column makes it feasible, and phase 1 says "infeasible" only with Farkas rows w
+    that pass `check_farkas_certificate`; -w, each axis's marginal rows shifted by their
+    minimum into the cash (a hull axis's lambda-sum row too), is an improving ray of it."""
 
-    def __init__(self, primal_status: str, dual_status: str):
+    primal_status, dual_status = "infeasible", "unbounded"
+
+    def __init__(self):
         super().__init__("superhedging duality needs an arbitrage-free market "
-                         f"(primal {primal_status}, dual {dual_status})")
-        self.primal_status, self.dual_status = primal_status, dual_status
+                         f"(primal {self.primal_status}, dual {self.dual_status})")
 
 
 def superhedging_duality_report(market: Market, payoff: Payoff) -> DualityReport:
     """Primal martingale value vs superhedging cost, from one MOT primal
-    solve (see `transport.hedge`); requires no arbitrage."""
+    solve (see `transport.hedge`); ArbitrageError if that primal is infeasible."""
     table = payoff.table_for(market.instance)
     primal, sol = solve_primal(market.instance, table, market)
-    side, dual_residuals = hedge(primal, sol, table)
-    result = _mot_result(primal, sol)
-    if result.status != "optimal" or side.status != "optimal":
-        raise ArbitrageError(result.status, side.status)
-    residuals = {
-        "superreplication_min": dual_residuals[0],
-        "strategy_cost_identity": dual_residuals[1],
-        "coupling_feasibility": feasibility_residual(market, result.coupling),
-    }
-    return DualityReport(primal_value=result.value, dual_value=side.value,
-                         gap=abs(result.value - side.value), coupling=result.coupling,
+    if sol.status != "optimal":
+        raise ArbitrageError()
+    side, (superrep, identity) = hedge(primal, sol, table)
+    coupling = primal.coupling(sol.x)
+    residuals = {"superreplication_min": superrep, "strategy_cost_identity": identity,
+                 "coupling_feasibility": feasibility_residual(market, coupling)}
+    return DualityReport(primal_value=sol.value, dual_value=side.value,
+                         gap=abs(sol.value - side.value), coupling=coupling,
                          dual=_superhedge_result(side).strategy, residuals=residuals)
 
 

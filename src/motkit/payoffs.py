@@ -8,6 +8,9 @@ Each generator has a closed-form table rule over the product grid:
 * ``forward(n, asset=1)``: the asset coordinate x_n^asset itself.
 * ``cylinder_liminf(depth)``: max_{k<=depth} min_{k<=j<=depth} x_j (first
   asset coordinate), the finite-window approximation of liminf_n x_n.
+
+`param_error` holds what each param must be on an instance; the document
+parser and `expand_named` both apply it, so the generators check nothing.
 """
 
 from __future__ import annotations
@@ -23,36 +26,22 @@ def _axis_values(instance: Instance, n: int) -> np.ndarray:
 
 
 def basket_call(instance: Instance, weights, strike) -> np.ndarray:
-    if len(weights) != instance.horizon:
-        raise ValueError("basket_call needs one weight per axis")
     total = np.zeros(instance.n_paths)
     for pos, w in enumerate(weights):
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        values = instance.coordinate_values(pos)
-        if w.size != values.shape[1]:
-            raise ValueError("weight width must match the asset dimension")
-        total += values @ w
+        total += instance.coordinate_values(pos) @ np.atleast_1d(np.asarray(w, dtype=float))
     return np.maximum(total - float(strike), 0.0)
 
 
 def straddle(instance: Instance, n, m) -> np.ndarray:
-    a = _axis_values(instance, int(n))
-    b = _axis_values(instance, int(m))
-    return np.linalg.norm(b - a, axis=1)
+    return np.linalg.norm(_axis_values(instance, m) - _axis_values(instance, n), axis=1)
 
 
 def forward(instance: Instance, n, asset=1) -> np.ndarray:
-    values = _axis_values(instance, int(n))
-    asset = int(asset)
-    if not 1 <= asset <= values.shape[1]:
-        raise ValueError("asset index out of range")
-    return values[:, asset - 1]
+    return _axis_values(instance, n)[:, asset - 1]
 
 
 def cylinder_liminf(instance: Instance, depth=None) -> np.ndarray:
-    depth = instance.horizon if depth is None else int(depth)
-    if not 1 <= depth <= instance.horizon:
-        raise ValueError("depth must lie in 1..horizon")
+    depth = instance.horizon if depth is None else depth
     coords = np.stack([instance.coordinate_values(pos)[:, 0]
                        for pos in range(depth)])
     # suffix minima min_{k<=j<=depth}, then the max over window starts k
@@ -68,7 +57,50 @@ PAYOFF_GENERATORS = {
 }
 
 
+def _integer(value) -> bool:
+    """An integer; a boolean is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _sequence(value) -> bool:
+    return isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1
+
+
+def _numbers(value, count: int) -> bool:
+    """A sequence of `count` finite numbers, or (count 1) one number."""
+    items = value if _sequence(value) else [value] if count == 1 else []
+    return len(items) == count and all(
+        isinstance(v, (int, float, np.number)) and not isinstance(v, bool)
+        and abs(v) <= np.finfo(float).max for v in items)
+
+
+def param_error(params: dict, instance: Instance):
+    """(name, what it must be) of the first named-payoff param that does not
+    fit `instance`, or None; a generator's required params are present."""
+    axes = {ax.index: ax for ax in instance.axes}
+    naming = (lambda v: _integer(v) and v in axes, "an integer naming an axis")
+    rules = {  # in this order: `asset` reads the axis `n` names
+        "weights": (lambda w: _sequence(w) and len(w) == len(axes) and all(
+            _numbers(x, ax.d) for x, ax in zip(w, instance.axes)),
+            "one weight per axis, each a number or a list of d numbers"),
+        "strike": (lambda k: _numbers(k, 1), "a finite number"),
+        "n": naming,
+        "m": naming,
+        "asset": (lambda a: _integer(a) and 1 <= a <= axes[params["n"]].d,
+                  "an integer in 1..d"),
+        "depth": (lambda k: k is None or _integer(k) and 1 <= k <= len(axes),
+                  f"an integer in 1..{len(axes)}"),
+    }
+    for name, (fits, must) in rules.items():
+        if name in params and not fits(params[name]):
+            return name, must
+    return None
+
+
 def expand_named(name: str, params: dict, instance: Instance) -> np.ndarray:
+    error = param_error(params, instance)
+    if error is not None:
+        raise ValueError(f"{name}: {error[0]} must be {error[1]}")
     table = np.asarray(PAYOFF_GENERATORS[name](instance, **params), dtype=float)
     if table.shape != (instance.n_paths,):
         raise ValueError(f"generator {name!r} produced a wrong-size table")

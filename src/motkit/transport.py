@@ -5,11 +5,11 @@ Primal: maximize <f, mu> over couplings whose n-th marginal equals nu_n
 Dual: minimize m + sum_n price_n(g_n) over cash m and nonnegative per-axis
 legs g_n with m + sum_n g_n(x_n) >= f pointwise; given a market, the
 martingale pair.  Only the primal is solved (one column per path, fewer rows
-than the dual has paths): `hedge` reads the dual off its multipliers and
-keeps it once `certified` passes, else `solve_superhedge` solves the dual LP
-and carries its solution back onto the primal's rows and columns, where
-`PrimalLp.side` reads both.  Payoffs on one instance share the primal's
-rows, so `solve_primals` solves them from one assembly and one phase 1.
+than the dual has paths): `hedge` reads the dual off its optimal multipliers,
+kept once `certified` passes, else solved by `solve_superhedge` onto the
+primal's rows and columns; `PrimalLp.side` reads both.  An infeasible primal
+proves the dual unbounded (`martingale.ArbitrageError`).  Payoffs on one
+instance share the rows: `solve_primals` takes one assembly and one phase 1.
 """
 
 from __future__ import annotations
@@ -136,24 +136,25 @@ def _residuals(primal: PrimalLp, table: np.ndarray, side: DualSide):
 
 
 def hedge(primal: PrimalLp, sol, table: np.ndarray):
-    """The dual side of the solved primal of `table` and the side's residuals
-    (superreplication_min, cost identity; None unless optimal).  The side is
-    read off the multipliers and kept once `certified` passes, else (as for
-    an infeasible primal) `solve_superhedge`."""
-    if sol.status == "optimal":
-        # the marginals are probabilities: each axis's free multipliers move
-        # their minimum into the cash, leaving legs g_n >= 0
-        rows = sol.duals.copy()
-        floors = [rows[ids].min() for ids in primal.marginal_rows]
-        for ids, floor in zip(primal.marginal_rows, floors):
-            rows[ids] -= floor
-        side = primal.side("optimal", float(sol.duals @ primal.lp.rhs), float(sum(floors)),
-                           rows, sol.x)
-        residuals = _residuals(primal, table, side)
-        if certified(sol.value, side.value, *residuals):
-            return side, residuals
+    """The dual side of the optimal primal `sol` of `table` and its residuals
+    (superreplication_min, cost identity): read off the multipliers and kept
+    once `certified` passes, else `solve_superhedge`, which weak duality
+    leaves optimal (LpError if not)."""
+    # the marginals are probabilities: each axis's free multipliers move
+    # their minimum into the cash, leaving legs g_n >= 0
+    rows = sol.duals.copy()
+    floors = [rows[ids].min() for ids in primal.marginal_rows]
+    for ids, floor in zip(primal.marginal_rows, floors):
+        rows[ids] -= floor
+    side = primal.side("optimal", float(sol.duals @ primal.lp.rhs), float(sum(floors)),
+                       rows, sol.x)
+    residuals = _residuals(primal, table, side)
+    if certified(sol.value, side.value, *residuals):
+        return side, residuals
     side = solve_superhedge(primal)
-    return side, _residuals(primal, table, side) if side.status == "optimal" else None
+    if side.status != "optimal":
+        raise LpError(f"superhedge LP {side.status} beside an optimal primal")
+    return side, _residuals(primal, table, side)
 
 
 def primal_transport(instance: Instance, payoff: Payoff) -> tuple[float, Coupling]:
@@ -167,8 +168,6 @@ def _transport_dual(instance: Instance, payoff: Payoff):
     table = payoff.table_for(instance)
     primal, sol = solve_primal(instance, table)
     side, residuals = hedge(primal, sol, table)
-    if side.status != "optimal":  # pragma: no cover - the transport primal is feasible
-        raise LpError("transport dual unexpectedly unbounded")
     dual = TransportDualSolution(side.value, side.m, side.g, side.mixtures)
     return sol.value, primal.coupling(sol.x), dual, residuals
 

@@ -163,16 +163,21 @@ class TestSolveCounts:
         assert result.exit_code == 0, result.output
         assert lp_calls["solve"] == lp_calls["builders"] == lp_calls["expansions"] == 1
 
-    def test_infeasible_primal_still_solves_the_superhedge_for_its_status(
-            self, runner, tmp_path, lp_calls):
+    @pytest.mark.parametrize("command, status, values", [
+        ("solve-mot", "infeasible", {"primal_status": "infeasible", "dual_status": "unbounded"}),
+        ("verify-duality", "arbitrage", {"detail": "superhedging duality needs an arbitrage-free "
+                                                   "market (primal infeasible, dual unbounded)"})],
+        ids=["solve-mot", "verify-duality"])
+    def test_infeasible_primal_answers_its_status_in_one_solve(
+            self, runner, tmp_path, lp_calls, command, status, values):
         path = _write(tmp_path, "arb.json", {**_spot_mismatch_doc(),
                                              "payoff": {"kind": "dense", "table": [0.0, 0.0]}})
-        result = runner.invoke(main, ["solve-mot", "-i", path])
+        result = runner.invoke(main, [command, "-i", path])
         assert result.exit_code == 2
-        assert json.loads(result.output)["values"] == {"primal_status": "infeasible",
-                                                       "dual_status": "unbounded"}
-        # the superhedge LP is the infeasible primal's transpose: one builder
-        assert (lp_calls["solve"], lp_calls["builders"]) == (2, 1)
+        payload = json.loads(result.output)
+        assert (payload["status"], payload["values"]) == (status, values)
+        # the primal's checked phase 1 proves the superhedge LP unbounded
+        assert (lp_calls["solve"], lp_calls["builders"]) == (1, 1)
 
     def test_uniform_arbitrage_takes_two_solves(self, runner, tmp_path, lp_calls):
         path = _write(tmp_path, "arb.json", _spot_mismatch_doc())
@@ -460,6 +465,29 @@ class TestSolveMot:
         result = runner.invoke(main, ["solve-mot", "-i", path])
         assert result.exit_code == 1
         assert f"error: {field}:" in result.output
+
+    @pytest.mark.parametrize("name, params, field", [
+        ("straddle", {"n": 0, "m": 2}, "n"),
+        ("straddle", {"n": 2 ** 70, "m": 2}, "n"),
+        ("straddle", {"n": [1], "m": 2}, "n"),
+        ("straddle", {"n": "NaN", "m": 2}, "n"),
+        ("straddle", {"n": 1.5, "m": 2}, "n"),
+        ("straddle", {"n": True, "m": 2}, "n"),
+        ("straddle", {"n": 1, "m": 3}, "m"),
+        ("forward", {"n": 3}, "n"),
+        ("forward", {"n": 1, "asset": 5}, "asset"),
+        ("cylinder_liminf", {"depth": 9}, "depth"),
+        ("basket_call", {"weights": [1.0], "strike": 1.0}, "weights"),
+        ("basket_call", {"weights": [1.0, [1.0, 2.0]], "strike": 1.0}, "weights"),
+        ("basket_call", {"weights": [1.0, 1.0], "strike": "1"}, "strike")])
+    def test_named_params_that_miss_the_instance_exit_one(self, runner, tmp_path, name,
+                                                          params, field):
+        """Checked at parse time against the two-axis, one-asset grid."""
+        doc = {**_straddle_market_doc(),
+               "payoff": {"kind": "named", "name": name, "params": params}}
+        result = runner.invoke(main, ["solve-mot", "-i", _write(tmp_path, "mot.json", doc)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert f"error: $.payoff.params.{field}: must be " in result.output
 
     def test_infeasible_market_exits_two(self, runner, tmp_path):
         doc = {

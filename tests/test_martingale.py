@@ -542,6 +542,45 @@ class TestOneLpDuality:
         assert (info.value.primal_status, info.value.dual_status) == ("infeasible",
                                                                       "unbounded")
 
+    @pytest.mark.parametrize("seed", [13, 41])
+    def test_rescaled_arbitrage_is_answered_by_the_primal_alone(self, monkeypatch, seed):
+        """At prices a million times larger the superhedge LP's phase 1 ends
+        unbounded; the primal's checked infeasibility answers in one solve."""
+        market = rescaled_market(random_market(np.random.default_rng(seed), 2, d=1,
+                                               epsilons=[0.05]), 1e6)
+        senses = []
+        monkeypatch.setattr(transport, "solve",
+                            lambda lp, **kw: senses.append(lp.sense) or solve(lp, **kw))
+        with pytest.raises(ArbitrageError) as info:
+            superhedging_duality_report(market, Payoff.constant(0.0, market.instance))
+        assert (info.value.primal_status, info.value.dual_status) == ("infeasible",
+                                                                      "unbounded")
+        assert senses == ["max"]
+
+    def test_raises_exactly_when_the_tall_lp_is_unbounded(self):
+        """The superhedge LP solved on its own is the oracle of the status
+        that an infeasible primal implies."""
+        outcomes = set()
+        for s in range(40):
+            eps = [0.05 * (s % 4 // 2)]
+            if s % 2:
+                market = random_market(np.random.default_rng(s), 2, d=1, epsilons=eps)
+            else:
+                base = arbitrage_free_market(np.random.default_rng(1000 + s), 2, d=1,
+                                             epsilons=eps, hull_prob=0.5)
+                market = Market(base.instance, base.s0 * [1.0, 1.7, 0.6][s // 2 % 3],
+                                base.epsilons)
+            payoff = Payoff.dense(random_payoff_table(np.random.default_rng(s),
+                                                      market.instance))
+            try:
+                superhedging_duality_report(market, payoff)
+                status = "optimal"
+            except ArbitrageError:
+                status = "unbounded"
+            assert tall_superhedge(market, payoff).status == status, s
+            outcomes.add(status)
+        assert outcomes == {"optimal", "unbounded"}
+
 
 class TestOneLpEntryPoints:
     """The public duality entry points solve one LP per duality question,

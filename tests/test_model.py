@@ -410,6 +410,12 @@ class TestPayoffs:
         with pytest.raises(ValueError, match=message):
             Payoff.named(name, **params)
 
+    def test_expansion_applies_the_document_rules(self):
+        """A library payoff that misses the instance fails as a document would."""
+        inst = _uniform_instance((2, 2))
+        with pytest.raises(ValueError, match="straddle: m must be an integer naming an axis"):
+            Payoff.named("straddle", n=1, m=3).table_for(inst)
+
     def test_dense_cap_enforced(self):
         shape = (101,) * 3
         axes = tuple(_axis(t + 1, np.arange(101.0)) for t in range(3))

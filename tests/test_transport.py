@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from motkit import transport
-from motkit.lp import phase_one, solve
+from motkit.lp import LpError, phase_one, solve
 from motkit.model import (
     Coupling,
     DiscreteAxis,
@@ -340,3 +340,15 @@ class TestDualityReport:
         assert np.array_equal(report.coupling.weights, coupling.weights)
         assert report.dual.m == dual.m
         assert all(np.array_equal(a, b) for a, b in zip(report.dual.g, dual.g))
+
+    def test_unbounded_fallback_beside_an_optimal_primal_raises(self, monkeypatch):
+        """Weak duality rules it out, so `hedge` raises rather than report it."""
+        inst = random_exact_instance(np.random.default_rng(6), 2, max_points=4)
+        table = random_payoff_table(np.random.default_rng(7), inst)
+        primal, sol = transport.solve_primal(inst, table)
+        side = transport.hedge(primal, sol, table)[0]
+        monkeypatch.setattr(transport, "certified", lambda *args: False)
+        monkeypatch.setattr(transport, "solve_superhedge",
+                            lambda primal: dataclasses.replace(side, status="unbounded"))
+        with pytest.raises(LpError, match="unbounded beside an optimal primal"):
+            transport.hedge(primal, sol, table)
