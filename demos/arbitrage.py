@@ -46,8 +46,8 @@ def describe(name, market):
     verdict = ftap.verdict
     print("verdict:", verdict.kind)
     if verdict.strategy is not None:
-        cost = verdict.strategy.cost(market)
-        worst = float(verdict.strategy.outcome(market).min())
+        cost = verdict.strategy.cost()
+        worst = float(verdict.strategy.outcome().min())
         print(f"witness: cost {cost:.6f}, worst-path outcome {worst:.6f}")
     print("no uniform:", ftap.no_uniform,
           "| no model-independent:", ftap.no_model_independent,

@@ -51,7 +51,7 @@ print("strategy cash:", round(strategy.m, 6))
 for leg in strategy.legs:
     print(f"  dynamic leg maturing at {leg.maturity}: positions",
           [(np.round(h, 6) + 0.0).tolist() for h in leg.h])  # + 0.0: no "-0.0"
-outcome = strategy.outcome(market)
+outcome = strategy.outcome()
 table = straddle.table_for(instance)
 print("worst shortfall of the hedge:", float((outcome - table).min()))
 

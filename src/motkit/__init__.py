@@ -36,7 +36,6 @@ from .lp import (
 from .transport import (
     ConjugateValue,
     DualityReport,
-    TransportDualSolution,
     conjugate_membership,
     dual_transport,
     duality_report,
@@ -50,7 +49,6 @@ from .martingale import (
     FtapReport,
     Market,
     MotPrimalResult,
-    SemiStaticStrategy,
     SuperhedgeResult,
     classify_arbitrage,
     feasibility_residual,

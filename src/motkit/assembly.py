@@ -17,11 +17,12 @@ an LP.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
 from .lp import RESIDUAL_TOL, LinearProgram, LpBuilder
-from .model import Coupling, Instance
+from .model import Coupling, Instance, sublinear_price
 
 __all__ = ["DynamicLeg", "DualSide", "TradingCatalog", "PrimalLp", "primal_lp",
            "superhedge_lp", "certified"]
@@ -39,11 +40,10 @@ class DynamicLeg:
     h: tuple[np.ndarray, ...]
     u: tuple[np.ndarray, ...] | None = None
 
-    def gains(self, market, total: np.ndarray | None = None) -> np.ndarray:
+    def gains(self, market, total: np.ndarray) -> np.ndarray:
         """Trading gains net of friction along every path of the market,
-        added in place onto `total` (a running sum over legs) when given."""
+        added in place onto `total` (a running sum over legs)."""
         instance, s = market.instance, market.price_paths()
-        total = np.zeros(instance.n_paths) if total is None else total
         for n in range(1, self.maturity + 1):
             pid = instance.prefix_ids(n - 1)
             total += np.einsum("pd,pd->p", self.h[n - 1][pid], s[n] - s[n - 1])
@@ -55,7 +55,9 @@ class DynamicLeg:
 @dataclass(frozen=True, eq=False)
 class DualSide:
     """Cash m, static legs g >= 0, hull mixtures and (with a market) dynamic legs:
-    "optimal" at cost `value`, or "unbounded", a checked ray with no mixtures."""
+    "optimal" at cost `value`, or "unbounded", a checked ray with no mixtures.
+    It is the strategy every entry point hands out, bound to the instance and
+    market (None for transport) it was read from, and valued only here."""
 
     status: str
     value: float
@@ -63,6 +65,24 @@ class DualSide:
     g: tuple[np.ndarray, ...]
     mixtures: tuple[np.ndarray, ...] | None
     legs: tuple[DynamicLeg, ...]
+    instance: Instance
+    market: object | None  # a motkit.martingale.Market
+
+    def cost(self) -> float:
+        """m plus the (sub)linear price of every static leg."""
+        constraints = self.instance.constraints
+        return float(sum((sublinear_price(con, g) for con, g in zip(constraints, self.g)), self.m))
+
+    def dynamic_gains(self) -> np.ndarray:
+        """Trading gains net of friction along every path."""
+        return reduce(lambda total, leg: leg.gains(self.market, total), self.legs,
+                      np.zeros(self.instance.n_paths))
+
+    def outcome(self) -> np.ndarray:
+        """m + static legs + dynamic gains along every path."""
+        static = sum((g[idx] for g, idx in zip(self.g, self.instance.point_indices())),
+                     np.full(self.instance.n_paths, self.m))
+        return static + self.dynamic_gains()
 
 
 def _ancestor_prefix(instance: Instance, level: int, ancestor_level: int) -> np.ndarray:
@@ -193,8 +213,9 @@ class PrimalLp:
         per primal column (None for a ray)."""
         legs = () if self.trading is None else self.trading.extract_legs(rows)
         mixtures = None if columns is None else _mixtures(columns, self.lambdas)
+        market = None if self.trading is None else self.trading.market
         return DualSide(status, value, cash, tuple(rows[ids] for ids in self.marginal_rows),
-                        mixtures, legs)
+                        mixtures, legs, self.instance, market)
 
 
 def primal_lp(instance: Instance, table: np.ndarray, market=None,

@@ -205,8 +205,8 @@ def check_arbitrage_cmd(input_path, output, fmt, dump_lp):
         optimizers["witness"] = {
             "m": verdict.strategy.m,
             "g": [g.tolist() for g in verdict.strategy.g],
-            "cost": verdict.strategy.cost(market),
-            "min_outcome": float(verdict.strategy.outcome(market).min()),
+            "cost": verdict.strategy.cost(),
+            "min_outcome": float(verdict.strategy.outcome().min()),
         }
     residuals = {"detection_tolerance": ARBITRAGE_TOL}
     status = "ok" if verdict.kind == "no_arbitrage" else "arbitrage"

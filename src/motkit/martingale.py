@@ -22,26 +22,18 @@ equalities (eps_i = 0) or the full family of bid-ask bands
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .assembly import DynamicLeg
+from .assembly import DualSide, DynamicLeg
 from .lp import RESIDUAL_TOL, primal_residual
-from .model import (
-    VALUE_TOL,
-    Coupling,
-    Instance,
-    Payoff,
-    sublinear_price,
-)
+from .model import VALUE_TOL, Coupling, Instance, Payoff
 from .transport import (DualityReport, hedge, marginal_separation, solve_primal,
                         solve_superhedge)
 
 __all__ = [
     "Market",
     "DynamicLeg",
-    "SemiStaticStrategy",
     "SuperhedgeResult",
     "ArbitrageError",
     "MotPrimalResult",
@@ -82,6 +74,10 @@ class Market:
             raise ValueError("s0 and epsilons must have one entry per asset")
         if np.any(s0 < 0) or np.any(eps < 0):
             raise ValueError("s0 and epsilons must be nonnegative")
+        # bounds every pricing-row coefficient, (1 +- eps) S_n - S_N and S_{n+1} - S_n
+        top = float(np.max([s0.max()] + [ax.points.max() for ax in self.instance.axes]))
+        if not np.isfinite((2.0 + float(eps.max())) * top):
+            raise ValueError("(2 + max eps) * max|S| over the grid points and s0 must be finite")
         s0.setflags(write=False)
         eps.setflags(write=False)
         object.__setattr__(self, "s0", s0)
@@ -105,52 +101,34 @@ class Market:
 
 
 @dataclass(frozen=True, eq=False)
-class SemiStaticStrategy:
-    m: float
-    g: tuple[np.ndarray, ...]
-    legs: tuple[DynamicLeg, ...]
-
-    def cost(self, market: Market) -> float:
-        constraints = market.instance.constraints
-        return float(sum((sublinear_price(con, g) for con, g in zip(constraints, self.g)), self.m))
-
-    def dynamic_gains(self, market: Market) -> np.ndarray:
-        """Trading gains net of friction along every path."""
-        return reduce(lambda total, leg: leg.gains(market, total), self.legs,
-                      np.zeros(market.instance.n_paths))
-
-    def outcome(self, market: Market) -> np.ndarray:
-        """m + static legs + dynamic gains along every path."""
-        static = sum((g[idx] for g, idx in zip(self.g, market.instance.point_indices())),
-                     np.full(market.instance.n_paths, self.m))
-        return static + self.dynamic_gains(market)
-
-
-@dataclass(frozen=True, eq=False)
 class SuperhedgeResult:
+    """The superhedge LP's status and value, with its optimal strategy or
+    (unbounded) its checked improving ray: `assembly.DualSide`s bound to the
+    market, valued by their own `cost()` and `outcome()`."""
+
     status: str  # "optimal" | "unbounded"
     value: float
-    strategy: SemiStaticStrategy | None
-    ray: SemiStaticStrategy | None = None
+    strategy: DualSide | None
+    ray: DualSide | None = None
 
 
 def superhedge_dual(market: Market, payoff: Payoff,
                     force_frictional: bool = False) -> SuperhedgeResult:
     """Cheapest semi-static superhedge of the payoff, read off the MOT primal
-    (see `transport.hedge`).  Unbounded means a uniform arbitrage exists, and
-    an infeasible primal's `solve_superhedge` ray is returned as a strategy."""
+    (see `transport.hedge`) as a `DualSide` on `market`.  Unbounded means a
+    uniform arbitrage exists, and an infeasible primal's `solve_superhedge`
+    ray is returned as the `ray`."""
     table = payoff.table_for(market.instance)
     primal, sol = solve_primal(market.instance, table, market, force_frictional)
     side = hedge(primal, sol, table)[0] if sol.status == "optimal" else solve_superhedge(primal)
     return _superhedge_result(side)
 
 
-def _superhedge_result(side) -> SuperhedgeResult:
-    """An `assembly.DualSide`, its point or ray read as a strategy."""
-    strategy = SemiStaticStrategy(side.m, side.g, side.legs)
+def _superhedge_result(side: DualSide) -> SuperhedgeResult:
+    """An optimal side as the strategy, an unbounded one as the ray."""
     ray = side.status == "unbounded"
-    return SuperhedgeResult(side.status, side.value, None if ray else strategy,
-                            strategy if ray else None)
+    return SuperhedgeResult(side.status, side.value, None if ray else side,
+                            side if ray else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +188,7 @@ class ArbitrageVerdict:
     """
 
     kind: str  # "no_arbitrage" | "uniform"
-    strategy: SemiStaticStrategy | None
+    strategy: DualSide | None
     uniform_value: float
     strict_value: float
 
@@ -293,7 +271,7 @@ def superhedging_duality_report(market: Market, payoff: Payoff) -> DualityReport
                  "coupling_feasibility": feasibility_residual(market, coupling)}
     return DualityReport(primal_value=sol.value, dual_value=side.value,
                          gap=abs(sol.value - side.value), coupling=coupling,
-                         dual=_superhedge_result(side).strategy, residuals=residuals)
+                         dual=side, residuals=residuals)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,8 @@ Each generator has a closed-form table rule over the product grid:
 
 * ``basket_call(weights, strike)``: (sum_n <w_n, x_n> - strike)^+ where w_n
   is a scalar (d = 1) or a length-d vector per axis.
-* ``straddle(n, m)``: Euclidean distance |x_m - x_n| between two dates.
+* ``straddle(n, m)``: Euclidean distance |x_m - x_n| between two dates of
+  one asset width.
 * ``forward(n, asset=1)``: the asset coordinate x_n^asset itself.
 * ``cylinder_liminf(depth)``: max_{k<=depth} min_{k<=j<=depth} x_j (first
   asset coordinate), the finite-window approximation of liminf_n x_n.
@@ -85,7 +86,8 @@ def param_error(params: dict, instance: Instance):
             "one weight per axis, each a number or a list of d numbers"),
         "strike": (lambda k: _numbers(k, 1), "a finite number"),
         "n": naming,
-        "m": naming,
+        "m": (lambda v: naming[0](v) and axes[v].d == axes[params["n"]].d,
+              "an integer naming an axis of n's asset width"),
         "asset": (lambda a: _integer(a) and 1 <= a <= axes[params["n"]].d,
                   "an integer in 1..d"),
         "depth": (lambda k: k is None or _integer(k) and 1 <= k <= len(axes),

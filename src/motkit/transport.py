@@ -15,7 +15,6 @@ instance share the rows: `solve_primals` takes one assembly and one phase 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .model import (
 )
 
 __all__ = [
-    "TransportDualSolution",
     "DualityReport",
     "ConjugateValue",
     "ConstantWitness",
@@ -52,29 +50,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TransportDualSolution:
-    """Optimal (m, g) with per-axis mixture weights on hull vertices."""
-
-    value: float
-    m: float
-    g: tuple[np.ndarray, ...]
-    mixtures: tuple[np.ndarray, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class DualityReport:
     """Primal/dual values, the attained optimizers, and residuals.
 
-    ``dual`` is a TransportDualSolution for transport instances and a
-    SemiStaticStrategy for martingale markets.
+    ``dual`` is the optimal `assembly.DualSide` that `hedge` read, bound to
+    the instance and (for martingale markets) the market.
     """
 
     primal_value: float
     dual_value: float
     gap: float
     coupling: Coupling
-    dual: object
+    dual: DualSide
     residuals: dict
 
 
@@ -123,23 +111,17 @@ def solve_superhedge(primal: PrimalLp) -> DualSide:
     return primal.side(sol.status, sol.value, float(point[0]), rows, columns)
 
 
-def _residuals(primal: PrimalLp, table: np.ndarray, side: DualSide):
+def _residuals(table: np.ndarray, side: DualSide):
     """superreplication_min and the cost identity of an optimal side."""
-    instance = primal.instance
-    market = None if primal.trading is None else primal.trading.market
-    cover = sum((g[idx] for g, idx in zip(side.g, instance.point_indices())),
-                np.full(instance.n_paths, side.m))
-    cover = cover + reduce(lambda total, leg: leg.gains(market, total), side.legs,
-                           np.zeros(instance.n_paths))
-    cost = sum((sublinear_price(con, g) for con, g in zip(instance.constraints, side.g)), side.m)
-    return float((cover - table).min()), abs(side.value - cost)
+    return float((side.outcome() - table).min()), abs(side.value - side.cost())
 
 
 def hedge(primal: PrimalLp, sol, table: np.ndarray):
     """The dual side of the optimal primal `sol` of `table` and its residuals
-    (superreplication_min, cost identity): read off the multipliers and kept
-    once `certified` passes, else `solve_superhedge`, which weak duality
-    leaves optimal (LpError if not)."""
+    (superreplication_min, cost identity), both from the side's own
+    `outcome()` and `cost()`: read off the multipliers and kept once
+    `certified` passes, else `solve_superhedge`, which weak duality leaves
+    optimal (LpError if not)."""
     # the marginals are probabilities: each axis's free multipliers move
     # their minimum into the cash, leaving legs g_n >= 0
     rows = sol.duals.copy()
@@ -148,13 +130,13 @@ def hedge(primal: PrimalLp, sol, table: np.ndarray):
         rows[ids] -= floor
     side = primal.side("optimal", float(sol.duals @ primal.lp.rhs), float(sum(floors)),
                        rows, sol.x)
-    residuals = _residuals(primal, table, side)
+    residuals = _residuals(table, side)
     if certified(sol.value, side.value, *residuals):
         return side, residuals
     side = solve_superhedge(primal)
     if side.status != "optimal":
         raise LpError(f"superhedge LP {side.status} beside an optimal primal")
-    return side, _residuals(primal, table, side)
+    return side, _residuals(table, side)
 
 
 def primal_transport(instance: Instance, payoff: Payoff) -> tuple[float, Coupling]:
@@ -164,15 +146,13 @@ def primal_transport(instance: Instance, payoff: Payoff) -> tuple[float, Couplin
 
 
 def _transport_dual(instance: Instance, payoff: Payoff):
-    """Primal value, coupling, dual solution and its residuals, from `hedge`."""
+    """Primal value, coupling, dual side and its residuals, from `hedge`."""
     table = payoff.table_for(instance)
     primal, sol = solve_primal(instance, table)
-    side, residuals = hedge(primal, sol, table)
-    dual = TransportDualSolution(side.value, side.m, side.g, side.mixtures)
-    return sol.value, primal.coupling(sol.x), dual, residuals
+    return sol.value, primal.coupling(sol.x), *hedge(primal, sol, table)
 
 
-def dual_transport(instance: Instance, payoff: Payoff) -> TransportDualSolution:
+def dual_transport(instance: Instance, payoff: Payoff) -> DualSide:
     """Cheapest cash-plus-static superreplication of the payoff (see `hedge`)."""
     return _transport_dual(instance, payoff)[2]
 

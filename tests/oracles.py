@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from motkit.assembly import primal_lp, superhedge_lp
+from motkit.assembly import DualSide, primal_lp, superhedge_lp
 from motkit.lp import (
     PIVOT_RULE,
     PIVOT_TOL,
@@ -50,12 +50,11 @@ from motkit.martingale import (
     ARBITRAGE_TOL,
     ArbitrageVerdict,
     FtapReport,
-    SemiStaticStrategy,
     SuperhedgeResult,
     primal_mot,
 )
 from motkit.model import VALUE_TOL, Payoff, sublinear_price
-from motkit.transport import TransportDualSolution, primal_transport
+from motkit.transport import primal_transport
 
 
 def _solve_exact(matrix, rhs):
@@ -886,11 +885,12 @@ def transport_dual_residuals(instance, table, dual):
 
 
 def strategy_residuals(market, table, value, strategy):
-    """(superreplication_min, strategy_cost_identity) of a superhedge,
-    recomputed from the raw definitions; the legs must be nonnegative."""
+    """(superreplication_min, strategy_cost_identity) of a superhedge on
+    `market`, valued on its own grid and market; the legs must be
+    nonnegative."""
+    assert strategy.market is market and strategy.instance is market.instance
     assert all(np.all(g >= 0.0) for g in strategy.g)
-    return (float((strategy.outcome(market) - table).min()),
-            abs(strategy.cost(market) - value))
+    return float((strategy.outcome() - table).min()), abs(strategy.cost() - value)
 
 
 def dual_equivalent_split(instance, payoff) -> float:
@@ -961,7 +961,8 @@ def tall_superhedge(market, payoff, force_frictional=False) -> SuperhedgeResult:
 
     def strategy(x):
         m, g, rows = read(x)
-        return SemiStaticStrategy(m, g, primal.trading.extract_legs(rows))
+        return DualSide(sol.status, sol.value, m, g, None, primal.trading.extract_legs(rows),
+                        market.instance, market)
     if sol.status == "optimal":
         return SuperhedgeResult("optimal", sol.value, strategy(sol.x))
     if sol.status == "unbounded":
@@ -969,7 +970,7 @@ def tall_superhedge(market, payoff, force_frictional=False) -> SuperhedgeResult:
     raise LpError(f"superhedge LP unexpectedly {sol.status}")
 
 
-def tall_dual_transport(instance, payoff) -> TransportDualSolution:
+def tall_dual_transport(instance, payoff) -> DualSide:
     """The transport dual from its own LP, one row per path; a hull axis's
     mixture is the normalized multipliers of its vertices' epigraph rows."""
     primal = primal_lp(instance, payoff.table_for(instance))
@@ -983,7 +984,7 @@ def tall_dual_transport(instance, payoff) -> TransportDualSolution:
         lam = np.array([1.0]) if lams is None else np.maximum(sol.duals[row_of[lams]], 0.0)
         total = lam.sum()
         mixtures.append(lam / total if total > 0 else lam)
-    return TransportDualSolution(sol.value, *read(sol.x)[:2], tuple(mixtures))
+    return DualSide("optimal", sol.value, *read(sol.x)[:2], tuple(mixtures), (), instance, None)
 
 
 def three_lp_ftap(market) -> FtapReport:

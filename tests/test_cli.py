@@ -2,8 +2,10 @@
 
 import ast
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from collections import Counter
@@ -368,6 +370,24 @@ def test_only_primal_side_builds_a_dual_side():
     assert calls == [("assembly.py", True)]
 
 
+def test_exported_names_resolve():
+    """Each module's `__all__` and each name the package imports exist, and
+    the strategy types that `DualSide` replaced stay gone."""
+    package = Path(motkit.__file__).resolve().parent
+    modules = [importlib.import_module(f"motkit.{info.name}")
+               for info in pkgutil.iter_modules([str(package)])]
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    imported = [alias.asname or alias.name
+                for node in ast.walk(ast.parse((package / "__init__.py").read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    missing += [f"motkit.{name}" for name in imported if not hasattr(motkit, name)]
+    assert imported and not missing
+    removed = ("SemiStaticStrategy", "TransportDualSolution")
+    assert not [(m.__name__, name) for m in [motkit] + modules for name in removed
+                if hasattr(m, name)]
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(motkit.__file__).resolve().parent.parent)
     code = ("import sys, motkit.cli; "
@@ -444,6 +464,26 @@ class TestMalformedNumbers:
         result = runner.invoke(main, [command, "-i", _write(tmp_path, "doc.json", doc)])
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
         assert f"error: {field}: " in result.output and "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", ["solve-transport", "verify-duality"])
+    def test_straddle_between_asset_widths_exits_one(self, runner, tmp_path, command):
+        """x_2 has two assets and x_1 one: the norm would broadcast."""
+        doc = {**_transport_doc(),
+               "payoff": {"kind": "named", "name": "straddle", "params": {"n": 1, "m": 2}}}
+        doc["axes"][1]["points"] = [[0.0, 1.0], [1.0, 0.0]]
+        result = runner.invoke(main, [command, "-i", _write(tmp_path, "doc.json", doc)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "error: $.payoff.params.m: must be " in result.output
+
+    @pytest.mark.parametrize("command", ["solve-mot", "check-arbitrage", "verify-duality"])
+    def test_market_coefficients_that_overflow_exit_one(self, runner, tmp_path, command):
+        """(1 + eps) S_0 - S_1 overflows at a point of 1.7e308 and eps 0.1."""
+        doc = {**_spot_mismatch_doc(), "payoff": {"kind": "dense", "table": [0.0, 0.0]}}
+        doc["axes"][0]["points"] = [[1.7e308], [0.0]]
+        doc["market"] = {"s0": [1.0], "epsilons": [0.1]}
+        result = runner.invoke(main, [command, "-i", _write(tmp_path, "doc.json", doc)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "error: $.market: " in result.output and "Traceback" not in result.output
 
 
 class TestSolveMot:

@@ -7,7 +7,7 @@ import pytest
 
 from motkit import lp as lp_module
 from motkit import transport
-from motkit.assembly import _ancestor_prefix, primal_lp, superhedge_lp
+from motkit.assembly import DualSide, _ancestor_prefix, primal_lp, superhedge_lp
 from motkit.bernoulli import bernoulli_instance
 from motkit.lp import LpNumericalError, solve
 from motkit.martingale import (
@@ -29,7 +29,7 @@ from motkit.model import (
     MarginalConstraint,
     Payoff,
 )
-from motkit.transport import dual_transport, verify_representation
+from motkit.transport import dual_transport, duality_report, verify_representation
 
 from generators import (
     arbitrage_free_market,
@@ -83,10 +83,10 @@ class TestSuperhedgeDual:
         res = superhedge_dual(market, payoff)
         assert res.status == "optimal"
         assert res.value == pytest.approx(1.0, abs=1e-9)
-        outcome = res.strategy.outcome(market)
+        outcome = res.strategy.outcome()
         table = payoff.table_for(market.instance)
         assert float((outcome - table).min()) >= -1e-8
-        assert res.strategy.cost(market) == pytest.approx(res.value, abs=1e-9)
+        assert res.strategy.cost() == pytest.approx(res.value, abs=1e-9)
 
     def test_constant_payoff_cash_replication(self):
         market = straddle_market()
@@ -137,8 +137,8 @@ class TestClassifyArbitrage:
         assert verdict.arbitrage_exists
         strategy = verdict.strategy
         assert strategy is not None
-        outcome = strategy.outcome(market)
-        cost = strategy.cost(market)
+        outcome = strategy.outcome()
+        cost = strategy.cost()
         if verdict.kind == "uniform":
             assert cost < -1e-9
             assert float(outcome.min()) >= -1e-9
@@ -515,7 +515,7 @@ class TestOneLpDuality:
         assert report.dual.m == dual.strategy.m
         assert all(np.array_equal(a, b) for a, b in zip(report.dual.g, dual.strategy.g))
         assert report.residuals["superreplication_min"] == float(
-            (dual.strategy.outcome(market) - table).min())
+            (dual.strategy.outcome() - table).min())
 
     def test_unforced_fallback_answers(self, monkeypatch):
         """At prices a million times smaller the read-off fails `certified`
@@ -662,8 +662,47 @@ class TestOneLpEntryPoints:
             # transposed from that primal with no builder of its own
             assert senses == ["max", "min"] and built == ["max"]
             assert res.status == "unbounded" and res.strategy is None
-            assert res.ray.cost(shifted) < 0.0
-            assert float(res.ray.outcome(shifted).min()) >= -1e-9
+            assert res.ray.cost() < 0.0
+            assert float(res.ray.outcome().min()) >= -1e-9
+
+    def test_every_entry_point_hands_out_its_bound_dual_side(self):
+        """Each strategy is the `DualSide` read off the LP, bound to the grid
+        and market it came from; its own cost() and outcome() give `hedge`'s
+        residuals bit for bit, and a ray's cover the zero payoff at a
+        negative cost."""
+        def bound(side, instance, market):
+            assert isinstance(side, DualSide)
+            assert side.instance is instance and side.market is market
+            return side
+
+        def valued(side, table):
+            return float((side.outcome() - table).min()), abs(side.value - side.cost())
+
+        rng = np.random.default_rng(43)
+        for market in self._markets():
+            instance = market.instance
+            table = random_payoff_table(rng, instance)
+            payoff = Payoff.dense(table)
+            for on in (market, None):
+                residuals = transport.hedge(*transport.solve_primal(instance, table, on), table)[1]
+                if on is None:
+                    sides = [dual_transport(instance, payoff)]
+                    report = duality_report(instance, payoff)
+                    identity = report.residuals["dual_price_identity"]
+                else:
+                    sides = [superhedge_dual(market, payoff).strategy]
+                    report = superhedging_duality_report(market, payoff)
+                    identity = report.residuals["strategy_cost_identity"]
+                assert (report.residuals["superreplication_min"], identity) == residuals
+                for side in sides + [report.dual]:
+                    assert valued(bound(side, instance, on), table) == residuals
+        spot_mismatch = _market([([0.0, 2.0], [0.5, 0.5])], [0.9], [0.0])
+        zero = Payoff.constant(0.0, spot_mismatch.instance)
+        for ray in (superhedge_dual(spot_mismatch, zero).ray,
+                    ftap_check(spot_mismatch).verdict.strategy):
+            bound(ray, spot_mismatch.instance, spot_mismatch)
+            assert ray.status == "unbounded" and ray.cost() < 0.0
+            assert float(ray.outcome().min()) >= -1e-9
 
 
 class TestSuperhedgingDuality:
@@ -714,7 +753,7 @@ class TestWeakDuality:
             other = primal_mot(market, f_other)
             assert other.status == "optimal"
             lhs = float(f.table_for(market.instance) @ other.coupling.weights)
-            assert lhs <= strategy.cost(market) + 1e-8
+            assert lhs <= strategy.cost() + 1e-8
 
 
 class TestFrictionlessReduction:
@@ -813,7 +852,7 @@ class TestStrategyStructure:
         payoff = Payoff.dense(random_payoff_table(rng, market.instance))
         res = superhedge_dual(market, payoff)
         instance = market.instance
-        gains = res.strategy.dynamic_gains(market)
+        gains = res.strategy.dynamic_gains()
         # paths sharing the level-1 prefix use the same h_2 row: the gains
         # difference equals the position times the price move difference
         pid = instance.prefix_ids(1)
@@ -869,7 +908,7 @@ class TestEarlyMaturityArbitrage:
         early = [leg for leg in strategy.legs
                  if leg.maturity == 1 and any(np.any(h != 0.0) for h in leg.h)]
         assert early, "expected a maturity-1 dynamic leg in the witness"
-        assert float(strategy.outcome(market).min()) >= -1e-9
+        assert float(strategy.outcome().min()) >= -1e-9
 
         ftap = ftap_check(market)
         assert ftap.equivalent

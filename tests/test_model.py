@@ -415,6 +415,11 @@ class TestPayoffs:
         inst = _uniform_instance((2, 2))
         with pytest.raises(ValueError, match="straddle: m must be an integer naming an axis"):
             Payoff.named("straddle", n=1, m=3).table_for(inst)
+        narrow, wide = _axis(1, [0.0, 1.0]), _axis(2, [[0.0, 1.0], [1.0, 0.0]])
+        mixed = Instance((narrow, wide), tuple(MarginalConstraint.exact(
+            DiscreteMeasure(ax, np.full(2, 0.5))) for ax in (narrow, wide)))
+        with pytest.raises(ValueError, match="straddle: m must be .* of n's asset width"):
+            Payoff.named("straddle", n=1, m=2).table_for(mixed)
 
     def test_dense_cap_enforced(self):
         shape = (101,) * 3
