@@ -46,12 +46,11 @@ print("coupling over paths (1,0) and (1,2):", np.round(primal.coupling.weights, 
 
 dual = superhedge_dual(market, straddle)
 print("superhedging cost:", dual.value)
-strategy = dual.strategy
-print("strategy cash:", round(strategy.m, 6))
-for leg in strategy.legs:
+print("strategy cash:", round(dual.m, 6))
+for leg in dual.legs:
     print(f"  dynamic leg maturing at {leg.maturity}: positions",
           [(np.round(h, 6) + 0.0).tolist() for h in leg.h])  # + 0.0: no "-0.0"
-outcome = strategy.outcome()
+outcome = dual.outcome()
 table = straddle.table_for(instance)
 print("worst shortfall of the hedge:", float((outcome - table).min()))
 

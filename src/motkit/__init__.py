@@ -49,7 +49,6 @@ from .martingale import (
     FtapReport,
     Market,
     MotPrimalResult,
-    SuperhedgeResult,
     classify_arbitrage,
     feasibility_residual,
     frictionless_limit_check,

@@ -79,7 +79,7 @@ class CallQuoteCurve:
         return np.diff(self.prices) / np.diff(self.strikes)
 
 
-def marginal_from_calls(curve: CallQuoteCurve, grid=None) -> DiscreteMeasure:
+def marginal_from_calls(curve: CallQuoteCurve) -> DiscreteMeasure:
     """Unique grid-supported measure re-pricing every quote.
 
     The grid is the strike set, with 0 prepended when absent (carrying no
@@ -115,8 +115,4 @@ def marginal_from_calls(curve: CallQuoteCurve, grid=None) -> DiscreteMeasure:
         raise StaticArbitrageError(
             f"recovered measure misprices a quote by {worst:.3g}",
             (float(k[int(np.abs(repricing - c).argmax())]),))
-    if grid is not None:
-        grid = np.asarray(grid, dtype=float).ravel()
-        if grid.shape != support.shape or not np.allclose(grid, support, atol=1e-12):
-            raise ValueError("grid must equal the strike set (plus 0 if absent)")
     return measure

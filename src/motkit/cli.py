@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 input/schema errors, 2 machine-detectable
-findings (primal infeasibility, arbitrage, static arbitrage in quotes).
+findings (primal infeasibility, arbitrage, static arbitrage in quotes),
+3 numerical failure (an `LpError`: no checked answer).
 Every result document carries values, optimizers and a residual block;
 timing lives in `meta` and is excluded from determinism comparisons.
 """
@@ -25,7 +26,7 @@ from .documents import (
     render_result,
     write_output,
 )
-from .lp import PIVOT_RULE, write_mps
+from .lp import PIVOT_RULE, LpError, write_mps
 from .martingale import ARBITRAGE_TOL, ArbitrageError, ftap_check, superhedging_duality_report
 from .model import Payoff
 from .transport import duality_report
@@ -117,12 +118,26 @@ def _common_options(fn):
     return _dump_lp_option(fn)
 
 
+class _LpCommand(click.Command):
+    """A command that solves LPs: an `LpError` it raises is the result document
+    "numerical_failure", exit 3, not a traceback."""
+
+    def invoke(self, ctx):
+        started = time.perf_counter()
+        try:
+            return super().invoke(ctx)
+        except LpError as exc:
+            _emit(ctx.info_name, "numerical_failure", {"detail": str(exc)}, {}, {},
+                  started, ctx.params["output"], ctx.params["fmt"])
+            sys.exit(3)
+
+
 @click.group()
 def main():
     """Finite-grid transport and martingale-transport duality toolkit."""
 
 
-@main.command("solve-transport")
+@main.command("solve-transport", cls=_LpCommand)
 @click.option("--input", "-i", "input_path", required=True)
 @_common_options
 def solve_transport_cmd(input_path, output, fmt, tol, dump_lp):
@@ -144,7 +159,7 @@ def solve_transport_cmd(input_path, output, fmt, tol, dump_lp):
           started, output, fmt)
 
 
-@main.command("solve-mot")
+@main.command("solve-mot", cls=_LpCommand)
 @click.option("--input", "-i", "input_path", required=True)
 @_common_options
 def solve_mot_cmd(input_path, output, fmt, tol, dump_lp):
@@ -175,7 +190,7 @@ def solve_mot_cmd(input_path, output, fmt, tol, dump_lp):
     _emit("solve-mot", "ok", values, optimizers, report.residuals, started, output, fmt)
 
 
-@main.command("check-arbitrage")
+@main.command("check-arbitrage", cls=_LpCommand)
 @click.option("--input", "-i", "input_path", required=True)
 @_dump_lp_option
 @_output_options
@@ -216,7 +231,7 @@ def check_arbitrage_cmd(input_path, output, fmt, dump_lp):
         sys.exit(2)
 
 
-@main.command("verify-duality")
+@main.command("verify-duality", cls=_LpCommand)
 @click.option("--input", "-i", "input_path", required=True)
 @_common_options
 def verify_duality_cmd(input_path, output, fmt, tol, dump_lp):
@@ -242,7 +257,7 @@ def verify_duality_cmd(input_path, output, fmt, tol, dump_lp):
         sys.exit(2)
 
 
-@main.command("counterexample")
+@main.command("counterexample", cls=_LpCommand)
 @click.option("--depth", type=int, default=6, show_default=True)
 @_output_options
 def counterexample_cmd(depth, output, fmt):

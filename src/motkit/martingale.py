@@ -34,7 +34,6 @@ from .transport import (DualityReport, hedge, marginal_separation, solve_primal,
 __all__ = [
     "Market",
     "DynamicLeg",
-    "SuperhedgeResult",
     "ArbitrageError",
     "MotPrimalResult",
     "ArbitrageVerdict",
@@ -100,35 +99,15 @@ class Market:
                 + [self.instance.coordinate_values(pos) for pos in range(self.horizon)])
 
 
-@dataclass(frozen=True, eq=False)
-class SuperhedgeResult:
-    """The superhedge LP's status and value, with its optimal strategy or
-    (unbounded) its checked improving ray: `assembly.DualSide`s bound to the
-    market, valued by their own `cost()` and `outcome()`."""
-
-    status: str  # "optimal" | "unbounded"
-    value: float
-    strategy: DualSide | None
-    ray: DualSide | None = None
-
-
 def superhedge_dual(market: Market, payoff: Payoff,
-                    force_frictional: bool = False) -> SuperhedgeResult:
-    """Cheapest semi-static superhedge of the payoff, read off the MOT primal
-    (see `transport.hedge`) as a `DualSide` on `market`.  Unbounded means a
-    uniform arbitrage exists, and an infeasible primal's `solve_superhedge`
-    ray is returned as the `ray`."""
+                    force_frictional: bool = False) -> DualSide:
+    """Cheapest semi-static superhedge of the payoff as a `DualSide` on
+    `market`: "optimal", the strategy read off the MOT primal (see
+    `transport.hedge`), or "unbounded" at value -inf under a uniform
+    arbitrage, the improving ray that `solve_superhedge` checked."""
     table = payoff.table_for(market.instance)
     primal, sol = solve_primal(market.instance, table, market, force_frictional)
-    side = hedge(primal, sol, table)[0] if sol.status == "optimal" else solve_superhedge(primal)
-    return _superhedge_result(side)
-
-
-def _superhedge_result(side: DualSide) -> SuperhedgeResult:
-    """An optimal side as the strategy, an unbounded one as the ray."""
-    ray = side.status == "unbounded"
-    return SuperhedgeResult(side.status, side.value, None if ray else side,
-                            side if ray else None)
+    return hedge(primal, sol, table)[0] if sol.status == "optimal" else solve_superhedge(primal)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,11 +120,7 @@ class MotPrimalResult:
 def primal_mot(market: Market, payoff: Payoff) -> MotPrimalResult:
     """Maximize <f, mu> over marginal-feasible couplings that price the
     underlying consistently (martingale when eps = 0, bid-ask bands else)."""
-    return _mot_result(*solve_primal(market.instance, payoff.table_for(market.instance), market))
-
-
-def _mot_result(primal, sol) -> MotPrimalResult:
-    """The result of a solve of the MOT primal `primal`."""
+    primal, sol = solve_primal(market.instance, payoff.table_for(market.instance), market)
     if sol.status == "optimal":
         return MotPrimalResult("optimal", sol.value, primal.coupling(sol.x))
     return MotPrimalResult("infeasible", float("nan"), None)
@@ -178,7 +153,8 @@ def feasibility_residual(market: Market, coupling: Coupling) -> float:
 class ArbitrageVerdict:
     """Classification with a validated witness strategy where applicable.
 
-    kind "uniform": the witness is an improving ray of superhedge(0) that
+    kind "uniform": the witness is the `DualSide` that `solve_superhedge`
+    returned for superhedge(0), most often "unbounded", an improving ray that
     passed `check_unbounded_ray` (cost < 0, outcome >= 0 on every path).
     A model-independent arbitrage (cost <= 0, outcome >= 1 pointwise) would
     put superhedge(1) at or below 0; since superhedge(c) = c + superhedge(0)
@@ -204,12 +180,13 @@ def classify_arbitrage(market: Market) -> ArbitrageVerdict:
 
 @dataclass(frozen=True, eq=False)
 class FtapReport:
+    """The three no-arbitrage conditions, whether they agree, a coupling if
+    there is one, and the verdict, which holds the superhedge values."""
+
     no_model_independent: bool
     no_uniform: bool
     martingale_set_nonempty: bool
     equivalent: bool
-    uniform_value: float
-    strict_value: float
     coupling: Coupling | None
     verdict: ArbitrageVerdict
 
@@ -220,29 +197,23 @@ def ftap_check(market: Market) -> FtapReport:
     The zero-payoff MOT primal's status is the martingale-set flag.  A point
     of it that passes `primal_residual` on that LP is a coupling, so
     superhedge(0) >= 0 by weak duality and cash 0 attains it with no further
-    LP.  Otherwise superhedge(0) comes from `transport.solve_superhedge`,
-    whose ray passed `check_unbounded_ray`.  superhedge(1) = superhedge(0) + 1
-    (see `ArbitrageVerdict`)."""
+    LP.  Otherwise superhedge(0) is the `DualSide` of `solve_superhedge`, whose
+    ray passed `check_unbounded_ray`; its value (-inf if unbounded) gives the
+    verdict.  superhedge(1) = superhedge(0) + 1 (see `ArbitrageVerdict`)."""
     instance = market.instance
     zero = Payoff.constant(0.0, instance).table
     primal, sol = solve_primal(instance, zero, market)
-    feas = _mot_result(primal, sol)
-    if feas.status == "optimal" and primal_residual(primal.lp, sol.x) <= RESIDUAL_TOL:
-        ua = SuperhedgeResult("optimal", 0.0, None)
-    else:
-        ua = _superhedge_result(solve_superhedge(primal))
-    strict_value = ua.value + 1.0
-    if ua.status == "unbounded" or ua.value < -ARBITRAGE_TOL:
-        verdict = ArbitrageVerdict("uniform", ua.ray or ua.strategy, ua.value, -np.inf)
-    else:
-        verdict = ArbitrageVerdict("no_arbitrage", None, ua.value, strict_value)
-    no_uniform, no_mia = verdict.kind != "uniform", strict_value > ARBITRAGE_TOL
-    nonempty = feas.status == "optimal"
+    nonempty = sol.status == "optimal"
+    checked = nonempty and primal_residual(primal.lp, sol.x) <= RESIDUAL_TOL
+    ua = None if checked else solve_superhedge(primal)
+    value = 0.0 if ua is None else ua.value
+    verdict = (ArbitrageVerdict("uniform", ua, value, -np.inf) if value < -ARBITRAGE_TOL
+               else ArbitrageVerdict("no_arbitrage", None, value, value + 1.0))
+    no_uniform, no_mia = verdict.kind != "uniform", value + 1.0 > ARBITRAGE_TOL
     return FtapReport(no_model_independent=no_mia, no_uniform=no_uniform,
                       martingale_set_nonempty=nonempty,
                       equivalent=(no_mia == no_uniform == nonempty),
-                      uniform_value=ua.value, strict_value=strict_value,
-                      coupling=feas.coupling, verdict=verdict)
+                      coupling=primal.coupling(sol.x) if nonempty else None, verdict=verdict)
 
 
 class ArbitrageError(ValueError):

@@ -10,8 +10,9 @@ Each generator has a closed-form table rule over the product grid:
 * ``cylinder_liminf(depth)``: max_{k<=depth} min_{k<=j<=depth} x_j (first
   asset coordinate), the finite-window approximation of liminf_n x_n.
 
-`param_error` holds what each param must be on an instance; the document
-parser and `expand_named` both apply it, so the generators check nothing.
+`param_error` holds what each param must be on an instance, a finite bound
+on the table included; the document parser and `expand_named` both apply
+it, so the generators check nothing.
 """
 
 from __future__ import annotations
@@ -77,17 +78,24 @@ def _numbers(value, count: int) -> bool:
 
 def param_error(params: dict, instance: Instance):
     """(name, what it must be) of the first named-payoff param that does not
-    fit `instance`, or None; a generator's required params are present."""
+    fit `instance`, or None; a generator's required params are present.  Like
+    `Market`'s coefficients, a table's closed-form bound over the axis points
+    must be finite: a straddle's on `m`, a basket's on `weights`."""
     axes = {ax.index: ax for ax in instance.axes}
+    # max |x_n| per asset as Python floats, whose arithmetic overflows to inf quietly
+    top = lambda n: np.abs(axes[n].points).max(axis=0).tolist()
     naming = (lambda v: _integer(v) and v in axes, "an integer naming an axis")
-    rules = {  # in this order: `asset` reads the axis `n` names
+    rules = {  # in this order: `m` and `asset` read the axis `n` names, `weights` the strike
+        "strike": (lambda k: _numbers(k, 1) and not _sequence(k), "a finite number"),
         "weights": (lambda w: _sequence(w) and len(w) == len(axes) and all(
-            _numbers(x, ax.d) for x, ax in zip(w, instance.axes)),
-            "one weight per axis, each a number or a list of d numbers"),
-        "strike": (lambda k: _numbers(k, 1), "a finite number"),
+            _numbers(x, ax.d) for x, ax in zip(w, instance.axes)) and np.isfinite(sum(
+                abs(a) * b for x, ax in zip(w, instance.axes) for a, b in zip(
+                    np.atleast_1d(x).tolist(), top(ax.index))) + abs(float(params["strike"]))),
+            "one weight per axis (a number or d numbers), |strike| + sum |w_n| max|x_n| finite"),
         "n": naming,
-        "m": (lambda v: naming[0](v) and axes[v].d == axes[params["n"]].d,
-              "an integer naming an axis of n's asset width"),
+        "m": (lambda v: naming[0](v) and axes[v].d == axes[params["n"]].d and np.isfinite(
+            sum((a + b) * (a + b) for a, b in zip(top(v), top(params["n"])))),
+              "an integer naming an axis of n's asset width, |max|x_m| + max|x_n||^2 finite"),
         "asset": (lambda a: _integer(a) and 1 <= a <= axes[params["n"]].d,
                   "an integer in 1..d"),
         "depth": (lambda k: k is None or _integer(k) and 1 <= k <= len(axes),

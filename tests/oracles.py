@@ -50,7 +50,6 @@ from motkit.martingale import (
     ARBITRAGE_TOL,
     ArbitrageVerdict,
     FtapReport,
-    SuperhedgeResult,
     primal_mot,
 )
 from motkit.model import VALUE_TOL, Payoff, sublinear_price
@@ -952,22 +951,17 @@ def tall_tail_forced_dual_bound(depth: int):
     return (sol.value, *read(sol.x)[:2])
 
 
-def tall_superhedge(market, payoff, force_frictional=False) -> SuperhedgeResult:
+def tall_superhedge(market, payoff, force_frictional=False) -> DualSide:
     """The cheapest superhedge from the superhedge LP itself, one row per path;
-    unbounded with the improving ray as a strategy under arbitrage."""
+    under arbitrage "unbounded" at value -inf, the improving ray as a side."""
     primal = primal_lp(market.instance, payoff.table_for(market.instance), market,
                        force_frictional)
     sol, _, read = _solve_tall(primal)
-
-    def strategy(x):
-        m, g, rows = read(x)
-        return DualSide(sol.status, sol.value, m, g, None, primal.trading.extract_legs(rows),
-                        market.instance, market)
-    if sol.status == "optimal":
-        return SuperhedgeResult("optimal", sol.value, strategy(sol.x))
-    if sol.status == "unbounded":
-        return SuperhedgeResult("unbounded", -np.inf, None, ray=strategy(sol.ray))
-    raise LpError(f"superhedge LP unexpectedly {sol.status}")
+    if sol.status not in ("optimal", "unbounded"):
+        raise LpError(f"superhedge LP unexpectedly {sol.status}")
+    m, g, rows = read(sol.x if sol.status == "optimal" else sol.ray)
+    return DualSide(sol.status, sol.value, m, g, None, primal.trading.extract_legs(rows),
+                    market.instance, market)
 
 
 def tall_dual_transport(instance, payoff) -> DualSide:
@@ -994,12 +988,11 @@ def three_lp_ftap(market) -> FtapReport:
     zero, one = (Payoff.constant(cash, market.instance) for cash in (0.0, 1.0))
     ua, mia = tall_superhedge(market, zero), tall_superhedge(market, one)
     feas = primal_mot(market, zero)
-    if ua.status == "unbounded" or ua.value < -ARBITRAGE_TOL:
-        witness = ua.ray if ua.status == "unbounded" else ua.strategy
-        verdict = ArbitrageVerdict("uniform", witness, ua.value, -np.inf)
-    elif mia.status == "unbounded" or mia.value <= ARBITRAGE_TOL:
-        witness = mia.ray if mia.status == "unbounded" else mia.strategy
-        verdict = ArbitrageVerdict("model_independent", witness, ua.value, mia.value)
+    # an unbounded side's value is -inf
+    if ua.value < -ARBITRAGE_TOL:
+        verdict = ArbitrageVerdict("uniform", ua, ua.value, -np.inf)
+    elif mia.value <= ARBITRAGE_TOL:
+        verdict = ArbitrageVerdict("model_independent", mia, ua.value, mia.value)
     else:
         verdict = ArbitrageVerdict("no_arbitrage", None, ua.value, mia.value)
     no_uniform = verdict.kind != "uniform"
@@ -1008,5 +1001,4 @@ def three_lp_ftap(market) -> FtapReport:
     return FtapReport(no_model_independent=no_mia, no_uniform=no_uniform,
                       martingale_set_nonempty=nonempty,
                       equivalent=(no_mia == no_uniform == nonempty),
-                      uniform_value=ua.value, strict_value=mia.value,
                       coupling=feas.coupling, verdict=verdict)

@@ -1,8 +1,10 @@
 """CLI surface: exit codes, result documents, determinism, MPS dumps."""
 
 import ast
+import copy
 import hashlib
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -18,7 +20,10 @@ from click.testing import CliRunner
 import motkit
 from motkit import lp as lp_module
 from motkit.cli import main
+from motkit.documents import InstanceDocument, SolverOptions, serialize_instance
 from motkit.model import Payoff
+
+from generators import random_market, rescaled_market
 
 
 @pytest.fixture
@@ -86,6 +91,31 @@ def _transport_doc():
         ],
         "payoff": {"kind": "dense", "table": [1.0, 0.0, 0.0, 1.0]},
     }
+
+
+def _straddle_overflow_doc():
+    """|x_2 - x_1| reaches 3.4e308 on this grid: the straddle's table overflows."""
+    return {**_transport_doc(),
+            "axes": [{"index": 1, "points": [[1.7e308], [-1.7e308]]},
+                     {"index": 2, "points": [[-1.7e308], [1.7e308]]}],
+            "payoff": {"kind": "named", "name": "straddle", "params": {"n": 1, "m": 2}}}
+
+
+def _basket_overflow_doc():
+    """1e308 (x_1 + x_2) reaches 4e308 at x = (2, 2): the basket's table overflows."""
+    return {**_transport_doc(),
+            "axes": [{"index": n, "points": [[0.0], [2.0]]} for n in (1, 2)],
+            "payoff": {"kind": "named", "name": "basket_call",
+                       "params": {"weights": [1e308, 1e308], "strike": 0}}}
+
+
+def _rescaled_arbitrage_doc(seed):
+    """A random one-asset market in units a million times larger: phase 1 of
+    its superhedge(0) ends "terminated unbounded" for seeds 13 and 41."""
+    market = rescaled_market(random_market(np.random.default_rng(seed), 2, d=1,
+                                           epsilons=[0.05]), 1e6)
+    return json.loads(serialize_instance(
+        InstanceDocument(1, "", market.instance, market, None, SolverOptions())))
 
 
 def _write(tmp_path, name, payload):
@@ -372,7 +402,7 @@ def test_only_primal_side_builds_a_dual_side():
 
 def test_exported_names_resolve():
     """Each module's `__all__` and each name the package imports exist, and
-    the strategy types that `DualSide` replaced stay gone."""
+    the strategy types and the wrapper that `DualSide` replaced stay gone."""
     package = Path(motkit.__file__).resolve().parent
     modules = [importlib.import_module(f"motkit.{info.name}")
                for info in pkgutil.iter_modules([str(package)])]
@@ -383,7 +413,7 @@ def test_exported_names_resolve():
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     missing += [f"motkit.{name}" for name in imported if not hasattr(motkit, name)]
     assert imported and not missing
-    removed = ("SemiStaticStrategy", "TransportDualSolution")
+    removed = ("SemiStaticStrategy", "TransportDualSolution", "SuperhedgeResult")
     assert not [(m.__name__, name) for m in [motkit] + modules for name in removed
                 if hasattr(m, name)]
 
@@ -456,7 +486,9 @@ class TestMalformedNumbers:
          "$.constraints[1].weights"),
         (lambda doc: doc["constraints"][1].update(weights=[True, False]),
          "$.constraints[1].weights"),
-        (lambda doc: doc.update(options={"tol": True}), "$.options.tol")])
+        (lambda doc: doc.update(options={"tol": True}), "$.options.tol"),
+        (lambda doc: doc.update(_straddle_overflow_doc()), "$.payoff.params.m"),
+        (lambda doc: doc.update(_basket_overflow_doc()), "$.payoff.params.weights")])
     @pytest.mark.parametrize("command", ["solve-transport", "verify-duality"])
     def test_exit_one_naming_the_field(self, runner, tmp_path, command, edit, field):
         doc = _transport_doc()
@@ -519,7 +551,8 @@ class TestSolveMot:
         ("cylinder_liminf", {"depth": 9}, "depth"),
         ("basket_call", {"weights": [1.0], "strike": 1.0}, "weights"),
         ("basket_call", {"weights": [1.0, [1.0, 2.0]], "strike": 1.0}, "weights"),
-        ("basket_call", {"weights": [1.0, 1.0], "strike": "1"}, "strike")])
+        ("basket_call", {"weights": [1.0, 1.0], "strike": "1"}, "strike"),
+        ("basket_call", {"weights": [1.0, 1.0], "strike": [1.0]}, "strike")])
     def test_named_params_that_miss_the_instance_exit_one(self, runner, tmp_path, name,
                                                           params, field):
         """Checked at parse time against the two-axis, one-asset grid."""
@@ -563,6 +596,97 @@ class TestCheckArbitrage:
         assert result.exit_code == 0, result.output
         payload = json.loads(result.output)
         assert payload["values"]["verdict"] == "no_arbitrage"
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("seed", [13, 41])
+    def test_unanswered_lp_exits_three(self, runner, tmp_path, seed):
+        """An `LpError` is a result document stating the failure, not a traceback."""
+        path = _write(tmp_path, "doc.json", _rescaled_arbitrage_doc(seed))
+        result = runner.invoke(main, ["check-arbitrage", "-i", path])
+        assert result.exit_code == 3 and isinstance(result.exception, SystemExit)
+        payload = json.loads(result.output)
+        assert (payload["command"], payload["status"]) == ("check-arbitrage",
+                                                           "numerical_failure")
+        assert payload["values"] == {"detail": "phase 1 terminated unbounded"}
+
+
+def _places(node):
+    """(container, key) of every field and entry of a JSON value, nested ones too."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield node, key
+        yield from _places(value)
+
+
+class TestMutationSweep:
+    COMMANDS = ("solve-transport", "solve-mot", "check-arbitrage", "verify-duality")
+    SUBSTITUTES = (0.0, -1.0, 0.5, 3.0, 1e-300, 1e308, -1.7e308, 2 ** 70, True, "x", None,
+                   [], {})
+
+    @classmethod
+    def _mutated(cls, rng, doc):
+        """A copy of `doc` with its prices times 10^k half the time, then up to
+        two fields or entries scaled by 10^k, replaced or dropped."""
+        doc = copy.deepcopy(doc)
+        if rng.integers(2):
+            factor = 10.0 ** int(rng.integers(-9, 10))
+            for axis in doc["axes"]:
+                axis["points"] = (np.asarray(axis["points"]) * factor).tolist()
+            if "market" in doc:
+                doc["market"]["s0"] = [s * factor for s in doc["market"]["s0"]]
+        for _ in range(rng.integers(3)):
+            places = list(_places(doc))
+            node, key = places[rng.integers(len(places))]
+            number = isinstance(node[key], (int, float)) and not isinstance(node[key], bool)
+            if number and rng.integers(2):
+                node[key] = node[key] * 10.0 ** int(rng.integers(-9, 10))
+            elif rng.integers(4):
+                node[key] = cls.SUBSTITUTES[rng.integers(len(cls.SUBSTITUTES))]
+            else:
+                del node[key]
+        return doc
+
+    def test_no_document_ends_in_a_traceback(self, runner, tmp_path):
+        """Every mutated fixture document, and each overflowing or rescaled one,
+        ends in a result document or an error line: exit 0 to 3."""
+        rng = np.random.default_rng(0)
+        fixtures = [_straddle_market_doc(), _transport_doc(), _spot_mismatch_doc(),
+                    _mixed_market_doc()]
+        docs = [_straddle_overflow_doc(), _basket_overflow_doc(),
+                _rescaled_arbitrage_doc(13), _rescaled_arbitrage_doc(41)]
+        docs += [self._mutated(rng, fixtures[k % 4]) for k in range(300)]
+        path = tmp_path / "doc.json"
+        codes = Counter()
+        for doc in docs:
+            path.write_text(json.dumps(doc))
+            for command in self.COMMANDS:
+                result = runner.invoke(main, [command, "-i", str(path)])
+                assert result.exception is None or isinstance(result.exception, SystemExit), (
+                    command, json.dumps(doc), repr(result.exception))
+                codes[result.exit_code] += 1
+        assert set(codes) == {0, 1, 2, 3}, codes
+
+
+def test_benchmark_tracer_installs():
+    """perfbench/spans.py wraps named motkit functions at every binding: a
+    name it wraps that is gone fails here, not only in a traced benchmark run."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = spans  # dataclasses look their module up there
+    try:
+        spec.loader.exec_module(spans)
+        installation = spans.Installation(spans.Tracer())
+        try:
+            installation.check_complete()
+        finally:
+            installation.remove()
+    finally:
+        del sys.modules[spec.name]
+    wrapped = {f"{module.split('.')[-1]}.{name}" for module, name in spans.FUNCTIONS}
+    assert wrapped | {name for *_, name in spans.METHODS} == set(installation.bindings)
 
 
 class TestVerifyDualityMarket:

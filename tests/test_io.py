@@ -254,13 +254,6 @@ class TestCallRecovery:
             assert measure.barycenter()[0] == pytest.approx(float(curve.prices[0]),
                                                             abs=1e-9)
 
-    def test_grid_argument_must_match(self):
-        curve = CallQuoteCurve(1, np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.25, 0.0]))
-        measure = marginal_from_calls(curve, grid=[0.0, 1.0, 2.0])
-        assert np.allclose(measure.weights, [0.25, 0.5, 0.25])
-        with pytest.raises(ValueError, match="grid"):
-            marginal_from_calls(curve, grid=[0.0, 1.0, 3.0])
-
     def test_zero_strike_absent_mass_goes_to_first_strike(self):
         # measure delta_1 quoted at strikes 1 and 2 only
         curve = CallQuoteCurve(1, np.array([1.0, 2.0]), np.array([0.0, 0.0]))

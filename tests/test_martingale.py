@@ -83,10 +83,10 @@ class TestSuperhedgeDual:
         res = superhedge_dual(market, payoff)
         assert res.status == "optimal"
         assert res.value == pytest.approx(1.0, abs=1e-9)
-        outcome = res.strategy.outcome()
+        outcome = res.outcome()
         table = payoff.table_for(market.instance)
         assert float((outcome - table).min()) >= -1e-8
-        assert res.strategy.cost() == pytest.approx(res.value, abs=1e-9)
+        assert res.cost() == pytest.approx(res.value, abs=1e-9)
 
     def test_constant_payoff_cash_replication(self):
         market = straddle_market()
@@ -284,7 +284,7 @@ class TestSharedSolves:
             feas = primal_mot(market, zero)
             ftap = ftap_check(market)
             verdict = ftap.verdict
-            assert (ftap.uniform_value, ftap.strict_value) == (ua.value, mia.value)
+            assert (verdict.uniform_value, verdict.strict_value) == (ua.value, mia.value)
             assert ftap.martingale_set_nonempty == (feas.status == "optimal")
             if feas.coupling is not None:
                 assert np.array_equal(ftap.coupling.weights, feas.coupling.weights)
@@ -344,7 +344,7 @@ class TestFtapRoute:
             # arbitrage-free: the MOT primal alone; else also superhedge(0)
             assert senses == (["max"] if report.martingale_set_nonempty else ["max", "min"])
             for field in ("no_model_independent", "no_uniform", "martingale_set_nonempty",
-                          "equivalent", "uniform_value", "strict_value"):
+                          "equivalent"):
                 assert getattr(report, field) == getattr(expected, field), field
             assert report.equivalent
             if expected.coupling is None:
@@ -398,8 +398,9 @@ class TestFtapRoute:
             for field in ("no_model_independent", "no_uniform", "martingale_set_nonempty",
                           "equivalent"):
                 assert getattr(report, field) == getattr(want, field), field
-            assert (report.uniform_value, report.strict_value, report.verdict.kind) == (
-                want.uniform_value, want.strict_value, "no_arbitrage")
+            got = report.verdict
+            assert (got.uniform_value, got.strict_value, got.kind) == (
+                want.verdict.uniform_value, want.verdict.strict_value, "no_arbitrage")
             assert report.equivalent and report.no_uniform and report.no_model_independent
 
     @pytest.mark.parametrize("seed, epsilons", [(1, [0.05]), (5, [0.0])])
@@ -439,7 +440,7 @@ class TestFtapRoute:
         # the superhedge LP solved for the ray is the primal's transpose
         assert senses == ["max", "min"] and built == ["max"]
         assert report.verdict.kind == "uniform"
-        assert report.strict_value == -np.inf
+        assert report.verdict.strict_value == -np.inf
         for field in ("no_model_independent", "no_uniform", "martingale_set_nonempty",
                       "equivalent"):
             assert getattr(report, field) == getattr(expected, field), field
@@ -484,7 +485,7 @@ class TestOneLpDuality:
             assert np.array_equal(report.coupling.weights, primal.coupling.weights)
             assert abs(report.dual_value - dual.value) <= GAP_TOL * max(1.0, abs(dual.value))
             for value, strategy in ((report.dual_value, report.dual),
-                                    (dual.value, dual.strategy)):
+                                    (dual.value, dual)):
                 superrep, identity = strategy_residuals(market, table, value, strategy)
                 assert superrep >= -1e-8 and identity <= 1e-8
         assert hulls and frictional
@@ -512,10 +513,10 @@ class TestOneLpDuality:
         assert senses == ["max", "min"]
         assert report.primal_value == primal.value
         assert report.dual_value == dual.value
-        assert report.dual.m == dual.strategy.m
-        assert all(np.array_equal(a, b) for a, b in zip(report.dual.g, dual.strategy.g))
+        assert report.dual.m == dual.m
+        assert all(np.array_equal(a, b) for a, b in zip(report.dual.g, dual.g))
         assert report.residuals["superreplication_min"] == float(
-            (dual.strategy.outcome() - table).min())
+            (dual.outcome() - table).min())
 
     def test_unforced_fallback_answers(self, monkeypatch):
         """At prices a million times smaller the read-off fails `certified`
@@ -623,7 +624,7 @@ class TestOneLpEntryPoints:
                 tall = tall_superhedge(market, payoff, force_frictional=forced)
                 assert res.status == tall.status == "optimal"
                 assert self._within(res.value, tall.value, FTAP_GAP_RTOL)
-                superrep, identity = strategy_residuals(market, table, res.value, res.strategy)
+                superrep, identity = strategy_residuals(market, table, res.value, res)
                 assert superrep >= -1e-8 and identity <= 1e-8
                 values.append(res.value)
             assert abs(values[0] - values[1]) <= FRICTIONLESS_TOL
@@ -661,9 +662,9 @@ class TestOneLpEntryPoints:
             # the infeasible primal, then the superhedge LP for its ray,
             # transposed from that primal with no builder of its own
             assert senses == ["max", "min"] and built == ["max"]
-            assert res.status == "unbounded" and res.strategy is None
-            assert res.ray.cost() < 0.0
-            assert float(res.ray.outcome().min()) >= -1e-9
+            assert res.status == "unbounded" and res.value == -np.inf
+            assert res.cost() < 0.0
+            assert float(res.outcome().min()) >= -1e-9
 
     def test_every_entry_point_hands_out_its_bound_dual_side(self):
         """Each strategy is the `DualSide` read off the LP, bound to the grid
@@ -690,7 +691,7 @@ class TestOneLpEntryPoints:
                     report = duality_report(instance, payoff)
                     identity = report.residuals["dual_price_identity"]
                 else:
-                    sides = [superhedge_dual(market, payoff).strategy]
+                    sides = [superhedge_dual(market, payoff)]
                     report = superhedging_duality_report(market, payoff)
                     identity = report.residuals["strategy_cost_identity"]
                 assert (report.residuals["superreplication_min"], identity) == residuals
@@ -698,7 +699,7 @@ class TestOneLpEntryPoints:
                     assert valued(bound(side, instance, on), table) == residuals
         spot_mismatch = _market([([0.0, 2.0], [0.5, 0.5])], [0.9], [0.0])
         zero = Payoff.constant(0.0, spot_mismatch.instance)
-        for ray in (superhedge_dual(spot_mismatch, zero).ray,
+        for ray in (superhedge_dual(spot_mismatch, zero),
                     ftap_check(spot_mismatch).verdict.strategy):
             bound(ray, spot_mismatch.instance, spot_mismatch)
             assert ray.status == "unbounded" and ray.cost() < 0.0
@@ -749,7 +750,7 @@ class TestWeakDuality:
             market = arbitrage_free_market(rng, horizon=2, d=1, epsilons=[eps])
             f = Payoff.dense(random_payoff_table(rng, market.instance))
             f_other = Payoff.dense(random_payoff_table(rng, market.instance))
-            strategy = superhedge_dual(market, f).strategy
+            strategy = superhedge_dual(market, f)
             other = primal_mot(market, f_other)
             assert other.status == "optimal"
             lhs = float(f.table_for(market.instance) @ other.coupling.weights)
@@ -820,7 +821,7 @@ class TestStrategyStructure:
         payoff = Payoff.dense(random_payoff_table(rng, market.instance))
         res = superhedge_dual(market, payoff)
         instance = market.instance
-        for leg in res.strategy.legs:
+        for leg in res.legs:
             assert 1 <= leg.maturity <= market.horizon
             assert len(leg.h) == leg.maturity
             for n, table in enumerate(leg.h, start=1):
@@ -836,7 +837,7 @@ class TestStrategyStructure:
         payoff = Payoff.dense(random_payoff_table(rng, market.instance))
         res = superhedge_dual(market, payoff)
         instance = market.instance
-        for leg in res.strategy.legs:
+        for leg in res.legs:
             for n in range(1, leg.maturity + 1):
                 if n == 1:
                     prev_rows = np.zeros((instance.n_prefixes(0), market.d))
@@ -852,7 +853,7 @@ class TestStrategyStructure:
         payoff = Payoff.dense(random_payoff_table(rng, market.instance))
         res = superhedge_dual(market, payoff)
         instance = market.instance
-        gains = res.strategy.dynamic_gains()
+        gains = res.dynamic_gains()
         # paths sharing the level-1 prefix use the same h_2 row: the gains
         # difference equals the position times the price move difference
         pid = instance.prefix_ids(1)
@@ -863,7 +864,7 @@ class TestStrategyStructure:
                 continue
             i, j = members[:2]
             move_diff = (s[2][i] - s[2][j])
-            table_rows = [leg.h[1][p] for leg in res.strategy.legs
+            table_rows = [leg.h[1][p] for leg in res.legs
                           if leg.maturity >= 2]
             expected = sum(float(row @ move_diff) for row in table_rows)
             assert gains[i] - gains[j] == pytest.approx(expected, abs=1e-9)
