@@ -1,10 +1,10 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 input/schema errors, 2 machine-detectable
-findings (primal infeasibility, arbitrage, static arbitrage in quotes),
-3 numerical failure (an `LpError`: no checked answer).
-Every result document carries values, optimizers and a residual block;
-timing lives in `meta` and is excluded from determinism comparisons.
+Each command returns its answer, (status, values, optimizers, residuals),
+and `_Command` writes it.  The exit code follows the status: 0 "ok", 3
+"numerical_failure" (an `LpError`: no checked answer), 2 any other finding
+(primal infeasibility, arbitrage, static arbitrage in quotes).  Input and
+schema errors exit 1.  Timing lives in `meta`, outside determinism checks.
 """
 
 from __future__ import annotations
@@ -66,13 +66,11 @@ def _render_table(values: dict, residuals: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(command, status, values, optimizers, residuals, started, output, fmt):
-    elapsed = time.perf_counter() - started
-    if fmt == "table":
-        text = _render_table(values, residuals)
-    else:
-        text = render_result(command, status, values, optimizers, residuals, elapsed)
-    write_output(text, output)
+def _depth_table(values: dict, residuals: dict) -> str:
+    rows = zip(values["depths"], values["dual_values"], values["primal_values"], values["gaps"])
+    return "".join([f"{'depth':>5}  {'dual':>10}  {'primal':>10}  {'gap':>10}\n"]
+                   + [f"{n:>5}  {dual:>10.6f}  {primal:>10.6f}  {gap:>10.6f}\n"
+                      for n, dual, primal, gap in rows])
 
 
 def _maybe_dump_primal(dump_path, instance, payoff, market=None):
@@ -100,13 +98,6 @@ def _resolve_tol(tol, doc):
     return tol
 
 
-def _output_options(fn):
-    fn = click.option("--output", "-o", default="-", show_default=True,
-                      help="result path, or - for stdout")(fn)
-    return click.option("--format", "fmt", type=click.Choice(["json", "table"]),
-                        default="json", show_default=True)(fn)
-
-
 _dump_lp_option = click.option("--dump-lp", "dump_lp", default=None,
                                help="write the main LP in MPS format to this path")
 
@@ -114,22 +105,40 @@ _dump_lp_option = click.option("--dump-lp", "dump_lp", default=None,
 def _common_options(fn):
     fn = click.option("--tol", type=float, default=None,
                       help="gap tolerance for pass/fail flags "
-                           "(default: the document's options.tol)")(_output_options(fn))
+                           "(default: the document's options.tol)")(fn)
     return _dump_lp_option(fn)
 
 
-class _LpCommand(click.Command):
-    """A command that solves LPs: an `LpError` it raises is the result document
-    "numerical_failure", exit 3, not a traceback."""
+class _Command(click.Command):
+    """Runs a callback that returns its answer, (status, values, optimizers,
+    residuals), then times it, renders it (as JSON, or by `table` under --format
+    table) and writes it to --output: the one place that does.  An `LpError` is
+    the answer "numerical_failure".  Exits 0 on "ok", 3 on "numerical_failure", else 2."""
+
+    def __init__(self, *args, table=_render_table, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.table = table
+        self.params += [click.Option(["--output", "-o"], default="-", show_default=True,
+                                     help="result path, or - for stdout"),
+                        click.Option(["--format", "fmt"], type=click.Choice(["json", "table"]),
+                                     default="json", show_default=True)]
 
     def invoke(self, ctx):
         started = time.perf_counter()
+        output, fmt = ctx.params.pop("output"), ctx.params.pop("fmt")
         try:
-            return super().invoke(ctx)
+            status, values, optimizers, residuals = super().invoke(ctx)
         except LpError as exc:
-            _emit(ctx.info_name, "numerical_failure", {"detail": str(exc)}, {}, {},
-                  started, ctx.params["output"], ctx.params["fmt"])
-            sys.exit(3)
+            status, values, optimizers, residuals = ("numerical_failure",
+                                                     {"detail": str(exc)}, {}, {})
+        if fmt == "table":
+            text = (self.table if status == "ok" else _render_table)(values, residuals)
+        else:
+            text = render_result(self.name, status, values, optimizers, residuals,
+                                 time.perf_counter() - started)
+        write_output(text, output)
+        if status != "ok":
+            sys.exit(3 if status == "numerical_failure" else 2)
 
 
 @click.group()
@@ -137,34 +146,30 @@ def main():
     """Finite-grid transport and martingale-transport duality toolkit."""
 
 
-@main.command("solve-transport", cls=_LpCommand)
+@main.command("solve-transport", cls=_Command)
 @click.option("--input", "-i", "input_path", required=True)
 @_common_options
-def solve_transport_cmd(input_path, output, fmt, tol, dump_lp):
+def solve_transport_cmd(input_path, tol, dump_lp):
     """Primal and dual transport values with certificates."""
-    started = time.perf_counter()
     doc = _load_document(input_path)
     payoff = _need(doc, "payoff")
     tol = _resolve_tol(tol, doc)
     report = duality_report(doc.instance, payoff)
     _maybe_dump_primal(dump_lp, doc.instance, payoff)
-    values = _duality_values(report, tol)
     optimizers = {
         "coupling": report.coupling.weights,
         "m": report.dual.m,
         "g": list(report.dual.g),
         "mixtures": list(report.dual.mixtures),
     }
-    _emit("solve-transport", "ok", values, optimizers, report.residuals,
-          started, output, fmt)
+    return "ok", _duality_values(report, tol), optimizers, report.residuals
 
 
-@main.command("solve-mot", cls=_LpCommand)
+@main.command("solve-mot", cls=_Command)
 @click.option("--input", "-i", "input_path", required=True)
 @_common_options
-def solve_mot_cmd(input_path, output, fmt, tol, dump_lp):
+def solve_mot_cmd(input_path, tol, dump_lp):
     """Martingale-constrained primal and semi-static superhedging dual."""
-    started = time.perf_counter()
     doc = _load_document(input_path)
     payoff = _need(doc, "payoff")
     market = _need(doc, "market")
@@ -174,10 +179,7 @@ def solve_mot_cmd(input_path, output, fmt, tol, dump_lp):
         report = superhedging_duality_report(market, payoff)
     except ArbitrageError as exc:
         values = {"primal_status": exc.primal_status, "dual_status": exc.dual_status}
-        residuals = {"detection_tolerance": ARBITRAGE_TOL}
-        _emit("solve-mot", "infeasible", values, {}, residuals, started, output, fmt)
-        sys.exit(2)
-    values = _duality_values(report, tol)
+        return "infeasible", values, {}, {"detection_tolerance": ARBITRAGE_TOL}
     optimizers = {
         "coupling": report.coupling.weights,
         "m": report.dual.m,
@@ -187,17 +189,15 @@ def solve_mot_cmd(input_path, output, fmt, tol, dump_lp):
                   "u": None if leg.u is None else [u.tolist() for u in leg.u]}
                  for leg in report.dual.legs],
     }
-    _emit("solve-mot", "ok", values, optimizers, report.residuals, started, output, fmt)
+    return "ok", _duality_values(report, tol), optimizers, report.residuals
 
 
-@main.command("check-arbitrage", cls=_LpCommand)
+@main.command("check-arbitrage", cls=_Command)
 @click.option("--input", "-i", "input_path", required=True)
 @_dump_lp_option
-@_output_options
-def check_arbitrage_cmd(input_path, output, fmt, dump_lp):
+def check_arbitrage_cmd(input_path, dump_lp):
     """Classify the market (no arbitrage or a uniform arbitrage) and check
     the three-way FTAP equivalence."""
-    started = time.perf_counter()
     doc = _load_document(input_path)
     market = _need(doc, "market")
     if dump_lp:
@@ -223,21 +223,16 @@ def check_arbitrage_cmd(input_path, output, fmt, dump_lp):
             "cost": verdict.strategy.cost(),
             "min_outcome": float(verdict.strategy.outcome().min()),
         }
-    residuals = {"detection_tolerance": ARBITRAGE_TOL}
-    status = "ok" if verdict.kind == "no_arbitrage" else "arbitrage"
-    _emit("check-arbitrage", status, values, optimizers, residuals,
-          started, output, fmt)
-    if verdict.arbitrage_exists:
-        sys.exit(2)
+    status = "arbitrage" if verdict.arbitrage_exists else "ok"
+    return status, values, optimizers, {"detection_tolerance": ARBITRAGE_TOL}
 
 
-@main.command("verify-duality", cls=_LpCommand)
+@main.command("verify-duality", cls=_Command)
 @click.option("--input", "-i", "input_path", required=True)
 @_common_options
-def verify_duality_cmd(input_path, output, fmt, tol, dump_lp):
+def verify_duality_cmd(input_path, tol, dump_lp):
     """Zero-gap check: transport duality, or superhedging duality when the
     document carries a market block."""
-    started = time.perf_counter()
     doc = _load_document(input_path)
     payoff = _need(doc, "payoff")
     tol = _resolve_tol(tol, doc)
@@ -246,33 +241,18 @@ def verify_duality_cmd(input_path, output, fmt, tol, dump_lp):
         report = (duality_report(doc.instance, payoff) if doc.market is None
                   else superhedging_duality_report(doc.market, payoff))
     except ArbitrageError as exc:
-        _emit("verify-duality", "arbitrage", {"detail": str(exc)}, {},
-              {"detection_tolerance": ARBITRAGE_TOL}, started, output, fmt)
-        sys.exit(2)
+        return "arbitrage", {"detail": str(exc)}, {}, {"detection_tolerance": ARBITRAGE_TOL}
     values = _duality_values(report, tol)
-    ok = values["gap_within_tol"]
-    _emit("verify-duality", "ok" if ok else "gap", values, {}, report.residuals,
-          started, output, fmt)
-    if not ok:
-        sys.exit(2)
+    return "ok" if values["gap_within_tol"] else "gap", values, {}, report.residuals
 
 
-@main.command("counterexample", cls=_LpCommand)
+@main.command("counterexample", cls=_Command, table=_depth_table)
 @click.option("--depth", type=int, default=6, show_default=True)
-@_output_options
-def counterexample_cmd(depth, output, fmt):
+def counterexample_cmd(depth):
     """Duality-gap table on the Bernoulli product space, depths 1..N."""
-    started = time.perf_counter()
     if depth < 1:
         _fail("--depth must be >= 1")
     reports = [bernoulli.gap_report(n) for n in range(1, depth + 1)]
-    if fmt == "table":
-        lines = [f"{'depth':>5}  {'dual':>10}  {'primal':>10}  {'gap':>10}"]
-        for r in reports:
-            lines.append(f"{r.depth:>5}  {r.dual_value:>10.6f}  "
-                         f"{r.primal_candidate_value:>10.6f}  {r.gap:>10.6f}")
-        write_output("\n".join(lines) + "\n", output)
-        return
     values = {
         "depths": [r.depth for r in reports],
         "dual_values": [r.dual_value for r in reports],
@@ -286,17 +266,15 @@ def counterexample_cmd(depth, output, fmt):
         "max_primal_bound_deviation": max(abs(r.primal_upper_bound - 0.5)
                                           for r in reports),
     }
-    _emit("counterexample", "ok", values, {}, residuals, started, output, fmt)
+    return "ok", values, {}, residuals
 
 
-@main.command("bl-ingest")
+@main.command("bl-ingest", cls=_Command)
 @click.option("--calls", "calls_path", required=True,
               help="JSON file with 'strikes' and 'prices' arrays")
 @click.option("--maturity", type=int, required=True)
-@_output_options
-def bl_ingest_cmd(calls_path, maturity, output, fmt):
+def bl_ingest_cmd(calls_path, maturity):
     """Recover a marginal from call quotes by discrete second differences."""
-    started = time.perf_counter()
     try:
         with open(calls_path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -307,10 +285,8 @@ def bl_ingest_cmd(calls_path, maturity, output, fmt):
         curve = CallQuoteCurve(maturity=maturity, strikes=strikes, prices=prices)
         measure = marginal_from_calls(curve)
     except StaticArbitrageError as exc:
-        _emit("bl-ingest", "static_arbitrage",
-              {"detail": str(exc), "strikes": list(exc.strikes)}, {},
-              {"quote_tolerance": 1e-9}, started, output, fmt)
-        sys.exit(2)
+        return ("static_arbitrage", {"detail": str(exc), "strikes": list(exc.strikes)}, {},
+                {"quote_tolerance": 1e-9})
     except ValueError as exc:
         _fail(str(exc))
     repricing = [float(measure.weights @ np.maximum(
@@ -325,7 +301,7 @@ def bl_ingest_cmd(calls_path, maturity, output, fmt):
         "max_repricing_error": float(np.abs(np.array(repricing) - curve.prices).max()),
         "mass_error": abs(measure.total_mass - 1.0),
     }
-    _emit("bl-ingest", "ok", values, {}, residuals, started, output, fmt)
+    return "ok", values, {}, residuals
 
 
 if __name__ == "__main__":

@@ -119,20 +119,22 @@ def _residuals(table: np.ndarray, side: DualSide):
 def hedge(primal: PrimalLp, sol, table: np.ndarray):
     """The dual side of the optimal primal `sol` of `table` and its residuals
     (superreplication_min, cost identity), both from the side's own
-    `outcome()` and `cost()`: read off the multipliers and kept once
-    `certified` passes, else `solve_superhedge`, which weak duality leaves
-    optimal (LpError if not)."""
+    `outcome()` and `cost()`: read off the multipliers and kept once its
+    cash and static legs are finite and `certified` passes, else
+    `solve_superhedge`, which weak duality leaves optimal (LpError if not)."""
     # the marginals are probabilities: each axis's free multipliers move
     # their minimum into the cash, leaving legs g_n >= 0
     rows = sol.duals.copy()
     floors = [rows[ids].min() for ids in primal.marginal_rows]
-    for ids, floor in zip(primal.marginal_rows, floors):
-        rows[ids] -= floor
+    with np.errstate(over="ignore"):  # a shift that overflows is not certified
+        for ids, floor in zip(primal.marginal_rows, floors):
+            rows[ids] -= floor
     side = primal.side("optimal", float(sol.duals @ primal.lp.rhs), float(sum(floors)),
                        rows, sol.x)
-    residuals = _residuals(table, side)
-    if certified(sol.value, side.value, *residuals):
-        return side, residuals
+    if np.isfinite([side.m, *np.concatenate(side.g)]).all():
+        residuals = _residuals(table, side)
+        if certified(sol.value, side.value, *residuals):
+            return side, residuals
     side = solve_superhedge(primal)
     if side.status != "optimal":
         raise LpError(f"superhedge LP {side.status} beside an optimal primal")

@@ -177,6 +177,12 @@ def _mixed_market_doc():
     }
 
 
+def _dense_overflow_doc(table):
+    """The mixed market with a dense payoff near the float limit: its read-off
+    legs overflow when shifted by their minimum."""
+    return {**_mixed_market_doc(), "payoff": {"kind": "dense", "table": table}}
+
+
 class TestSolveCounts:
     @pytest.mark.parametrize("command, solves, expansions", [
         ("solve-mot", 1, 1), ("check-arbitrage", 1, 0), ("verify-duality", 1, 1)])
@@ -400,6 +406,25 @@ def test_only_primal_side_builds_a_dual_side():
     assert calls == [("assembly.py", True)]
 
 
+def test_one_result_path_in_the_cli():
+    """Only `_Command.invoke` renders a result or exits with its status, and
+    `_fail` exits 1 on an input error: no command callback does either."""
+    path = Path(motkit.__file__).resolve().parent / "cli.py"
+
+    def calls(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = (f"{scope}.{child.name}".lstrip(".")
+                     if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope)
+            if isinstance(child, ast.Call):
+                yield inner, ast.unparse(child.func)
+            yield from calls(child, inner)
+
+    found = {(scope, name) for scope, name in calls(ast.parse(path.read_text()), "")
+             if name.rsplit(".", 1)[-1] in ("render_result", "exit", "SystemExit")}
+    assert found == {("_Command.invoke", "render_result"), ("_Command.invoke", "sys.exit"),
+                     ("_fail", "sys.exit")}
+
+
 def test_exported_names_resolve():
     """Each module's `__all__` and each name the package imports exist, and
     the strategy types and the wrapper that `DualSide` replaced stay gone."""
@@ -610,6 +635,45 @@ class TestNumericalFailure:
                                                            "numerical_failure")
         assert payload["values"] == {"detail": "phase 1 terminated unbounded"}
 
+    @pytest.mark.parametrize("command", ["solve-mot", "verify-duality"])
+    @pytest.mark.parametrize("table, status, code", [
+        ([0.5, 1.0, 1.7e308], "ok", 0), ([9e307, 0.0, -9e307], "numerical_failure", 3)])
+    def test_overflowing_read_off_falls_back(self, runner, tmp_path, command, table, status,
+                                             code):
+        """Read-off legs that overflow are not certified: the superhedge LP
+        answers, or its `LpError` does, instead of a traceback."""
+        path = _write(tmp_path, "doc.json", _dense_overflow_doc(table))
+        result = runner.invoke(main, [command, "-i", path])
+        assert result.exit_code == code, result.output
+        assert json.loads(result.stdout)["status"] == status
+
+
+class TestTableFormat:
+    @pytest.mark.parametrize("command, doc, code", [
+        ("solve-transport", _transport_doc(), 0),
+        ("solve-mot", _straddle_market_doc(), 0),
+        ("solve-mot", {**_spot_mismatch_doc(), "payoff": {"kind": "dense", "table": [0.0, 0.0]}},
+         2),
+        ("check-arbitrage", _spot_mismatch_doc(), 2),
+        ("check-arbitrage", _rescaled_arbitrage_doc(13), 3),
+        ("verify-duality", _straddle_market_doc(), 0),
+        ("bl-ingest", {"strikes": [0.0, 1.0, 2.0], "prices": [1.0, 0.2, 0.5]}, 2)],
+        ids=["solve-transport", "solve-mot", "solve-mot-arbitrage", "check-arbitrage",
+             "check-arbitrage-failure", "verify-duality", "bl-ingest-arbitrage"])
+    def test_table_keeps_the_exit_code_and_lists_the_keys(self, runner, tmp_path, command,
+                                                          doc, code):
+        path = _write(tmp_path, "doc.json", doc)
+        argv = ([command, "--calls", path, "--maturity", "1"] if command == "bl-ingest"
+                else [command, "-i", path])
+        plain = runner.invoke(main, argv)
+        table = runner.invoke(main, argv + ["--format", "table"])
+        assert plain.exit_code == table.exit_code == code, table.output
+        payload = json.loads(plain.stdout)
+        keys = [line.split()[0] for line in table.stdout.splitlines()]
+        rule = next(k for k, key in enumerate(keys) if set(key) == {"-"})
+        assert keys[:rule] == list(payload["values"])
+        assert keys[rule + 1:] == list(payload["residuals"])
+
 
 def _places(node):
     """(container, key) of every field and entry of a JSON value, nested ones too."""
@@ -655,7 +719,8 @@ class TestMutationSweep:
         fixtures = [_straddle_market_doc(), _transport_doc(), _spot_mismatch_doc(),
                     _mixed_market_doc()]
         docs = [_straddle_overflow_doc(), _basket_overflow_doc(),
-                _rescaled_arbitrage_doc(13), _rescaled_arbitrage_doc(41)]
+                _rescaled_arbitrage_doc(13), _rescaled_arbitrage_doc(41),
+                _dense_overflow_doc([0.5, 1.0, 1.7e308]), _dense_overflow_doc([9e307, 0.0, -9e307])]
         docs += [self._mutated(rng, fixtures[k % 4]) for k in range(300)]
         path = tmp_path / "doc.json"
         codes = Counter()
