@@ -203,7 +203,7 @@ class PrimalLp:
         """The primal of another payoff: these rows and ids, the same arrays."""
         objective = np.zeros(self.lp.n_variables)
         objective[self.paths] = table
-        return replace(self, lp=replace(self.lp, objective=objective))
+        return replace(self, lp=self.lp.with_objective(objective))
 
     def side(self, status: str, value: float, cash: float, rows: np.ndarray,
              columns: np.ndarray | None) -> DualSide:

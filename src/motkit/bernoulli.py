@@ -12,8 +12,8 @@ computations:
 * the primal side is the two-point measure (all-ones + all-zeros)/2, which
   evaluates to 1/2, together with the depth-N LP bound max E[x_N] = 1/2.
 
-Per depth, `gap_report` solves both primals from one instance, one
-assembly and one phase 1 (`transport.solve_primals`).
+One instance serves every depth, depth n being its first n axes; per depth,
+`gap_report` solves both primals from one assembly and one phase 1.
 
 The gap 1/2 persists at every depth; the cylinder payoff (without tail
 forcing) shows zero gap at each finite depth, isolating the gap as a pure
@@ -55,6 +55,12 @@ def bernoulli_instance(depth: int) -> Instance:
         constraints.append(MarginalConstraint.exact(
             DiscreteMeasure(ax, np.array([0.5, 0.5]))))
     return Instance(tuple(axes), tuple(constraints), label=f"bernoulli-{depth}")
+
+
+def _prefix(instance: Instance, depth: int) -> Instance:
+    if not 1 <= depth <= instance.horizon:
+        raise ValueError("need 1 <= depth <= the instance's horizon")
+    return Instance(instance.axes[:depth], instance.constraints[:depth], f"bernoulli-{depth}")
 
 
 def two_point_measure(depth: int) -> Coupling:
@@ -111,14 +117,11 @@ def window_min_expectations(depth: int, start: int = 1) -> np.ndarray:
     """
     if not 1 <= start <= depth:
         raise ValueError("need 1 <= start <= depth")
-    out = []
+    out, full = [], bernoulli_instance(depth)
     for j in range(start, depth + 1):
-        instance = bernoulli_instance(j)
-        coords = np.stack([instance.coordinate_values(pos)[:, 0]
-                           for pos in range(start - 1, j)])
-        window_min = coords.min(axis=0)
-        product = Coupling.product(instance)
-        out.append(float(window_min @ product.weights))
+        instance = _prefix(full, j)
+        coords = np.stack([instance.coordinate_values(p)[:, 0] for p in range(start - 1, j)])
+        out.append(float(coords.min(axis=0) @ Coupling.product(instance).weights))
     return np.array(out)
 
 
@@ -149,9 +152,9 @@ class BernoulliGapReport:
             raise ValueError("primal candidate exceeds its upper bound")
 
 
-def gap_report(depth: int) -> BernoulliGapReport:
-    """Assemble the per-depth gap table row; the gap is 1/2 at every depth."""
-    instance = bernoulli_instance(depth)
+def gap_report(depth: int, instance: Instance | None = None) -> BernoulliGapReport:
+    """The gap row of the first `depth` axes of `instance` (default: a new one)."""
+    instance = bernoulli_instance(depth) if instance is None else _prefix(instance, depth)
     ones, last = np.ones(instance.n_paths), instance.coordinate_values(depth - 1)[:, 0]
     unit, bound = solve_primals(instance, [ones, last])
     side = hedge(*unit, ones)[0]

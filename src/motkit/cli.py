@@ -252,7 +252,8 @@ def counterexample_cmd(depth):
     """Duality-gap table on the Bernoulli product space, depths 1..N."""
     if depth < 1:
         _fail("--depth must be >= 1")
-    reports = [bernoulli.gap_report(n) for n in range(1, depth + 1)]
+    instance = bernoulli.bernoulli_instance(depth)
+    reports = [bernoulli.gap_report(n, instance) for n in range(1, depth + 1)]
     values = {
         "depths": [r.depth for r in reports],
         "dual_values": [r.dual_value for r in reports],

@@ -25,8 +25,9 @@ residual from the raw problem data.
 
 Phase 1 reads only the rows, rhs, bounds and relations.  A start
 (``phase_one``) holds its result; ``solve`` runs phase 2 from one made from
-the same row arrays (``dataclasses.replace`` of the objective shares them),
-by default from ``phase_one(lp)``, so a warm solve is the cold one's bits.
+the same row arrays (another payoff shares them and the start through
+``LinearProgram.with_objective``), by default from ``phase_one(lp)``, so a
+warm solve is the cold one's bits.
 
 Pivoting is largest-reduced-cost (Dantzig) with lowest-index tie breaking,
 falling back to Bland's rule after a fixed iteration budget so cycling
@@ -138,6 +139,16 @@ class LinearProgram:
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "relations", tuple(self.relations))
         object.__setattr__(self, "relation_codes", codes)
+
+    def with_objective(self, objective) -> "LinearProgram":
+        """This LP with only `objective` checked: it shares the rows and `phase_one(self)`."""
+        obj = np.atleast_1d(np.asarray(objective, dtype=float))
+        if obj.shape != self.objective.shape or not np.all(np.isfinite(obj)):
+            raise ValueError("objective must be finite, one entry per variable")
+        obj.setflags(write=False)
+        new = object.__new__(LinearProgram)
+        new.__dict__.update(self.__dict__, objective=obj)
+        return new
 
     @property
     def n_variables(self) -> int:

@@ -5,8 +5,9 @@ import itertools
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from motkit import transport
+from motkit import bernoulli, transport
 from motkit.bernoulli import (
     bernoulli_instance,
     gap_report,
@@ -16,7 +17,8 @@ from motkit.bernoulli import (
     window_min_expectations,
 )
 from motkit.lp import solve
-from motkit.model import Coupling, Payoff, marginal_of
+from motkit.cli import main
+from motkit.model import Coupling, DiscreteAxis, Payoff, marginal_of
 from motkit.transport import conjugate_membership, dual_transport, primal_transport
 
 from oracles import tall_tail_forced_dual_bound
@@ -172,6 +174,44 @@ class TestGapReport:
         report = gap_report(3)
         assert report.primal_candidate_value <= report.primal_upper_bound + 1e-12
         assert report.attaining_measure.total_mass == pytest.approx(1.0, abs=0.0)
+
+
+class TestSharedInstance:
+    def test_counterexample_builds_one_instance_with_fresh_reports(self, monkeypatch):
+        """`counterexample --depth 6` builds the six axes of one instance,
+        not 1 + 2 + ... + 6, and each depth's report from it has the bits of
+        `gap_report(n)` on a fresh `bernoulli_instance(n)`."""
+        axes, reports = [], []
+        post_init, report = DiscreteAxis.__post_init__, bernoulli.gap_report
+        with monkeypatch.context() as patch:
+            patch.setattr(DiscreteAxis, "__post_init__",
+                          lambda ax: axes.append(ax.index) or post_init(ax))
+            patch.setattr(bernoulli, "gap_report",
+                          lambda *args: reports.append(report(*args)) or reports[-1])
+            result = CliRunner().invoke(main, ["counterexample", "--depth", "6"])
+        assert result.exit_code == 0, result.output
+        assert axes == [1, 2, 3, 4, 5, 6]
+        assert [r.depth for r in reports] == [1, 2, 3, 4, 5, 6]
+
+        def bits(value):
+            arr = np.asarray(value)
+            return arr.dtype, arr.shape, arr.tobytes()
+
+        for shared in reports:
+            fresh = gap_report(shared.depth)
+            for name in ("dual_value", "primal_upper_bound", "certificate_m"):
+                assert bits(getattr(shared, name)) == bits(getattr(fresh, name)), name
+            assert len(shared.certificate_legs) == len(fresh.certificate_legs) == shared.depth
+            for mine, theirs in zip(shared.certificate_legs, fresh.certificate_legs):
+                assert bits(mine) == bits(theirs)
+            assert bits(shared.attaining_measure.weights) == bits(fresh.attaining_measure.weights)
+
+    def test_depth_beyond_the_instance_raises(self):
+        instance = bernoulli_instance(3)
+        for depth in (0, -1, 4):
+            with pytest.raises(ValueError, match="horizon"):
+                gap_report(depth, instance)
+        assert gap_report(2, instance).depth == 2
 
 
 class TestZeroGapWithoutTailForcing:

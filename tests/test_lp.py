@@ -661,6 +661,39 @@ class TestWarmStart:
         _same_solution(solve(dataclasses.replace(primal.lp, sense="min"), start=start),
                        solve(dataclasses.replace(primal.lp, sense="min")))
 
+    def test_with_objective_shares_rows_and_start(self):
+        """with_objective checks only the new objective and shares every
+        other checked array, so the old LP's phase 1 starts the new one and
+        the warm solve is a cold solve of the fully constructed LP, bit for
+        bit."""
+        rng = np.random.default_rng(31)
+        market = binomial_market(np.random.default_rng(24), 2, d=1, epsilons=[0.0])
+        mot = primal_lp(market.instance, random_payoff_table(
+            np.random.default_rng(25), market.instance), market).lp
+        statuses = Counter()
+        for lp in [mot, *TestStandardForm._lps()]:
+            start = phase_one(lp)
+            objective = dyadic(rng, -2, 2, size=lp.n_variables, scale=4)
+            new = lp.with_objective(objective)
+            for name in ("sense", "a", "rhs", "lower", "upper", "relations", "relation_codes"):
+                assert getattr(new, name) is getattr(lp, name), name
+            assert _bits(new.objective) == _bits(objective)
+            assert not new.objective.flags.writeable
+            warm = solve(new, start=start)
+            _same_solution(warm, solve(dataclasses.replace(lp, objective=objective)))
+            statuses[warm.status] += 1
+        assert len(statuses) == 3, statuses
+
+    @pytest.mark.parametrize("objective", [[np.nan, 1.0], [1.0, np.inf], [1.0], [1.0, 2.0, 3.0]],
+                             ids=["nan", "inf", "short", "long"])
+    def test_with_objective_checks_the_objective(self, objective):
+        lp = _lp("min", [1.0, 1.0], [[1.0, 2.0], [1.0, -1.0]], ["<=", ">="], [3.0, 0.0])
+        for make in (lambda: dataclasses.replace(lp, objective=objective),
+                     lambda: lp.with_objective(objective)):
+            with pytest.raises(ValueError):
+                make()
+        assert _bits(lp.objective) == _bits(np.array([1.0, 1.0]))
+
     def test_other_rows_or_pivot_rule_raise(self):
         lp = _lp("min", [1.0, 1.0], [[1.0, 2.0], [1.0, -1.0]], ["<=", ">="], [3.0, 0.0])
         start = phase_one(lp)
