@@ -26,7 +26,7 @@ from .documents import (
     render_result,
     write_output,
 )
-from .lp import PIVOT_RULE, LpError, write_mps
+from .lp import LpError, write_mps
 from .martingale import ARBITRAGE_TOL, ArbitrageError, ftap_check, superhedging_duality_report
 from .model import Payoff
 from .transport import duality_report
@@ -44,13 +44,9 @@ def _load_document(path: str):
     except OSError as exc:
         _fail(f"cannot read {path}: {exc}")
     try:
-        doc = parse_instance(text)
+        return parse_instance(text)
     except DocumentError as exc:
         _fail(str(exc))
-    # the document's pivot rule holds until this command's context closes
-    token = PIVOT_RULE.set(doc.options.pivot_rule)
-    click.get_current_context().call_on_close(lambda: PIVOT_RULE.reset(token))
-    return doc
 
 
 def _need(doc, block: str):
@@ -92,7 +88,7 @@ def _duality_values(report, tol) -> dict:
 
 def _resolve_tol(tol, doc):
     if tol is None:
-        return doc.options.tol
+        return doc.tol
     if not (np.isfinite(tol) and tol > 0):
         _fail("--tol must be positive and finite")
     return tol

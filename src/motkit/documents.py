@@ -1,9 +1,10 @@
 """Versioned JSON instance documents and result serialization.
 
 One document describes an instance (axes + constraints) and optionally a
-market block, a payoff block and solver options.  Parsing is strict:
-unknown fields, NaN/Inf, wrong shapes and probability violations are
-rejected with the offending field path in the message.  Serialization is
+market block, a payoff block and an options block holding the gap
+tolerance.  Parsing is strict: unknown fields, NaN/Inf, wrong shapes and
+probability violations are rejected with the offending field path in the
+message.  Serialization is
 canonical (fixed key order, repr-roundtrip floats), so identical inputs
 produce byte-identical documents.
 """
@@ -31,7 +32,6 @@ from .payoffs import PAYOFF_GENERATORS, param_error
 
 __all__ = [
     "DocumentError",
-    "SolverOptions",
     "InstanceDocument",
     "parse_instance",
     "parse_call_quotes",
@@ -51,12 +51,6 @@ class DocumentError(ValueError):
         self.path = path
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    tol: float = 1e-9
-    pivot_rule: str = "dantzig"
-
-
 @dataclass(frozen=True, eq=False)
 class InstanceDocument:
     version: int
@@ -64,7 +58,7 @@ class InstanceDocument:
     instance: Instance
     market: Market | None
     payoff: Payoff | None
-    options: SolverOptions
+    tol: float
 
 
 def _reject_constant(token):
@@ -190,14 +184,15 @@ def _parse_market(raw, instance: Instance, path: str) -> Market:
         raise DocumentError(path, str(exc)) from None
 
 
-def _parse_options(raw, path: str) -> SolverOptions:
+def _parse_options(raw, path: str) -> float:
+    """The tol of an options block; "pivot_rule": "dantzig", which documents
+    carried until the engine had one rule, is accepted and ignored."""
     _fields(raw, path, "options", ("tol", "pivot_rule"))
     tol = _finite_floats(raw.get("tol", 1e-9), f"{path}.tol")
     _require(tol.ndim == 0 and tol > 0, f"{path}.tol", "must be a positive number")
-    rule = raw.get("pivot_rule", "dantzig")
-    _require(rule in ("dantzig", "bland"), f"{path}.pivot_rule",
-             "must be 'dantzig' or 'bland'")
-    return SolverOptions(tol=float(tol), pivot_rule=rule)
+    _require(raw.get("pivot_rule", "dantzig") == "dantzig", f"{path}.pivot_rule",
+             "must be 'dantzig', the only rule")
+    return float(tol)
 
 
 _TOP_LEVEL_FIELDS = {"version", "label", "axes", "constraints", "market",
@@ -232,13 +227,12 @@ def parse_instance(text: str) -> InstanceDocument:
               if raw.get("market") is not None else None)
     payoff = (_parse_payoff(raw["payoff"], instance, "$.payoff")
               if raw.get("payoff") is not None else None)
-    options = (_parse_options(raw["options"], "$.options")
-               if raw.get("options") is not None else SolverOptions())
+    tol = _parse_options({} if raw.get("options") is None else raw["options"], "$.options")
     if payoff is not None and payoff.kind == "dense":
         _require(payoff.table.size == instance.n_paths, "$.payoff.table",
                  f"needs {instance.n_paths} entries (row-major, axis 1 slowest)")
     return InstanceDocument(version=SCHEMA_VERSION, label=label, instance=instance,
-                            market=market, payoff=payoff, options=options)
+                            market=market, payoff=payoff, tol=tol)
 
 
 def parse_call_quotes(raw) -> tuple[np.ndarray, np.ndarray]:
@@ -283,7 +277,7 @@ def serialize_instance(doc: InstanceDocument) -> str:
         }
     if doc.payoff is not None:
         out["payoff"] = _payoff_dict(doc.payoff)
-    out["options"] = {"tol": doc.options.tol, "pivot_rule": doc.options.pivot_rule}
+    out["options"] = {"tol": doc.tol}
     return json.dumps(out, indent=2, allow_nan=False) + "\n"
 
 

@@ -30,9 +30,12 @@ the same row arrays (another payoff shares them and the start through
 warm solve is the cold one's bits.
 
 Pivoting is largest-reduced-cost (Dantzig) with lowest-index tie breaking,
-falling back to Bland's rule after a fixed iteration budget so cycling
-cannot occur; a hard iteration cap raises ``LpNumericalError`` rather than
-returning a wrong status.  The tableau is condensed (Chvátal's dictionary):
+falling back to Bland's rule after a number of pivots so cycling cannot
+occur; past a hard pivot cap ``LpNumericalError`` is raised rather than a
+wrong status returned.  ``_budget`` gives both numbers, from the size of
+the standard form, to both phases.
+
+The tableau is condensed (Chvátal's dictionary):
 the nonbasic columns and the rhs, ``nonbasic`` naming the column in each
 slot.  A pivot gives the entering slot to the leaving variable, updated
 from its unit column as in the full tableau: 0 - column * (1/piv), 1/piv
@@ -47,7 +50,6 @@ bound measured again, so an overflow raises on the pivot a scan would.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,9 +78,6 @@ RELATIONS = {"<=": -1, "=": 0, ">=": 1}
 PIVOT_TOL = 1e-9
 # Residual level the engine promises on Optimal (absolute, per row).
 RESIDUAL_TOL = 1e-8
-# Rule used when solve() is called without an explicit pivot_rule; the CLI
-# sets it from the document's solver options for the one command it runs.
-PIVOT_RULE: ContextVar[str] = ContextVar("motkit_pivot_rule", default="dantzig")
 
 
 class LpError(RuntimeError):
@@ -394,8 +393,14 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
     return growth, row_max
 
 
+def _budget(m: int, n: int) -> tuple[int, int]:
+    """The pivots after which Bland's rule replaces Dantzig's, and the pivot
+    cap, of a standard form with m rows and n columns."""
+    return 1000 + 20 * (m + n), 20000 + 500 * (m + n)
+
+
 def _run_simplex(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
-                 pivot_rule: str, iteration_budget: list[int], bland_after: int,
+                 iteration_budget: list[int], bland_after: int,
                  enter_below: int = np.iinfo(np.intp).max) -> tuple[str, int | None]:
     """Iterate to optimality, entering only ids below `enter_below`; returns
     ("optimal", None) or ("unbounded", entering slot)."""
@@ -407,7 +412,7 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
     bound = np.abs(tableau).max()
     masked = False  # until a variable that may not enter leaves the basis
     while costrow.size:
-        bland = pivot_rule == "bland" or iteration_budget[0] >= bland_after
+        bland = iteration_budget[0] >= bland_after
         reduced = np.where(nonbasic < enter_below, costrow, np.inf) if masked else costrow
         # Bland: the lowest id with a negative reduced cost; Dantzig: the
         # most negative, exact ties to the lowest id
@@ -451,31 +456,23 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
 class PhaseOne:
     """A start for `solve`: the standard form of an LP's rows, phase 1's
     condensed tableau, basis and nonbasic after the artificial drive-out
-    (read-only), its pivots and Bland switch point; if infeasible, Farkas."""
+    (read-only) and its pivots; if infeasible, Farkas."""
 
     std: _Standardizer
     tableau: np.ndarray
     basis: np.ndarray
     nonbasic: np.ndarray
-    budget: tuple[int, int]  # pivots taken, cap
-    bland_after: int
-    pivot_rule: str
+    pivots: int
     infeasible: LpSolution | None
 
 
-def phase_one(lp: LinearProgram, *, pivot_rule: str | None = None,
-              max_iterations: int | None = None) -> PhaseOne:
+def phase_one(lp: LinearProgram) -> PhaseOne:
     """Phase 1 of `solve` on the rows of `lp`; its objective is not read."""
-    if pivot_rule is None:
-        pivot_rule = PIVOT_RULE.get()
-    if pivot_rule not in ("dantzig", "bland"):
-        raise ValueError("pivot_rule must be 'dantzig' or 'bland'")
     std = _Standardizer(lp)
     a, b = std.a_std, std.b_std
     m, n = a.shape
-
-    bland_after = 1000 + 20 * (m + n)
-    budget = [0, max_iterations if max_iterations is not None else 20000 + 500 * (m + n)]
+    bland_after, cap = _budget(m, n)
+    budget = [0, cap]
 
     # Artificial basis (ids n..n+m-1), minimize total infeasibility.
     tableau = np.empty((m + 1, n + 1))
@@ -486,7 +483,7 @@ def phase_one(lp: LinearProgram, *, pivot_rule: str | None = None,
     basis = np.arange(n, n + m)
     nonbasic = np.arange(n)
 
-    if _run_simplex(tableau, basis, nonbasic, pivot_rule, budget, bland_after)[0] != "optimal":
+    if _run_simplex(tableau, basis, nonbasic, budget, bland_after)[0] != "optimal":
         raise LpNumericalError("phase 1 terminated unbounded")
     infeasible = None
     feas_tol = PIVOT_TOL * (1.0 + np.abs(b).max(initial=0.0)) * 10.0
@@ -511,32 +508,29 @@ def phase_one(lp: LinearProgram, *, pivot_rule: str | None = None,
             # else: redundant row, its artificial stays basic at level zero
     for arr in (tableau, basis, nonbasic):
         arr.setflags(write=False)
-    return PhaseOne(std, tableau, basis, nonbasic, tuple(budget), bland_after, pivot_rule,
-                    infeasible)
+    return PhaseOne(std, tableau, basis, nonbasic, budget[0], infeasible)
 
 
-def solve(lp: LinearProgram, *, pivot_rule: str | None = None,
-          max_iterations: int | None = None, start: PhaseOne | None = None) -> LpSolution:
+def solve(lp: LinearProgram, *, start: PhaseOne | None = None) -> LpSolution:
     """Solve an LP; status is one of Optimal / Infeasible / Unbounded.
 
     Phase 2 runs from `start`, by default `phase_one(lp)`; a start made from
-    other row arrays or under another pivot rule raises ValueError, and
-    `max_iterations` (None: the start's cap) caps the pivots of both phases.
+    other row arrays raises ValueError.  `_budget` gives the pivots of both
+    phases together, after which Bland's rule takes over, and their cap.
     Deterministic: identical inputs take identical pivot sequences.
     """
     if start is None:
-        start = phase_one(lp, pivot_rule=pivot_rule, max_iterations=max_iterations)
-    elif start.pivot_rule != (pivot_rule or PIVOT_RULE.get()) or any(
-            getattr(start.std.lp, name) is not getattr(lp, name)
-            for name in ("a", "rhs", "lower", "upper", "relations")):
-        raise ValueError("start made from other rows or under another pivot rule")
+        start = phase_one(lp)
+    elif any(getattr(start.std.lp, name) is not getattr(lp, name)
+             for name in ("a", "rhs", "lower", "upper", "relations")):
+        raise ValueError("start made from other rows")
     if start.infeasible is not None:
         return start.infeasible
     std = start.std
     a, c = std.a_std, std.cost(lp)
     m, n = a.shape
-    budget = [start.budget[0], start.budget[1] if max_iterations is None else max_iterations]
-    bland_after, pivot_rule = start.bland_after, start.pivot_rule
+    bland_after, cap = _budget(m, n)
+    budget = [start.pivots, cap]
 
     # Phase 2 keeps the nonbasic structural columns; an artificial left
     # basic may leave the basis, then never enter it again.
@@ -549,7 +543,7 @@ def solve(lp: LinearProgram, *, pivot_rule: str | None = None,
     for i in np.flatnonzero(basic_cost):
         tableau[-1] -= basic_cost[i] * tableau[i]
 
-    status, entering = _run_simplex(tableau, basis, nonbasic, pivot_rule, budget, bland_after, n)
+    status, entering = _run_simplex(tableau, basis, nonbasic, budget, bland_after, n)
 
     if status == "unbounded":
         dz = np.zeros(n + m)

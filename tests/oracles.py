@@ -29,9 +29,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from motkit import lp as lp_module
 from motkit.assembly import DualSide, primal_lp, superhedge_lp
 from motkit.lp import (
-    PIVOT_RULE,
     PIVOT_TOL,
     RESIDUAL_TOL,
     CertificateReport,
@@ -604,7 +604,7 @@ def full_tableau_pivot(tableau: np.ndarray, basis: np.ndarray, row: int,
 
 
 def full_tableau_run_simplex(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
-                             pivot_rule: str, iteration_budget: list[int],
+                             iteration_budget: list[int],
                              bland_after: int) -> tuple[str, int | None]:
     """Iterate to optimality.
 
@@ -617,7 +617,7 @@ def full_tableau_run_simplex(tableau: np.ndarray, basis: np.ndarray, allowed: np
     # reaches 1e300 pays for a pass over the whole tableau
     bound = np.abs(tableau).max()
     while True:
-        bland = pivot_rule == "bland" or iteration_budget[0] >= bland_after
+        bland = iteration_budget[0] >= bland_after
         reduced = np.where(allowed, costrow, np.inf)
         # Bland: the first negative reduced cost; Dantzig: the most negative
         col = int((reduced < -PIVOT_TOL).argmax() if bland else reduced.argmin())
@@ -649,22 +649,19 @@ def full_tableau_run_simplex(tableau: np.ndarray, basis: np.ndarray, allowed: np
             bound = np.abs(tableau).max()
 
 
-def full_tableau_solve(lp: LinearProgram, *, pivot_rule: str | None = None,
-                       max_iterations: int | None = None) -> LpSolution:
+def full_tableau_solve(lp: LinearProgram) -> LpSolution:
     """Solve an LP; status is one of Optimal / Infeasible / Unbounded.
 
-    Deterministic: identical inputs take identical pivot sequences.
+    Deterministic: identical inputs take identical pivot sequences.  The
+    Bland switch and the pivot cap are read from `lp._budget` at each call,
+    so a test that patches it sets both solvers' budgets.
     """
-    if pivot_rule is None:
-        pivot_rule = PIVOT_RULE.get()
-    if pivot_rule not in ("dantzig", "bland"):
-        raise ValueError("pivot_rule must be 'dantzig' or 'bland'")
     std = _Standardizer(lp)
     a, b, c = std.a_std, std.b_std, std.cost(lp)
     m, n = a.shape
 
-    bland_after = 1000 + 20 * (m + n)
-    budget = [0, max_iterations if max_iterations is not None else 20000 + 500 * (m + n)]
+    bland_after, cap = lp_module._budget(m, n)
+    budget = [0, cap]
 
     # Phase 1: artificial basis, minimize total infeasibility.
     tableau = np.zeros((m + 1, n + m + 1))
@@ -676,8 +673,7 @@ def full_tableau_solve(lp: LinearProgram, *, pivot_rule: str | None = None,
     basis = np.arange(n, n + m)
     allowed = np.ones(n + m, dtype=bool)
 
-    status, _ = full_tableau_run_simplex(tableau, basis, allowed, pivot_rule, budget,
-                                         bland_after)
+    status, _ = full_tableau_run_simplex(tableau, basis, allowed, budget, bland_after)
     if status != "optimal":  # pragma: no cover - phase 1 is always bounded
         raise LpNumericalError("phase 1 terminated unbounded")
     feas_tol = PIVOT_TOL * (1.0 + np.abs(b).max(initial=0.0)) * 10.0
@@ -713,8 +709,7 @@ def full_tableau_solve(lp: LinearProgram, *, pivot_rule: str | None = None,
             costrow -= costrow[basis[i]] * tableau[i]
     tableau[-1] = costrow
 
-    status, entering = full_tableau_run_simplex(tableau, basis, allowed, pivot_rule, budget,
-                                                bland_after)
+    status, entering = full_tableau_run_simplex(tableau, basis, allowed, budget, bland_after)
 
     if status == "unbounded":
         dz = np.zeros(n + m)

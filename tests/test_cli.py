@@ -20,7 +20,7 @@ from click.testing import CliRunner
 import motkit
 from motkit import lp as lp_module
 from motkit.cli import main
-from motkit.documents import InstanceDocument, SolverOptions, serialize_instance
+from motkit.documents import InstanceDocument, serialize_instance
 from motkit.model import Payoff
 
 from generators import random_market, rescaled_market
@@ -115,7 +115,7 @@ def _rescaled_arbitrage_doc(seed):
     market = rescaled_market(random_market(np.random.default_rng(seed), 2, d=1,
                                            epsilons=[0.05]), 1e6)
     return json.loads(serialize_instance(
-        InstanceDocument(1, "", market.instance, market, None, SolverOptions())))
+        InstanceDocument(1, "", market.instance, market, None, 1e-9)))
 
 
 def _write(tmp_path, name, payload):
@@ -333,30 +333,28 @@ class TestPayloadDigests:
         assert digest == self.DIGESTS[name]
 
 
-class TestPivotRuleScope:
+class TestPivotRuleOption:
+    """The engine has one pivot rule.  Documents written before carry
+    "pivot_rule": "dantzig", which still parses and changes nothing; any
+    other rule exits 1 at its field."""
+
     @pytest.mark.parametrize("command, doc, code", [
         ("solve-transport", _transport_doc(), 0),
-        ("check-arbitrage", _spot_mismatch_doc(), 2)])
-    def test_document_rule_ends_with_its_command(self, runner, tmp_path, monkeypatch,
-                                                 command, doc, code):
-        rules = []
-        run_simplex = lp_module._run_simplex
+        ("solve-mot", _mixed_market_doc(), 0),
+        ("check-arbitrage", _spot_mismatch_doc(), 2),
+        ("verify-duality", _mixed_market_doc(), 0)],
+        ids=["solve-transport", "solve-mot", "check-arbitrage", "verify-duality"])
+    def test_only_dantzig_is_accepted(self, runner, tmp_path, command, doc, code):
+        def run(name, options=None):
+            payload = doc if options is None else {**doc, "options": options}
+            return runner.invoke(main, [command, "-i", _write(tmp_path, name, payload)])
 
-        def recording(tableau, basis, allowed, pivot_rule, *rest):
-            rules.append(pivot_rule)
-            return run_simplex(tableau, basis, allowed, pivot_rule, *rest)
-
-        monkeypatch.setattr(lp_module, "_run_simplex", recording)
-        path = _write(tmp_path, "bland.json", {**doc, "options": {"pivot_rule": "bland"}})
-        result = runner.invoke(main, [command, "-i", path])
-        assert result.exit_code == code, result.output
-        assert rules and set(rules) == {"bland"}
-        rules.clear()
-        lp = lp_module.LinearProgram("min", np.array([1.0]), np.array([0.0]),
-                                     np.array([np.inf]), np.array([[1.0]]), (">=",),
-                                     np.array([2.0]))
-        assert lp_module.solve(lp).value == pytest.approx(2.0)
-        assert rules and set(rules) == {"dantzig"}
+        bland = run("bland.json", {"pivot_rule": "bland"})
+        assert bland.exit_code == 1 and isinstance(bland.exception, SystemExit)
+        assert "error: $.options.pivot_rule: " in bland.output
+        plain, dantzig = run("plain.json"), run("dantzig.json", {"pivot_rule": "dantzig"})
+        assert plain.exit_code == dantzig.exit_code == code, dantzig.output
+        assert _payload_without_meta(dantzig.output) == _payload_without_meta(plain.output)
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -9,7 +9,6 @@ from motkit.calls import CallQuoteCurve, StaticArbitrageError, marginal_from_cal
 from motkit.documents import (
     DocumentError,
     InstanceDocument,
-    SolverOptions,
     parse_instance,
     serialize_instance,
 )
@@ -31,7 +30,7 @@ class TestParsing:
         assert doc.instance.horizon == 1
         assert doc.instance.axes[0].npoints == 2
         assert doc.market is None and doc.payoff is None
-        assert doc.options == SolverOptions()
+        assert doc.tol == 1e-9
 
     def test_probability_invariant_rejection(self):
         raw = _minimal_doc()
@@ -162,7 +161,7 @@ class TestRoundTrip:
                                                 max_points=4)
             doc = InstanceDocument(version=1, label=instance.label,
                                    instance=instance, market=None, payoff=None,
-                                   options=SolverOptions())
+                                   tol=1e-9)
             text = serialize_instance(doc)
             again = parse_instance(text)
             assert serialize_instance(again) == text
@@ -181,12 +180,13 @@ class TestRoundTrip:
             "market": {"s0": [1.0], "epsilons": [0.01]},
             "payoff": {"kind": "named", "name": "straddle",
                        "params": {"n": 1, "m": 2}},
-            "options": {"tol": 1e-8, "pivot_rule": "bland"},
+            "options": {"tol": 1e-8},
         }
         doc = _parse(json.dumps(raw))
         assert doc.market is not None and doc.payoff is not None
-        assert doc.options.pivot_rule == "bland"
+        assert doc.tol == 1e-8
         text = serialize_instance(doc)
+        assert "pivot_rule" not in text
         again = parse_instance(text)
         assert serialize_instance(again) == text
         assert _np.array_equal(again.market.epsilons, doc.market.epsilons)

@@ -47,6 +47,26 @@ RESIDUAL_TOL = 1e-8
 ORACLE_TOL = 1e-7
 
 
+def _patch_budget(patch, *, bland_after=None, cap=None):
+    """Set the pivot that switches to Bland's rule, or the pivot cap, of
+    `lp._budget`, which lp.solve and full_tableau_solve both read."""
+    budget = lp_module._budget
+
+    def patched(m, n):
+        switch, limit = budget(m, n)
+        return (switch if bland_after is None else bland_after, limit if cap is None else cap)
+
+    patch.setattr(lp_module, "_budget", patched)
+
+
+@pytest.fixture
+def pivot_rule(request, monkeypatch):
+    """"dantzig": the engine as it runs; "bland": Bland's rule from the first pivot."""
+    if request.param == "bland":
+        _patch_budget(monkeypatch, bland_after=0)
+    return request.param
+
+
 def _lp(sense, c, rows, rels, b, lower=None, upper=None):
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -134,10 +154,12 @@ class TestBasicStatuses:
         else:
             assert check_farkas_certificate(lp, sol.farkas) <= RESIDUAL_TOL
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         lp = _lp("max", [1.0, 1.0], [[1.0, 2.0], [2.0, 1.0]], ["<=", "<="], [4.0, 4.0])
-        with pytest.raises(LpNumericalError):
-            solve(lp, max_iterations=1)
+        _patch_budget(monkeypatch, cap=1)
+        for run in (solve, full_tableau_solve):
+            with pytest.raises(LpNumericalError, match="iteration limit"):
+                run(lp)
 
     def test_degenerate_cycling_example_terminates(self):
         # Beale's example makes naive most-negative pivoting cycle; the
@@ -152,12 +174,13 @@ class TestBasicStatuses:
         assert sol.value == pytest.approx(-0.05, abs=1e-10)
         assert check_certificates(lp, sol).max_violation <= RESIDUAL_TOL
 
-    def test_bland_rule_from_the_start_agrees(self):
+    def test_bland_rule_from_the_start_agrees(self, monkeypatch):
         rng = np.random.default_rng(8)
-        for _ in range(30):
-            lp = random_tiny_lp(rng)
-            a = solve(lp, pivot_rule="dantzig")
-            b = solve(lp, pivot_rule="bland")
+        lps = [random_tiny_lp(rng) for _ in range(30)]
+        dantzig = [solve(lp) for lp in lps]
+        _patch_budget(monkeypatch, bland_after=0)
+        for lp, a in zip(lps, dantzig):
+            b = solve(lp)
             assert a.status == b.status
             if a.status == "optimal":
                 assert a.value == pytest.approx(b.value, abs=1e-9)
@@ -420,10 +443,10 @@ class _ScanCounter:
         return np.isfinite(values)
 
 
-def _outcome(run, lp, pivot_rule):
+def _outcome(run, lp):
     """The solution, or the message of the LpNumericalError raised."""
     try:
-        return run(lp, pivot_rule=pivot_rule)
+        return run(lp)
     except LpNumericalError as exc:
         return str(exc)
 
@@ -435,7 +458,7 @@ class TestFusedSimplex:
     also checked against the np.outer update its einsum replaced."""
 
     @staticmethod
-    def _compare(monkeypatch, lp, pivot_rule, bland_after=None, zero_signs=None):
+    def _compare(monkeypatch, lp, zero_signs=None):
         """Both solves with their pivots recorded; returns lp.solve's solution."""
         mine, theirs = [], []
         pivot, full_pivot = lp_module._pivot, oracles.full_tableau_pivot
@@ -459,13 +482,7 @@ class TestFusedSimplex:
         with monkeypatch.context() as patch:
             patch.setattr(lp_module, "_pivot", recording)
             patch.setattr(oracles, "full_tableau_pivot", full_recording)
-            if bland_after is not None:
-                run, full_run = lp_module._run_simplex, oracles.full_tableau_run_simplex
-                patch.setattr(lp_module, "_run_simplex",
-                              lambda *args: run(*args[:5], bland_after, *args[6:]))
-                patch.setattr(oracles, "full_tableau_run_simplex",
-                              lambda *args: full_run(*args[:5], bland_after))
-            sol, ref = (_outcome(solver, lp, pivot_rule) for solver in (solve, full_tableau_solve))
+            sol, ref = (_outcome(solver, lp) for solver in (solve, full_tableau_solve))
         assert mine == theirs
         if isinstance(sol, str):  # both raised
             assert sol == ref
@@ -495,7 +512,7 @@ class TestFusedSimplex:
         yield _lp("max", [1.0, 0.5], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
                   ["=", "=", "="], [1.0, 0.25, 0.75])
 
-    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"])
+    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"], indirect=True)
     def test_solves_are_bit_equal(self, monkeypatch, pivot_rule):
         """The standard-form corpus, whose mirrored variables and negated
         rows put -0.0 in the tableaux, and binomial-market MOT primals.  No
@@ -506,13 +523,13 @@ class TestFusedSimplex:
         for lp in [*TestStandardForm._lps(), *self._mot_primals()]:
             with monkeypatch.context() as patch:
                 patch.setattr(lp_module, "np", counter)
-                sol = self._compare(monkeypatch, lp, pivot_rule, zero_signs=zero_signs)
+                sol = self._compare(monkeypatch, lp, zero_signs=zero_signs)
             statuses[sol.status] += 1
         assert min(statuses.values()) >= 20, statuses
         assert sum(zero_signs) > 0
         assert counter.scans == 0
 
-    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"])
+    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"], indirect=True)
     def test_empty_phase_two_is_bit_equal(self, monkeypatch, pivot_rule):
         """Phase 2 starts on a tableau of the rhs column alone."""
         widths = []
@@ -525,11 +542,11 @@ class TestFusedSimplex:
         monkeypatch.setattr(lp_module, "_run_simplex", recording)
         for lp in self._square_lps():
             widths.clear()
-            sol = self._compare(monkeypatch, lp, pivot_rule)
+            sol = self._compare(monkeypatch, lp)
             assert sol.status == "optimal" and widths[-1] == 1
             assert check_certificates(lp, sol).max_violation <= RESIDUAL_TOL
 
-    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"])
+    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"], indirect=True)
     def test_drive_out_ties_are_bit_equal(self, monkeypatch, pivot_rule):
         """Each last row repeats the first, scaled, so its artificial ends
         phase 1 basic; under Bland the row it is driven out on has equal
@@ -540,25 +557,26 @@ class TestFusedSimplex:
                  [1, 1, 0, -1], [-1, 0, -1, 1, 2]),
                 ([[2, -2, 1, -1], [-2, -2, 0, 0], [4, -4, 2, -2]], [1, 0, 2], [-1, 1, 2, -1])):
             lp = _lp("min", c, rows, ["="] * len(rhs), rhs)
-            assert self._compare(monkeypatch, lp, pivot_rule).status == "optimal"
+            assert self._compare(monkeypatch, lp).status == "optimal"
 
-    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"])
+    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"], indirect=True)
     def test_rescaled_units_are_bit_equal(self, monkeypatch, pivot_rule):
         """Raises included; in phase 2 an artificial leaves the basis, and
         both solvers keep it from entering again."""
         for lp in TestRescaledUnits._lps():
-            self._compare(monkeypatch, lp, pivot_rule)
+            self._compare(monkeypatch, lp)
 
     def test_crossing_the_bland_switch_is_bit_equal(self, monkeypatch):
         """Both solvers switch from Dantzig to Bland after three pivots."""
+        _patch_budget(monkeypatch, bland_after=3)
         crossed = 0
         for lp in self._mot_primals():
-            sol = self._compare(monkeypatch, lp, "dantzig", bland_after=3)
+            sol = self._compare(monkeypatch, lp)
             crossed += sol.iterations > 4
         assert crossed >= 3
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"])
+    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"], indirect=True)
     @pytest.mark.parametrize("rows, rhs", [
         # x1 enters on the first row, whose pivot 2e-9 turns 1e300 into inf
         ([[2e-9, 1e300, 0.0], [1.0, -1e300, 0.0]], [2e-9, 2.0]),
@@ -579,17 +597,17 @@ class TestFusedSimplex:
             simplex = getattr(module, name)
 
             def recording(*args, simplex=simplex):
-                budgets.append(args[4])
+                budgets.append(args[3])
                 return simplex(*args)
 
             with monkeypatch.context() as patch:
                 patch.setattr(module, name, recording)
                 with pytest.raises(LpNumericalError, match="tableau overflow during pivoting"):
-                    run(lp, pivot_rule=pivot_rule)
+                    run(lp)
             pivots.append(budgets[-1][0])
         assert pivots[0] == pivots[1] >= 1
 
-    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"])
+    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"], indirect=True)
     def test_overflowed_ratios_tie_only_eligible_rows(self, monkeypatch, pivot_rule):
         """min x1 s.t. x2 = 1, 2e-9 x1 = 1e300: x1's only ratio, 1e300 / 2e-9,
         is inf, and row 0 (entry 0.0) must not tie with it."""
@@ -605,11 +623,11 @@ class TestFusedSimplex:
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             with pytest.raises(LpNumericalError, match="tableau overflow during pivoting"):
-                solve(lp, pivot_rule=pivot_rule)
+                solve(lp)
         assert elements[-1] == (0, 2e-9)
         assert not any("divide by zero" in str(w.message) for w in seen)
 
-    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"])
+    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"], indirect=True)
     def test_large_finite_entries_solve(self, monkeypatch, pivot_rule):
         """x1 enters on the first row: max|column| * max|pivot row| is
         1e200 * 6e99, so the bound, 6e299 before, passes 1e300 while every
@@ -620,11 +638,11 @@ class TestFusedSimplex:
         counter = _ScanCounter()
         with monkeypatch.context() as patch:
             patch.setattr(lp_module, "np", counter)
-            sol = solve(lp, pivot_rule=pivot_rule)
+            sol = solve(lp)
         assert counter.scans >= 1
         assert sol.status == "optimal" and sol.value == 0.0
         assert primal_residual(lp, sol.x) == 0.0
-        self._compare(monkeypatch, lp, pivot_rule)
+        self._compare(monkeypatch, lp)
 
 
 class TestWarmStart:
@@ -655,7 +673,7 @@ class TestWarmStart:
             np.random.default_rng(25), market.instance), market)
         start = phase_one(primal.lp)
         first = solve(primal.lp, start=start)
-        assert first.status == "optimal" and first.iterations > start.budget[0]
+        assert first.status == "optimal" and first.iterations > start.pivots
         for _ in range(3):
             _same_solution(solve(primal.lp, start=start), first)
         _same_solution(solve(dataclasses.replace(primal.lp, sense="min"), start=start),
@@ -694,7 +712,8 @@ class TestWarmStart:
                 make()
         assert _bits(lp.objective) == _bits(np.array([1.0, 1.0]))
 
-    def test_other_rows_or_pivot_rule_raise(self):
+    @pytest.mark.parametrize("pivot_rule", ["dantzig", "bland"], indirect=True)
+    def test_other_rows_raise(self, pivot_rule):
         lp = _lp("min", [1.0, 1.0], [[1.0, 2.0], [1.0, -1.0]], ["<=", ">="], [3.0, 0.0])
         start = phase_one(lp)
         copies = {"a": lp.a.copy(), "rhs": lp.rhs.copy(), "lower": lp.lower.copy(),
@@ -702,12 +721,7 @@ class TestWarmStart:
         for name, equal in copies.items():
             with pytest.raises(ValueError, match="other rows"):
                 solve(dataclasses.replace(lp, **{name: equal}), start=start)
-        with pytest.raises(ValueError, match="pivot rule"):
-            solve(lp, start=start, pivot_rule="bland")
-        with pytest.raises(ValueError, match="pivot rule"):
-            solve(lp, start=phase_one(lp, pivot_rule="bland"))
-        _same_solution(solve(lp, start=phase_one(lp, pivot_rule="bland"), pivot_rule="bland"),
-                       solve(lp, pivot_rule="bland"))
+        _same_solution(solve(lp, start=start), solve(lp))
 
 
 class TestRescaledUnits:
