@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Coupling, DiscreteAxis, DiscreteMeasure, Instance, MarginalConstraint
+from .model import (MAX_TABLE_ENTRIES, Coupling, DiscreteAxis, DiscreteMeasure, Instance,
+                    MarginalConstraint)
 from .transport import hedge, solve_primal, solve_primals
 
 __all__ = [
@@ -45,8 +46,9 @@ _CANDIDATE = 0.5 * 1.0 + 0.5 * 0.0  # <f, mu*>: f = liminf is 1 on ones, 0 on ze
 
 def bernoulli_instance(depth: int) -> Instance:
     """depth axes {0, 1}, each with the exact fair-coin marginal."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    if not 1 <= depth < MAX_TABLE_ENTRIES.bit_length():  # 2^depth paths within the cap
+        raise ValueError(f"depth must be 1..{MAX_TABLE_ENTRIES.bit_length() - 1} "
+                         f"(2^depth paths, dense table cap {MAX_TABLE_ENTRIES})")
     axes = []
     constraints = []
     for n in range(1, depth + 1):

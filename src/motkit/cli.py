@@ -4,7 +4,8 @@ Each command returns its answer, (status, values, optimizers, residuals),
 and `_Command` writes it.  The exit code follows the status: 0 "ok", 3
 "numerical_failure" (an `LpError`: no checked answer), 2 any other finding
 (primal infeasibility, arbitrage, static arbitrage in quotes).  Input and
-schema errors exit 1.  Timing lives in `meta`, outside determinism checks.
+schema errors and unwritable paths exit 1.  Timing lives in `meta`, outside
+determinism checks.
 """
 
 from __future__ import annotations
@@ -69,29 +70,38 @@ def _depth_table(values: dict, residuals: dict) -> str:
                       for n, dual, primal, gap in rows])
 
 
-def _maybe_dump_primal(dump_path, instance, payoff, market=None):
-    """Write the one LP a duality report solves as MPS: the MOT primal of
-    `market`, else the transport primal.  Builds nothing without a path."""
-    if dump_path:
-        write_output(write_mps(primal_lp(instance, payoff.table_for(instance), market).lp),
-                     dump_path)
+def _write(text: str, path: str) -> None:
+    try:
+        write_output(text, path)
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _duality_values(report, tol) -> dict:
-    return {
+def _dump(path, build) -> None:
+    """Write the LP `build()` returns as MPS to `path`, before any solve: the
+    one --dump-lp writer.  Builds nothing without a path."""
+    if path:
+        _write(write_mps(build()), path)
+
+
+def _duality(doc, tol, dump_lp, market):
+    """The one body of the duality commands: dump the primal LP, then solve
+    transport duality (`market` None) or superhedging duality.  Returns the
+    report and its values; `ArbitrageError` on an infeasible MOT primal."""
+    payoff = _need(doc, "payoff")
+    if tol is None:
+        tol = doc.tol
+    elif not (np.isfinite(tol) and tol > 0):
+        _fail("--tol must be positive and finite")
+    _dump(dump_lp, lambda: primal_lp(doc.instance, payoff.table_for(doc.instance), market).lp)
+    report = (duality_report(doc.instance, payoff) if market is None
+              else superhedging_duality_report(market, payoff))
+    return report, {
         "primal_value": report.primal_value,
         "dual_value": report.dual_value,
         "gap": report.gap,
         "gap_within_tol": bool(report.gap <= tol * max(1.0, abs(report.dual_value))),
     }
-
-
-def _resolve_tol(tol, doc):
-    if tol is None:
-        return doc.tol
-    if not (np.isfinite(tol) and tol > 0):
-        _fail("--tol must be positive and finite")
-    return tol
 
 
 _dump_lp_option = click.option("--dump-lp", "dump_lp", default=None,
@@ -132,7 +142,7 @@ class _Command(click.Command):
         else:
             text = render_result(self.name, status, values, optimizers, residuals,
                                  time.perf_counter() - started)
-        write_output(text, output)
+        _write(text, output)
         if status != "ok":
             sys.exit(3 if status == "numerical_failure" else 2)
 
@@ -147,18 +157,14 @@ def main():
 @_common_options
 def solve_transport_cmd(input_path, tol, dump_lp):
     """Primal and dual transport values with certificates."""
-    doc = _load_document(input_path)
-    payoff = _need(doc, "payoff")
-    tol = _resolve_tol(tol, doc)
-    report = duality_report(doc.instance, payoff)
-    _maybe_dump_primal(dump_lp, doc.instance, payoff)
+    report, values = _duality(_load_document(input_path), tol, dump_lp, None)
     optimizers = {
         "coupling": report.coupling.weights,
         "m": report.dual.m,
         "g": list(report.dual.g),
         "mixtures": list(report.dual.mixtures),
     }
-    return "ok", _duality_values(report, tol), optimizers, report.residuals
+    return "ok", values, optimizers, report.residuals
 
 
 @main.command("solve-mot", cls=_Command)
@@ -167,12 +173,10 @@ def solve_transport_cmd(input_path, tol, dump_lp):
 def solve_mot_cmd(input_path, tol, dump_lp):
     """Martingale-constrained primal and semi-static superhedging dual."""
     doc = _load_document(input_path)
-    payoff = _need(doc, "payoff")
+    _need(doc, "payoff")  # input errors name the payoff before the market
     market = _need(doc, "market")
-    tol = _resolve_tol(tol, doc)
-    _maybe_dump_primal(dump_lp, doc.instance, payoff, market)
     try:
-        report = superhedging_duality_report(market, payoff)
+        report, values = _duality(doc, tol, dump_lp, market)
     except ArbitrageError as exc:
         values = {"primal_status": exc.primal_status, "dual_status": exc.dual_status}
         return "infeasible", values, {}, {"detection_tolerance": ARBITRAGE_TOL}
@@ -185,7 +189,7 @@ def solve_mot_cmd(input_path, tol, dump_lp):
                   "u": None if leg.u is None else [u.tolist() for u in leg.u]}
                  for leg in report.dual.legs],
     }
-    return "ok", _duality_values(report, tol), optimizers, report.residuals
+    return "ok", values, optimizers, report.residuals
 
 
 @main.command("check-arbitrage", cls=_Command)
@@ -196,10 +200,8 @@ def check_arbitrage_cmd(input_path, dump_lp):
     the three-way FTAP equivalence."""
     doc = _load_document(input_path)
     market = _need(doc, "market")
-    if dump_lp:
-        zero = Payoff.constant(0.0, market.instance).table
-        primal = primal_lp(market.instance, zero, market)
-        write_output(write_mps(superhedge_lp(primal)[0]), dump_lp)
+    _dump(dump_lp, lambda: superhedge_lp(primal_lp(
+        market.instance, Payoff.constant(0.0, market.instance).table, market))[0])
     ftap = ftap_check(market)
     verdict = ftap.verdict
     values = {
@@ -230,15 +232,10 @@ def verify_duality_cmd(input_path, tol, dump_lp):
     """Zero-gap check: transport duality, or superhedging duality when the
     document carries a market block."""
     doc = _load_document(input_path)
-    payoff = _need(doc, "payoff")
-    tol = _resolve_tol(tol, doc)
-    _maybe_dump_primal(dump_lp, doc.instance, payoff, doc.market)
     try:
-        report = (duality_report(doc.instance, payoff) if doc.market is None
-                  else superhedging_duality_report(doc.market, payoff))
+        report, values = _duality(doc, tol, dump_lp, doc.market)
     except ArbitrageError as exc:
         return "arbitrage", {"detail": str(exc)}, {}, {"detection_tolerance": ARBITRAGE_TOL}
-    values = _duality_values(report, tol)
     return "ok" if values["gap_within_tol"] else "gap", values, {}, report.residuals
 
 
@@ -246,9 +243,10 @@ def verify_duality_cmd(input_path, tol, dump_lp):
 @click.option("--depth", type=int, default=6, show_default=True)
 def counterexample_cmd(depth):
     """Duality-gap table on the Bernoulli product space, depths 1..N."""
-    if depth < 1:
-        _fail("--depth must be >= 1")
-    instance = bernoulli.bernoulli_instance(depth)
+    try:
+        instance = bernoulli.bernoulli_instance(depth)
+    except ValueError as exc:
+        _fail(str(exc))
     reports = [bernoulli.gap_report(n, instance) for n in range(1, depth + 1)]
     values = {
         "depths": [r.depth for r in reports],

@@ -385,8 +385,8 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
     tableau[row, slot] = 1.0
     piv_row = tableau[row] / column[row]
     # max|.| by argmax and argmin, cheaper per call than a max; both find a NaN
-    row_max = max(piv_row[piv_row.argmax()], -piv_row[piv_row.argmin()])
-    growth = max(column[column.argmax()], -column[column.argmin()]) * row_max
+    row_max = float(max(piv_row[piv_row.argmax()], -piv_row[piv_row.argmin()]))
+    growth = float(max(column[column.argmax()], -column[column.argmin()])) * row_max
     tableau -= np.einsum("i,j->ij", column, piv_row)
     tableau[row] = piv_row
     basis[row], nonbasic[slot] = nonbasic[slot], basis[row]
@@ -408,8 +408,8 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
     costrow, rhs = tableau[-1, :-1], tableau[:m, -1]
     no_ratio = np.full(m, np.inf)
     # never below max|entry|, since rounding is monotone; only a bound that
-    # reaches 1e300 pays for a pass over the whole tableau
-    bound = np.abs(tableau).max()
+    # reaches 1e300 (or inf: Python floats overflow silently) scans the tableau
+    bound = float(np.abs(tableau).max())
     masked = False  # until a variable that may not enter leaves the basis
     while costrow.size:
         bland = iteration_budget[0] >= bland_after
@@ -448,7 +448,7 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
         if not bound < 1e300:  # also true for NaN
             if not np.isfinite(tableau).all():
                 raise LpNumericalError("tableau overflow during pivoting")
-            bound = np.abs(tableau).max()
+            bound = float(np.abs(tableau).max())
     return "optimal", None
 
 

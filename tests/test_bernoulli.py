@@ -47,6 +47,14 @@ class TestInstanceConstruction:
         for con in inst.constraints:
             assert np.allclose(con.measures[0].weights, [0.5, 0.5])
 
+    @pytest.mark.parametrize("depth", [0, 20])
+    def test_depth_outside_the_table_cap_is_refused(self, depth):
+        with pytest.raises(ValueError, match=r"depth must be 1\.\.19 .*cap 1000000"):
+            bernoulli_instance(depth)
+
+    def test_deepest_depth_within_the_cap(self):
+        assert bernoulli_instance(19).n_paths == 2 ** 19
+
     def test_product_measure_is_member(self):
         for depth in (1, 2, 5):
             inst = bernoulli_instance(depth)

@@ -18,12 +18,21 @@ import pytest
 from click.testing import CliRunner
 
 import motkit
+from motkit import bernoulli
 from motkit import lp as lp_module
+from motkit import transport as transport_module
 from motkit.cli import main
 from motkit.documents import InstanceDocument, serialize_instance
 from motkit.model import Payoff
 
 from generators import random_market, rescaled_market
+
+
+# `lp.phase_one` sums the right-hand side into the phase-1 objective, and on
+# the [9e307, 0.0, -9e307] document that sum overflows (a FOUND line in
+# CHANGES.md); tier-1 turns every other RuntimeWarning into an error.
+PHASE_ONE_SUM_OVERFLOW = pytest.mark.filterwarnings(
+    "ignore:overflow encountered in reduce:RuntimeWarning")
 
 
 @pytest.fixture
@@ -155,6 +164,17 @@ class TestCounterexample:
         result = runner.invoke(main, ["counterexample", "--depth", "0"])
         assert result.exit_code == 1
 
+    def test_depth_past_the_table_cap_is_input_error(self, runner, monkeypatch):
+        """Depth 20 has 2^20 paths, past the dense table cap: exit 1 before any LP."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("gap_report called past the table cap")
+
+        monkeypatch.setattr(bernoulli, "gap_report", unreachable)
+        result = runner.invoke(main, ["counterexample", "--depth", "20"])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "error: depth must be 1..19" in result.output
+        assert "cap 1000000" in result.output
+
 
 def _spot_mismatch_doc():
     """Spot 0.9 below the barycenter 1 of the only marginal: uniform arbitrage."""
@@ -265,6 +285,31 @@ class TestDumpLp:
         assert _payload_without_meta(dumped.output) == _payload_without_meta(plain.output)
         assert lp_calls["builders"] == 2 * built + 1
         assert hashlib.sha256(dump.read_bytes()).hexdigest() == self.DIGESTS[lp]
+
+
+class TestDumpBeforeSolve:
+    @pytest.mark.parametrize("command, market", [
+        ("solve-transport", False), ("verify-duality", False),
+        ("solve-mot", True), ("verify-duality", True)],
+        ids=["solve-transport", "verify-duality-transport", "solve-mot",
+             "verify-duality-mot"])
+    def test_dump_is_written_when_the_solve_raises(self, runner, tmp_path, monkeypatch,
+                                                   command, market):
+        doc = _mixed_market_doc() if market else _without_market(_mixed_market_doc())
+        path = _write(tmp_path, "doc.json", doc)
+        plain, failed = tmp_path / "plain.mps", tmp_path / "failed.mps"
+        assert runner.invoke(main, [command, "-i", path, "--dump-lp", str(plain)]).exit_code == 0
+
+        def raising(*args, **kwargs):
+            raise lp_module.LpNumericalError("patched solve")
+
+        monkeypatch.setattr(transport_module, "solve_primals", raising)
+        result = runner.invoke(main, [command, "-i", path, "--dump-lp", str(failed)])
+        assert result.exit_code == 3, result.output
+        payload = json.loads(result.output)
+        assert (payload["status"], payload["values"]) == ("numerical_failure",
+                                                          {"detail": "patched solve"})
+        assert failed.read_bytes() == plain.read_bytes()
 
 
 class TestOptions:
@@ -404,9 +449,8 @@ def test_only_primal_side_builds_a_dual_side():
     assert calls == [("assembly.py", True)]
 
 
-def test_one_result_path_in_the_cli():
-    """Only `_Command.invoke` renders a result or exits with its status, and
-    `_fail` exits 1 on an input error: no command callback does either."""
+def _cli_calls(names):
+    """(enclosing def, callee) of each call in cli.py to a callee named in `names`."""
     path = Path(motkit.__file__).resolve().parent / "cli.py"
 
     def calls(node, scope):
@@ -417,10 +461,27 @@ def test_one_result_path_in_the_cli():
                 yield inner, ast.unparse(child.func)
             yield from calls(child, inner)
 
-    found = {(scope, name) for scope, name in calls(ast.parse(path.read_text()), "")
-             if name.rsplit(".", 1)[-1] in ("render_result", "exit", "SystemExit")}
-    assert found == {("_Command.invoke", "render_result"), ("_Command.invoke", "sys.exit"),
-                     ("_fail", "sys.exit")}
+    return {(scope, name) for scope, name in calls(ast.parse(path.read_text()), "")
+            if name.rsplit(".", 1)[-1] in names}
+
+
+def test_one_result_path_in_the_cli():
+    """Only `_Command.invoke` renders a result or exits with its status, and
+    `_fail` exits 1 on an input error: no command callback does either."""
+    assert _cli_calls(("render_result", "exit", "SystemExit")) == {
+        ("_Command.invoke", "render_result"), ("_Command.invoke", "sys.exit"),
+        ("_fail", "sys.exit")}
+
+
+def test_one_dump_and_one_duality_body_in_the_cli():
+    """Only `_write` writes a file, only `_dump` writes an LP, and only
+    `_duality` asks either duality report: the three duality commands share
+    one body, which dumps before it solves."""
+    assert _cli_calls(("write_output", "write_mps", "duality_report",
+                       "superhedging_duality_report")) == {
+        ("_write", "write_output"), ("_dump", "write_mps"), ("_duality", "duality_report"),
+        ("_duality", "superhedging_duality_report")}
+    assert not hasattr(motkit.cli, "_maybe_dump_primal")
 
 
 def test_exported_names_resolve():
@@ -635,7 +696,9 @@ class TestNumericalFailure:
 
     @pytest.mark.parametrize("command", ["solve-mot", "verify-duality"])
     @pytest.mark.parametrize("table, status, code", [
-        ([0.5, 1.0, 1.7e308], "ok", 0), ([9e307, 0.0, -9e307], "numerical_failure", 3)])
+        ([0.5, 1.0, 1.7e308], "ok", 0),
+        pytest.param([9e307, 0.0, -9e307], "numerical_failure", 3,
+                     marks=PHASE_ONE_SUM_OVERFLOW)])
     def test_overflowing_read_off_falls_back(self, runner, tmp_path, command, table, status,
                                              code):
         """Read-off legs that overflow are not certified: the superhedge LP
@@ -710,6 +773,7 @@ class TestMutationSweep:
                 del node[key]
         return doc
 
+    @PHASE_ONE_SUM_OVERFLOW
     def test_no_document_ends_in_a_traceback(self, runner, tmp_path):
         """Every mutated fixture document, and each overflowing or rescaled one,
         ends in a result document or an error line: exit 0 to 3."""
@@ -812,3 +876,20 @@ class TestOutputFile:
         assert json.loads(out.read_text())["status"] == "ok"
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".motkit-")]
         assert not leftovers
+
+    def test_unwritable_result_is_input_error(self, runner, tmp_path):
+        path = _write(tmp_path, "transport.json", _transport_doc())
+        out = tmp_path / "missing" / "result.json"
+        result = runner.invoke(main, ["solve-transport", "-i", path, "-o", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert f"error: cannot write {out}: " in result.output
+
+    def test_unwritable_dump_exits_before_the_solve(self, runner, tmp_path, lp_calls):
+        path = _write(tmp_path, "transport.json", _transport_doc())
+        dump, out = tmp_path / "missing" / "x.mps", tmp_path / "result.json"
+        result = runner.invoke(main, ["solve-transport", "-i", path, "--dump-lp", str(dump),
+                                      "-o", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert f"error: cannot write {dump}: " in result.output
+        # only the dump's own LP is built; nothing is solved or written
+        assert (lp_calls["solve"], lp_calls["builders"]) == (0, 1) and not out.exists()
