@@ -12,8 +12,8 @@ computations:
 * the primal side is the two-point measure (all-ones + all-zeros)/2, which
   evaluates to 1/2, together with the depth-N LP bound max E[x_N] = 1/2.
 
-One instance serves every depth, depth n being its first n axes; per depth,
-`gap_report` solves both primals from one assembly and one phase 1.
+One instance serves every depth, depth n being its first n axes; `gap_report`
+solves a depth's two primals from one phase 1, and the helpers read its report.
 
 The gap 1/2 persists at every depth; the cylinder payoff (without tail
 forcing) shows zero gap at each finite depth, isolating the gap as a pure
@@ -28,7 +28,7 @@ import numpy as np
 
 from .model import (MAX_TABLE_ENTRIES, Coupling, DiscreteAxis, DiscreteMeasure, Instance,
                     MarginalConstraint)
-from .transport import hedge, solve_primal, solve_primals
+from .transport import hedge, solve_primals
 
 __all__ = [
     "BernoulliGapReport",
@@ -90,24 +90,21 @@ def tail_forced_dual_bound(depth: int) -> tuple[float, float, tuple[np.ndarray, 
     has value exactly 1 for every depth.  Only its LP dual, the transport
     primal of the constant payoff 1, is solved; the value is b'y and (m, g)
     are read off its multipliers, kept once their residuals pass (else the
-    LP above is solved).  Returns (value, certificate m, certificate legs).
+    LP above is solved).  Returns `gap_report(depth)`'s value, m and legs.
     """
-    instance = bernoulli_instance(depth)
-    ones = np.ones(instance.n_paths)
-    side = hedge(*solve_primal(instance, ones), ones)[0]
-    return side.value, side.m, side.g
+    report = gap_report(depth)
+    return report.dual_value, report.certificate_m, report.certificate_legs
 
 
 def liminf_primal_value(depth: int) -> tuple[float, float]:
-    """(candidate value, LP upper bound) for the primal at the given depth.
+    """(candidate value, LP upper bound) for the primal: `gap_report(depth)`'s.
 
     The candidate is <f, mu*> = 1/2 for the explicit two-point measure;
     the bound is the LP value of max E[x_N] over feasible couplings, which
     realizes the liminf bound <f, mu> <= liminf_n E[x_n] = 1/2.
     """
-    instance = bernoulli_instance(depth)
-    last = instance.coordinate_values(depth - 1)[:, 0]
-    return _CANDIDATE, solve_primal(instance, last)[1].value
+    report = gap_report(depth)
+    return report.primal_candidate_value, report.primal_upper_bound
 
 
 def window_min_expectations(depth: int, start: int = 1) -> np.ndarray:

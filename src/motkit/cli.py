@@ -11,7 +11,9 @@ determinism checks.
 from __future__ import annotations
 
 import json
+import os
 import sys
+import tempfile
 import time
 
 import click
@@ -70,17 +72,22 @@ def _depth_table(values: dict, residuals: dict) -> str:
                       for n, dual, primal, gap in rows])
 
 
-def _write(text: str, path: str) -> None:
+def _write(text: str | None, path: str) -> None:
+    """Write `text` to `path`, or with None only make and drop a file beside it."""
     try:
-        write_output(text, path)
+        if text is not None:
+            write_output(text, path)
+        elif path != "-":
+            tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))).close()
     except OSError as exc:
         _fail(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _dump(path, build) -> None:
     """Write the LP `build()` returns as MPS to `path`, before any solve: the
-    one --dump-lp writer.  Builds nothing without a path."""
+    one --dump-lp writer.  Builds nothing without a writable path."""
     if path:
+        _write(None, path)
         _write(write_mps(build()), path)
 
 

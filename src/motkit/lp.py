@@ -33,7 +33,8 @@ Pivoting is largest-reduced-cost (Dantzig) with lowest-index tie breaking,
 falling back to Bland's rule after a number of pivots so cycling cannot
 occur; past a hard pivot cap ``LpNumericalError`` is raised rather than a
 wrong status returned.  ``_budget`` gives both numbers, from the size of
-the standard form, to both phases.
+the standard form, to both phases.  The ratio test reads only the eligible
+rows (entry > PIVOT_TOL), so no other row can tie, even where ratios overflow.
 
 The tableau is condensed (Chvátal's dictionary):
 the nonbasic columns and the rhs, ``nonbasic`` naming the column in each
@@ -50,7 +51,7 @@ bound measured again, so an overflow raises on the pivot a scan would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -271,8 +272,7 @@ class CertificateReport:
 
     @property
     def max_violation(self) -> float:
-        return max(self.primal_residual, self.dual_residual,
-                   self.complementarity, self.duality_gap)
+        return float(np.max(astuple(self)))  # NaN if any residual is NaN
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +376,11 @@ class _Standardizer:
 # ---------------------------------------------------------------------------
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
-           row: int, slot: int) -> tuple[float, float]:
+           row: int, slot: int, column: np.ndarray) -> tuple[float, float]:
     """Pivot on (row, slot): the variable in `slot` enters the basis at `row`
     and the leaving one takes the slot, updated from its unit column e_row.
-    Returns max|column| * max|pivot row| and max|pivot row|."""
-    column = tableau[:, slot].copy()
+    `column` is a copy of the slot's, cost row included.  Returns
+    max|column| * max|pivot row| and max|pivot row|."""
     tableau[:, slot] = 0.0
     tableau[row, slot] = 1.0
     piv_row = tableau[row] / column[row]
@@ -406,7 +406,6 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
     ("optimal", None) or ("unbounded", entering slot)."""
     m = tableau.shape[0] - 1
     costrow, rhs = tableau[-1, :-1], tableau[:m, -1]
-    no_ratio = np.full(m, np.inf)
     # never below max|entry|, since rounding is monotone; only a bound that
     # reaches 1e300 (or inf: Python floats overflow silently) scans the tableau
     bound = float(np.abs(tableau).max())
@@ -423,24 +422,20 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
         if not bland and reduced[::-1].argmin() != reduced.size - 1 - slot:
             ties = (reduced == reduced[slot]).nonzero()[0]
             slot = int(ties[nonbasic[ties].argmin()])
-        column = tableau[:m, slot]
-        eligible = column > PIVOT_TOL
-        ratios = np.divide(rhs, column, out=no_ratio.copy(), where=eligible)
-        best = ratios[ratios.argmin()] if m else np.inf
-        if best == np.inf and not eligible.any():
+        column = tableau[:, slot].copy()
+        eligible = (column[:m] > PIVOT_TOL).nonzero()[0]
+        if not eligible.size:
             return "unbounded", slot
-        # where every eligible ratio overflowed to inf, only eligible rows tie
-        ties = (eligible if best == np.inf else ratios <= best + 1e-12).nonzero()[0]
-        row = int(ties[0])
-        if ties.size > 1:
-            if not bland:
-                # Dantzig tie break: the largest pivot elements first
-                piv = column[ties]
-                ties = ties[piv >= piv.max() - 1e-12]
-            # then the smallest basic-variable index (Bland's tie break)
-            row = int(ties[basis[ties].argmin()])
+        ratios = rhs[eligible] / column[eligible]
+        ties = eligible[ratios <= ratios[ratios.argmin()] + 1e-12]
+        if ties.size > 1 and not bland:
+            # Dantzig tie break: the largest pivot elements first
+            piv = column[ties]
+            ties = ties[piv >= piv.max() - 1e-12]
+        # then the smallest basic-variable index (Bland's tie break)
+        row = int(ties[basis[ties].argmin()])
         masked = masked or basis[row] >= enter_below
-        growth, row_max = _pivot(tableau, basis, nonbasic, row, slot)
+        growth, row_max = _pivot(tableau, basis, nonbasic, row, slot, column)
         iteration_budget[0] += 1
         if iteration_budget[0] >= iteration_budget[1]:
             raise LpNumericalError("simplex iteration limit exceeded")
@@ -504,7 +499,8 @@ def phase_one(lp: LinearProgram) -> PhaseOne:
             size = np.where(nonbasic < n, np.abs(tableau[i, :-1]), 0.0)
             if size.max(initial=0.0) > 1e-7:
                 ties = (size == size.max()).nonzero()[0]
-                _pivot(tableau, basis, nonbasic, i, int(ties[nonbasic[ties].argmin()]))
+                slot = int(ties[nonbasic[ties].argmin()])
+                _pivot(tableau, basis, nonbasic, i, slot, tableau[:, slot].copy())
             # else: redundant row, its artificial stays basic at level zero
     for arr in (tableau, basis, nonbasic):
         arr.setflags(write=False)
@@ -595,8 +591,8 @@ def _sign_violation(lp: LinearProgram, y: np.ndarray) -> np.ndarray:
 
 
 def _worst(*violations) -> float:
-    """The largest entry of the violation arrays, and 0.0 when none is positive."""
-    return max(0.0, float(np.concatenate(violations).max(initial=0.0)))
+    """The largest entry of the violation arrays: 0.0 if none is positive, NaN if one is."""
+    return float(np.concatenate(violations).max(initial=0.0)) + 0.0  # -0.0 reads 0.0
 
 
 def primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
@@ -612,7 +608,7 @@ def check_certificates(lp: LinearProgram, sol: LpSolution) -> CertificateReport:
         raise ValueError("check_certificates expects an Optimal solution")
     x, y = sol.x, sol.duals
     sgn = 1.0 if lp.sense == "min" else -1.0
-    z = lp.objective - (lp.a.T @ y if lp.n_rows else 0.0)
+    z = lp.objective - lp.a.T @ y
     zs = sgn * z  # in min convention after sign normalization
     at_lo = np.isfinite(lp.lower) & (x <= lp.lower + 1e-7)
     at_up = np.isfinite(lp.upper) & (x >= lp.upper - 1e-7)
@@ -622,8 +618,8 @@ def check_certificates(lp: LinearProgram, sol: LpSolution) -> CertificateReport:
     comp = _worst(np.abs(y * (lp.a @ x - lp.rhs)))
     lo_term = (zs > RESIDUAL_TOL) & np.isfinite(lp.lower)
     up_term = (zs < -RESIDUAL_TOL) & np.isfinite(lp.upper)
-    dual_obj = ((float(y @ lp.rhs) if lp.n_rows else 0.0)
-                + float(z[lo_term] @ lp.lower[lo_term] + z[up_term] @ lp.upper[up_term]))
+    dual_obj = float(y @ lp.rhs) + float(z[lo_term] @ lp.lower[lo_term]
+                                         + z[up_term] @ lp.upper[up_term])
     gap = abs(sol.value - dual_obj) / max(1.0, abs(sol.value))
     return CertificateReport(primal_residual(lp, x), d_res, comp, gap)
 
@@ -636,23 +632,22 @@ def check_farkas_certificate(lp: LinearProgram, cert: FarkasCertificate) -> floa
     """
     w, p, q = cert.row_multipliers, cert.lower_multipliers, cert.upper_multipliers
     lo_mask, up_mask = np.isfinite(lp.lower), np.isfinite(lp.upper)
-    agg = (lp.a.T @ w if lp.n_rows else 0.0) + p + q
+    agg = lp.a.T @ w + p + q
     margin = float(w @ lp.rhs)
     margin += float((p[lo_mask] * lp.lower[lo_mask]).sum())
     margin += float((q[up_mask] * lp.upper[up_mask]).sum())
     # multipliers on infinite bounds must vanish
-    return max(_worst(_sign_violation(lp, w), -p, q, np.abs(np.where(lo_mask, 0.0, p)),
-                      np.abs(np.where(up_mask, 0.0, q)), np.abs(agg)), RESIDUAL_TOL - margin, 0.0)
+    return _worst(_sign_violation(lp, w), -p, q, np.abs(np.where(lo_mask, 0.0, p)),
+                  np.abs(np.where(up_mask, 0.0, q)), np.abs(agg), [RESIDUAL_TOL - margin])
 
 
 def check_unbounded_ray(lp: LinearProgram, ray: np.ndarray) -> float:
     """Residual of an improving feasible ray; <= RESIDUAL_TOL means valid."""
     drift = float(lp.objective @ ray)
     improving = -drift if lp.sense == "min" else drift
-    return max(_worst(_relation_violation(lp, lp.a @ ray),
-                      np.where(np.isfinite(lp.lower), -ray, -np.inf),
-                      np.where(np.isfinite(lp.upper), ray, -np.inf)),
-               RESIDUAL_TOL - improving, 0.0)
+    return _worst(_relation_violation(lp, lp.a @ ray),
+                  np.where(np.isfinite(lp.lower), -ray, -np.inf),
+                  np.where(np.isfinite(lp.upper), ray, -np.inf), [RESIDUAL_TOL - improving])
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def solve_superhedge(primal: PrimalLp) -> DualSide:
     if sol.status == "optimal":
         point, columns = sol.x, np.empty(primal.lp.n_variables)
         columns[sources] = sol.duals
-    elif sol.status != "unbounded" or check_unbounded_ray(lp, sol.ray) > RESIDUAL_TOL:
+    elif sol.status != "unbounded" or not check_unbounded_ray(lp, sol.ray) <= RESIDUAL_TOL:
         raise LpNumericalError(f"superhedge LP {sol.status} with no checked improving ray")
     else:
         point, columns = sol.ray, None

@@ -612,7 +612,6 @@ def full_tableau_run_simplex(tableau: np.ndarray, basis: np.ndarray, allowed: np
     """
     m = tableau.shape[0] - 1
     costrow, rhs = tableau[-1, :-1], tableau[:m, -1]
-    no_ratio = np.full(m, np.inf)
     # never below max|entry|, since rounding is monotone; only a bound that
     # reaches 1e300 pays for a pass over the whole tableau
     bound = np.abs(tableau).max()
@@ -624,12 +623,13 @@ def full_tableau_run_simplex(tableau: np.ndarray, basis: np.ndarray, allowed: np
         if not reduced[col] < -PIVOT_TOL:
             return "optimal", None
         column = tableau[:m, col]
-        eligible = column > PIVOT_TOL
-        ratios = np.divide(rhs, column, out=no_ratio.copy(), where=eligible)
-        best = ratios.min(initial=np.inf)
-        if best == np.inf and not eligible.any():
+        # ratios of the eligible rows only, so a row whose entry is no pivot
+        # never ties, even where every ratio overflowed to inf
+        eligible = (column > PIVOT_TOL).nonzero()[0]
+        if not eligible.size:
             return "unbounded", col
-        ties = (ratios <= best + 1e-12).nonzero()[0]
+        ratios = rhs[eligible] / column[eligible]
+        ties = eligible[ratios <= ratios.min() + 1e-12]
         row = int(ties[0])
         if ties.size > 1:
             if not bland:

@@ -97,11 +97,21 @@ class TestShortSide:
 
     @pytest.mark.parametrize("depth", range(1, 11))
     def test_equals_tall_lp_and_certifies(self, senses, depth):
+        """Also: both helpers read `gap_report`, whose two primals share one
+        phase 1, and return the bits of each primal solved on its own."""
         value, m, legs = tail_forced_dual_bound(depth)
-        assert senses == ["max"]  # the multipliers passed: no tall LP
+        # gap_report's two primals; the multipliers passed: no tall LP
+        assert senses == ["max", "max"]
+        instance = bernoulli_instance(depth)
+        ones, last = np.ones(instance.n_paths), instance.coordinate_values(depth - 1)[:, 0]
+        alone = transport.hedge(*transport.solve_primal(instance, ones), ones)[0]
+        bound = transport.solve_primal(instance, last)[1].value
+        bits = lambda *values: [np.asarray(v).tobytes() for v in values]
+        assert bits(value, m, *legs) == bits(alone.value, alone.m, *alone.g)
+        assert bits(*liminf_primal_value(depth)) == bits(0.5, bound)
         assert value == tall_tail_forced_dual_bound(depth)[0]
         assert all(np.all(g >= 0.0) for g in legs)
-        idx = bernoulli_instance(depth).point_indices()
+        idx = instance.point_indices()
         cover = m + sum(legs[n][idx[n]] for n in range(depth))
         assert float(cover.min()) >= 1.0 - 1e-9
         repriced = m + sum(0.5 * (g[0] + g[1]) for g in legs)
@@ -121,7 +131,7 @@ class TestShortSide:
 
         monkeypatch.setattr(transport, "solve", shifted)
         value, m, legs = tail_forced_dual_bound(4)
-        assert seen == ["max", "min"]
+        assert seen == ["max", "max", "min"]
         assert (value, m) == tall_tail_forced_dual_bound(4)[:2] == (1.0, 1.0)
 
     @pytest.mark.parametrize("depth", (12, 14))

@@ -891,5 +891,5 @@ class TestOutputFile:
                                       "-o", str(out)])
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
         assert f"error: cannot write {dump}: " in result.output
-        # only the dump's own LP is built; nothing is solved or written
-        assert (lp_calls["solve"], lp_calls["builders"]) == (0, 1) and not out.exists()
+        # nothing is built, solved or written
+        assert (lp_calls["solve"], lp_calls["builders"]) == (0, 0) and not out.exists()
