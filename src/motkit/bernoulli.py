@@ -107,19 +107,17 @@ def liminf_primal_value(depth: int) -> tuple[float, float]:
     return report.primal_candidate_value, report.primal_upper_bound
 
 
-def window_min_expectations(depth: int, start: int = 1) -> np.ndarray:
-    """E[min_{start<=n<=j} x_n] under the product measure for j = start..depth.
+def window_min_expectations(depth: int) -> np.ndarray:
+    """E[min_{1<=n<=j} x_n] under the product measure for j = 1..depth.
 
-    Computed by exhaustive path enumeration; the values 2^-(j-start+1) fall
+    Computed by exhaustive path enumeration; the values 2^-j fall
     monotonically to 0, which is why the liminf integrates to 0 against the
     product measure.
     """
-    if not 1 <= start <= depth:
-        raise ValueError("need 1 <= start <= depth")
     out, full = [], bernoulli_instance(depth)
-    for j in range(start, depth + 1):
+    for j in range(1, depth + 1):
         instance = _prefix(full, j)
-        coords = np.stack([instance.coordinate_values(p)[:, 0] for p in range(start - 1, j)])
+        coords = np.stack([instance.coordinate_values(p)[:, 0] for p in range(j)])
         out.append(float(coords.min(axis=0) @ Coupling.product(instance).weights))
     return np.array(out)
 

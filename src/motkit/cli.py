@@ -31,7 +31,7 @@ from .documents import (
 )
 from .lp import LpError, write_mps
 from .martingale import ARBITRAGE_TOL, ArbitrageError, ftap_check, superhedging_duality_report
-from .model import Payoff
+from .model import VALUE_TOL, Payoff
 from .transport import duality_report
 
 
@@ -288,7 +288,7 @@ def bl_ingest_cmd(calls_path, maturity):
         measure = marginal_from_calls(curve)
     except StaticArbitrageError as exc:
         return ("static_arbitrage", {"detail": str(exc), "strikes": list(exc.strikes)}, {},
-                {"quote_tolerance": 1e-9})
+                {"quote_tolerance": VALUE_TOL})
     except ValueError as exc:
         _fail(str(exc))
     repricing = [float(measure.weights @ np.maximum(

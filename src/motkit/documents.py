@@ -53,8 +53,8 @@ class DocumentError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class InstanceDocument:
-    version: int
-    label: str
+    """A parsed document: its version is SCHEMA_VERSION, its label the instance's."""
+
     instance: Instance
     market: Market | None
     payoff: Payoff | None
@@ -231,13 +231,13 @@ def parse_instance(text: str) -> InstanceDocument:
     if payoff is not None and payoff.kind == "dense":
         _require(payoff.table.size == instance.n_paths, "$.payoff.table",
                  f"needs {instance.n_paths} entries (row-major, axis 1 slowest)")
-    return InstanceDocument(version=SCHEMA_VERSION, label=label, instance=instance,
-                            market=market, payoff=payoff, tol=tol)
+    return InstanceDocument(instance, market, payoff, tol)
 
 
 def parse_call_quotes(raw) -> tuple[np.ndarray, np.ndarray]:
     """The strikes and prices of a parsed call quote file."""
-    _require(isinstance(raw, dict) and "strikes" in raw and "prices" in raw, "$",
+    _fields(raw, "$", "call quote file", ("strikes", "prices"))
+    _require("strikes" in raw and "prices" in raw, "$",
              "call quote file needs 'strikes' and 'prices' arrays")
     return _finite_floats(raw["strikes"], "$.strikes"), _finite_floats(raw["prices"], "$.prices")
 
@@ -264,8 +264,8 @@ def _payoff_dict(payoff: Payoff) -> dict:
 def serialize_instance(doc: InstanceDocument) -> str:
     """Canonical JSON text; parse(serialize(x)) is structurally equal to x."""
     out = {
-        "version": doc.version,
-        "label": doc.label,
+        "version": SCHEMA_VERSION,
+        "label": doc.instance.label,
         "axes": [_axis_dict(ax) for ax in doc.instance.axes],
         "constraints": [_constraint_dict(c) for c in doc.instance.constraints],
     }

@@ -109,12 +109,6 @@ class DiscreteMeasure:
     def barycenter(self) -> np.ndarray:
         return self.weights @ self.axis.points
 
-    def expectation(self, values: np.ndarray) -> float:
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.axis.npoints,):
-            raise ValueError("value vector length must match the axis")
-        return float(self.weights @ values)
-
 
 @dataclass(frozen=True, eq=False)
 class MarginalConstraint:
@@ -339,16 +333,11 @@ class Coupling:
         return self.weights.reshape(self.instance.shape)
 
     @classmethod
-    def product(cls, instance: Instance, measures: Sequence[DiscreteMeasure] | None = None) -> "Coupling":
-        """Product coupling of the given per-axis measures.
-
-        Defaults to the constraint measures (first vertex for hulls).
-        """
-        if measures is None:
-            measures = [con.measures[0] for con in instance.constraints]
+    def product(cls, instance: Instance) -> "Coupling":
+        """Product coupling of the constraint measures (first vertex for hulls)."""
         w = np.array([1.0])
-        for nu in measures:
-            w = np.outer(w, nu.weights).ravel()
+        for con in instance.constraints:
+            w = np.outer(w, con.measures[0].weights).ravel()
         return cls(instance, w)
 
 
@@ -366,22 +355,9 @@ def marginal_of(coupling: Coupling, n: int) -> DiscreteMeasure:
 
 
 def evaluate_expectation(coupling: Coupling, payoff: Payoff) -> float:
-    """Integral of the payoff against the coupling.
-
-    Separable payoffs are priced from the marginals without materializing
-    the product table.
-    """
-    instance = coupling.instance
-    if payoff.kind == "separable":
-        if len(payoff.legs) != instance.horizon:
-            raise ValueError("one separable leg per axis required")
-        total = 0.0
-        for pos, g in enumerate(payoff.legs):
-            nu = marginal_of(coupling, instance.axes[pos].index)
-            total += nu.expectation(g)
-        return total
-    table = payoff.table_for(instance)
-    return float(table @ coupling.weights)
+    """Integral of the payoff against the coupling: its table (every kind,
+    under the table cap) against the coupling's weight per path."""
+    return float(payoff.table_for(coupling.instance) @ coupling.weights)
 
 
 def sublinear_price(constraint: MarginalConstraint, values: np.ndarray) -> float:

@@ -22,6 +22,7 @@ from .assembly import DualSide, PrimalLp, certified, primal_lp, superhedge_lp
 from .lp import (RESIDUAL_TOL, LpBuilder, LpError, LpNumericalError, check_unbounded_ray,
                  phase_one, solve)
 from .model import (
+    PROB_TOL,
     VALUE_TOL,
     Coupling,
     Instance,
@@ -213,19 +214,19 @@ def _separation_value(constraint: MarginalConstraint, mu_weights: np.ndarray):
     return sol.value, sol.x[g_vars]
 
 
-def conjugate_membership(instance: Instance, mu: Coupling,
-                         tol: float = VALUE_TOL) -> ConjugateValue:
+def conjugate_membership(instance: Instance, mu: Coupling) -> ConjugateValue:
     """Conjugate of the dual functional at mu: 0 on the feasible measure
-    set, +infinity off it, with a direction witnessing the blow-up."""
+    set, +infinity off it, with a direction witnessing the blow-up.  Mass is
+    tested at PROB_TOL and each marginal's separation value at VALUE_TOL."""
     if mu.instance is not instance and mu.instance.shape != instance.shape:
         raise ValueError("coupling does not match the instance grid")
     mass = mu.total_mass
-    if abs(mass - 1.0) > 1e-12:
+    if abs(mass - 1.0) > PROB_TOL:
         return ConjugateValue(np.inf, ConstantWitness(1.0 if mass > 1.0 else -1.0))
     for pos, constraint in enumerate(instance.constraints):
         mu_n = marginal_of(mu, instance.axes[pos].index).weights
         value, g = _separation_value(constraint, mu_n)
-        if value > tol:
+        if value > VALUE_TOL:
             # defensive: the witness must verify against the raw definitions
             margin = float(g @ mu_n) - sublinear_price(constraint, g)
             if margin <= 0:  # pragma: no cover - separation value was positive
@@ -270,22 +271,22 @@ class FunctionalPropertiesReport:
 def functional_properties_check(instance: Instance, trials: int,
                                 seed: int = 0) -> FunctionalPropertiesReport:
     """Empirical monotonicity / sublinearity / translation checks of the
-    dual value map on random payoff pairs; returns worst violations."""
+    dual value map on random payoff pairs; returns worst violations.  The
+    6 * trials tables share one phase 1 (`verify_representation`)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    phi = lambda table: dual_transport(instance, Payoff.dense(table)).value
+    draws = [(*rng.uniform(-1.0, 1.0, size=(2, instance.n_paths)), float(rng.uniform(0.0, 3.0)),
+              float(rng.uniform(-2.0, 2.0))) for _ in range(trials)]
+    tables = [t for f, f2, lam, c in draws for t in (f, f + np.abs(f2), lam * f, f + f2, f2, f + c)]
+    phis = iter(verify_representation(instance, map(Payoff.dense, tables)).dual_values)
     mono = hom = sub = trans = 0.0
-    for _ in range(trials):
-        f = rng.uniform(-1.0, 1.0, size=instance.n_paths)
-        f2 = rng.uniform(-1.0, 1.0, size=instance.n_paths)
-        lam = float(rng.uniform(0.0, 3.0))
-        c = float(rng.uniform(-2.0, 2.0))
-        phi_f = phi(f)
-        mono = max(mono, phi_f - phi(f + np.abs(f2)))
-        hom = max(hom, abs(phi(lam * f) - lam * phi_f))
-        sub = max(sub, phi(f + f2) - phi_f - phi(f2))
-        trans = max(trans, abs(phi(f + c) - (phi_f + c)))
+    for _, _, lam, c in draws:
+        phi_f, phi_up, phi_lam, phi_sum, phi_f2, phi_c = (next(phis) for _ in range(6))
+        mono = max(mono, phi_f - phi_up)
+        hom = max(hom, abs(phi_lam - lam * phi_f))
+        sub = max(sub, phi_sum - phi_f - phi_f2)
+        trans = max(trans, abs(phi_c - (phi_f + c)))
     return FunctionalPropertiesReport(mono, hom, sub, trans)
 
 

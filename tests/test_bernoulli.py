@@ -158,7 +158,7 @@ class TestLiminfPrimal:
             assert conjugate_membership(mu.instance, mu).is_zero
 
     def test_product_measure_window_expectations_fall_to_zero(self):
-        values = window_min_expectations(8, start=1)
+        values = window_min_expectations(8)
         assert np.allclose(values, 0.5 ** np.arange(1, 9), atol=1e-12)
         assert np.all(np.diff(values) < 0)
         # exhaustive enumeration cross-check at depth 4
@@ -166,12 +166,6 @@ class TestLiminfPrimal:
         for path in itertools.product((0.0, 1.0), repeat=4):
             total += min(path) / 16.0
         assert values[3] == pytest.approx(total, abs=1e-15)
-
-    def test_window_expectations_with_later_start(self):
-        values = window_min_expectations(6, start=3)
-        assert np.allclose(values, 0.5 ** np.arange(1, 5), atol=1e-12)
-        with pytest.raises(ValueError):
-            window_min_expectations(3, start=4)
 
 
 class TestGapReport:

@@ -2,9 +2,11 @@
 
 import ast
 import copy
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import pkgutil
@@ -124,7 +126,7 @@ def _rescaled_arbitrage_doc(seed):
     market = rescaled_market(random_market(np.random.default_rng(seed), 2, d=1,
                                            epsilons=[0.05]), 1e6)
     return json.loads(serialize_instance(
-        InstanceDocument(1, "", market.instance, market, None, 1e-9)))
+        InstanceDocument(market.instance, market, None, 1e-9)))
 
 
 def _write(tmp_path, name, payload):
@@ -485,8 +487,9 @@ def test_one_dump_and_one_duality_body_in_the_cli():
 
 
 def test_exported_names_resolve():
-    """Each module's `__all__` and each name the package imports exist, and
-    the strategy types and the wrapper that `DualSide` replaced stay gone."""
+    """Each module's `__all__` and each name the package imports exist; the
+    strategy types and the wrapper that `DualSide` replaced stay gone, and so
+    do the settings no caller set and the second payoff valuation."""
     package = Path(motkit.__file__).resolve().parent
     modules = [importlib.import_module(f"motkit.{info.name}")
                for info in pkgutil.iter_modules([str(package)])]
@@ -500,6 +503,13 @@ def test_exported_names_resolve():
     removed = ("SemiStaticStrategy", "TransportDualSolution", "SuperhedgeResult")
     assert not [(m.__name__, name) for m in [motkit] + modules for name in removed
                 if hasattr(m, name)]
+    for function, setting in [(motkit.conjugate_membership, "tol"),
+                              (motkit.Coupling.product, "measures"),
+                              (bernoulli.window_min_expectations, "start")]:
+        assert setting not in inspect.signature(function).parameters
+    assert [field.name for field in dataclasses.fields(InstanceDocument)] == [
+        "instance", "market", "payoff", "tol"]
+    assert not hasattr(motkit.DiscreteMeasure, "expectation")
 
 
 def test_cli_import_loads_no_scipy():
@@ -853,7 +863,9 @@ class TestBlIngest:
         ({"strikes": [0.0, 1.0], "prices": [1.0, "0.5"]}, "$.prices"),
         ({"strikes": [0.0, 1.0], "prices": [True, False]}, "$.prices"),
         ({"strikes": [[0.0, 1.0], [2.0]], "prices": [1.0, 0.5]}, "$.strikes"),
-        ({"strikes": [0.0, 1.0]}, "$")])
+        ({"strikes": [0.0, 1.0]}, "$"),
+        ({"strikes": [0, 1, 2], "prices": [1, 0.25, 0], "maturity": 2, "note": "x"},
+         "$.maturity")])
     def test_malformed_quotes_are_input_errors(self, runner, tmp_path, quotes, field):
         calls = _write(tmp_path, "calls.json", quotes)
         result = runner.invoke(main, ["bl-ingest", "--calls", calls, "--maturity", "1"])

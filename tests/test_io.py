@@ -159,9 +159,7 @@ class TestRoundTrip:
             else:
                 instance = random_hull_instance(rng, int(rng.integers(1, 3)),
                                                 max_points=4)
-            doc = InstanceDocument(version=1, label=instance.label,
-                                   instance=instance, market=None, payoff=None,
-                                   tol=1e-9)
+            doc = InstanceDocument(instance=instance, market=None, payoff=None, tol=1e-9)
             text = serialize_instance(doc)
             again = parse_instance(text)
             assert serialize_instance(again) == text

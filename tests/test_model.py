@@ -394,6 +394,32 @@ class TestPayoffs:
         x3 = inst.coordinate_values(2)[:, 0]
         assert np.allclose(table, x3)
 
+    @staticmethod
+    def _two_asset_instance():
+        axes = (_axis(1, [[0.0, 1.0], [2.0, 3.0]]), _axis(2, [[1.0, 0.0], [0.0, 2.0]]))
+        return Instance(axes, tuple(MarginalConstraint.exact(
+            DiscreteMeasure(ax, np.full(2, 0.5))) for ax in axes))
+
+    def test_named_basket_call_with_weight_vectors(self):
+        inst = self._two_asset_instance()
+        table = Payoff.named("basket_call", weights=[[1.0, 2.0], [3.0, -1.0]],
+                             strike=2.0).table_for(inst)
+        # <w1, x1> is 2 or 8, <w2, x2> is 3 or -2: (sum - 2)^+ row-major
+        assert np.array_equal(table, [3.0, 0.0, 9.0, 4.0])
+
+    def test_named_basket_call_with_scalar_weights(self):
+        inst = _uniform_instance((2, 3))
+        table = Payoff.named("basket_call", weights=[2.0, -1.0], strike=0.5).table_for(inst)
+        # (2 x1 - x2 - 0.5)^+ on {0,1} x {0,1,2}
+        assert np.array_equal(table, [0.0, 0.0, 0.0, 1.5, 0.5, 0.0])
+
+    def test_named_forward_reads_one_asset(self):
+        inst = self._two_asset_instance()
+        assert np.array_equal(Payoff.named("forward", n=2, asset=2).table_for(inst),
+                              [0.0, 2.0, 0.0, 2.0])
+        assert np.array_equal(Payoff.named("forward", n=1, asset=2).table_for(inst),
+                              [1.0, 1.0, 3.0, 3.0])
+
     def test_unknown_generator_rejected(self):
         inst = _uniform_instance((2,))
         with pytest.raises(ValueError):
