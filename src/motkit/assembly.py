@@ -170,17 +170,6 @@ class TradingCatalog:
         return tuple(legs)
 
 
-def _mixtures(values: np.ndarray, blocks) -> tuple[np.ndarray, ...]:
-    """Per axis the hull mixture weights from the (nearly) nonnegative
-    `values` of its block; 1 on exact axes, whose block is None."""
-    out = []
-    for ids in blocks:
-        lam = np.array([1.0]) if ids is None else np.maximum(values[ids], 0.0)
-        total = lam.sum()
-        out.append(lam / total if total > 0 else lam)
-    return tuple(out)
-
-
 @dataclass(frozen=True, eq=False)
 class PrimalLp:
     """max <f, mu>: one column per path, then per axis its marginal rows
@@ -199,6 +188,13 @@ class PrimalLp:
     def coupling(self, x: np.ndarray) -> Coupling:
         return Coupling(self.instance, x[self.paths])
 
+    def mixtures(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per axis its vertices' mixture lambda_n: the lambda entries of x (a value
+        per primal column) clipped at 0 and normalised; [1.0] on an exact axis."""
+        lams = [np.array([1.0]) if ids is None else np.maximum(x[ids], 0.0)
+                for ids in self.lambdas]
+        return tuple(lam / lam.sum() if lam.sum() > 0 else lam for lam in lams)
+
     def with_payoff(self, table: np.ndarray) -> "PrimalLp":
         """The primal of another payoff: these rows and ids, the same arrays."""
         objective = np.zeros(self.lp.n_variables)
@@ -212,7 +208,7 @@ class PrimalLp:
         rows, and hull mixtures from the lambda entries of `columns`, a value
         per primal column (None for a ray)."""
         legs = () if self.trading is None else self.trading.extract_legs(rows)
-        mixtures = None if columns is None else _mixtures(columns, self.lambdas)
+        mixtures = None if columns is None else self.mixtures(columns)
         market = None if self.trading is None else self.trading.market
         return DualSide(status, value, cash, tuple(rows[ids] for ids in self.marginal_rows),
                         mixtures, legs, self.instance, market)

@@ -126,11 +126,11 @@ def primal_mot(market: Market, payoff: Payoff) -> MotPrimalResult:
     return MotPrimalResult("infeasible", float("nan"), None)
 
 
-def feasibility_residual(market: Market, coupling: Coupling) -> float:
-    """Direct evaluation of every pricing-consistency constraint at the
-    coupling: marginal separation plus worst band/martingale violation."""
+def feasibility_residual(market: Market, coupling: Coupling, mixtures) -> float:
+    """Worst of the coupling's mass error, its `marginal_separation` from the
+    axes' `mixtures` ([1.0] if exact) and its band/martingale violations."""
     instance = market.instance
-    worst = max(abs(coupling.total_mass - 1.0), marginal_separation(instance, coupling))
+    worst = max(abs(coupling.total_mass - 1.0), marginal_separation(instance, coupling, mixtures))
     s = market.price_paths()
     w = coupling.weights
     for a in range(market.d):
@@ -239,7 +239,8 @@ def superhedging_duality_report(market: Market, payoff: Payoff) -> DualityReport
     side, (superrep, identity) = hedge(primal, sol, table)
     coupling = primal.coupling(sol.x)
     residuals = {"superreplication_min": superrep, "strategy_cost_identity": identity,
-                 "coupling_feasibility": feasibility_residual(market, coupling)}
+                 "coupling_feasibility": feasibility_residual(market, coupling,
+                                                              primal.mixtures(sol.x))}
     return DualityReport(primal_value=sol.value, dual_value=side.value,
                          gap=abs(sol.value - side.value), coupling=coupling,
                          dual=side, residuals=residuals)

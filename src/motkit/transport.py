@@ -10,6 +10,9 @@ kept once `certified` passes, else solved by `solve_superhedge` onto the
 primal's rows and columns; `PrimalLp.side` reads both.  An infeasible primal
 proves the dual unbounded (`martingale.ArbitrageError`).  Payoffs on one
 instance share the rows: `solve_primals` takes one assembly and one phase 1.
+Its point also holds each hull axis's mixture, the witness of membership:
+`marginal_separation` checks the marginals against it in closed form, as
+anyone can from a payload's `coupling` and `mixtures`, with no further LP.
 """
 
 from __future__ import annotations
@@ -148,16 +151,10 @@ def primal_transport(instance: Instance, payoff: Payoff) -> tuple[float, Couplin
     return sol.value, primal.coupling(sol.x)
 
 
-def _transport_dual(instance: Instance, payoff: Payoff):
-    """Primal value, coupling, dual side and its residuals, from `hedge`."""
-    table = payoff.table_for(instance)
-    primal, sol = solve_primal(instance, table)
-    return sol.value, primal.coupling(sol.x), *hedge(primal, sol, table)
-
-
 def dual_transport(instance: Instance, payoff: Payoff) -> DualSide:
     """Cheapest cash-plus-static superreplication of the payoff (see `hedge`)."""
-    return _transport_dual(instance, payoff)[2]
+    table = payoff.table_for(instance)
+    return hedge(*solve_primal(instance, table), table)[0]
 
 
 @dataclass(frozen=True)
@@ -185,17 +182,20 @@ class ConjugateValue:
         return self.value == 0.0
 
 
-def marginal_separation(instance: Instance, coupling: Coupling) -> float:
-    """Worst separation value of the coupling's marginals (0 when all fit)."""
-    return max([0.0] + [_separation_value(con, marginal_of(coupling, ax.index).weights)[0]
-                        for ax, con in zip(instance.axes, instance.constraints)])
+def marginal_separation(instance: Instance, coupling: Coupling, mixtures) -> float:
+    """max over axes n of sum_p (mu_n - lambda_n @ V_n)^+, the coupling's marginal
+    mass above the mixture lambda_n ([1.0] if exact) of the vertex weights V_n
+    (`vertex_matrix`); for lambda_n in the simplex, at least `conjugate_membership`'s
+    separation value.  A payload's `coupling` and `mixtures` recompute it."""
+    excess = (marginal_of(coupling, ax.index).weights - lam @ con.vertex_matrix
+              for ax, con, lam in zip(instance.axes, instance.constraints, mixtures))
+    return max([0.0] + [float(np.maximum(e, 0.0).sum()) for e in excess])
 
 
 def _separation_value(constraint: MarginalConstraint, mu_weights: np.ndarray):
-    """max over g in [0,1]^P of <g, mu_n> - price(g), with a maximizing g.
-
-    Closed form for Exact constraints; a small box LP for hulls.
-    """
+    """max over g in [0,1]^P of <g, mu_n> - price(g), with a maximizing g:
+    closed form for Exact constraints, a small box LP for hulls, whose
+    measure mu_n comes with no mixture to check it against."""
     if constraint.is_exact:
         nu = constraint.measures[0].weights
         g = (mu_weights > nu).astype(float)
@@ -292,14 +292,17 @@ def functional_properties_check(instance: Instance, trials: int,
 
 def duality_report(instance: Instance, payoff: Payoff) -> DualityReport:
     """Primal and dual values side by side with certificate residuals, from
-    one primal solve (see `hedge`)."""
-    primal_value, coupling, dual, (superrep, price_identity) = _transport_dual(instance, payoff)
+    one primal solve (see `hedge`), whose mixtures check the marginals."""
+    table = payoff.table_for(instance)
+    primal, sol = solve_primal(instance, table)
+    dual, (superrep, price_identity) = hedge(primal, sol, table)
+    coupling = primal.coupling(sol.x)
     residuals = {
         "superreplication_min": superrep,
-        "marginal_separation": marginal_separation(instance, coupling),
+        "marginal_separation": marginal_separation(instance, coupling, primal.mixtures(sol.x)),
         "dual_price_identity": price_identity,
         "coupling_mass_error": abs(coupling.total_mass - 1.0),
     }
-    return DualityReport(primal_value=primal_value, dual_value=dual.value,
-                         gap=abs(primal_value - dual.value), coupling=coupling,
+    return DualityReport(primal_value=sol.value, dual_value=dual.value,
+                         gap=abs(sol.value - dual.value), coupling=coupling,
                          dual=dual, residuals=residuals)

@@ -27,7 +27,7 @@ from motkit.cli import main
 from motkit.documents import InstanceDocument, serialize_instance
 from motkit.model import Payoff
 
-from generators import random_market, rescaled_market
+from generators import random_hull_instance, random_market, random_payoff_table, rescaled_market
 
 
 # `lp.phase_one` sums the right-hand side into the phase-1 objective, and on
@@ -102,6 +102,15 @@ def _transport_doc():
         ],
         "payoff": {"kind": "dense", "table": [1.0, 0.0, 0.0, 1.0]},
     }
+
+
+def _three_hull_doc():
+    """Three hull axes of two or three vertices each: a separation LP over its
+    coupling's marginals reads 1.33e-15, the mixture residual 1.35e-15."""
+    rng = np.random.default_rng(6)
+    instance = random_hull_instance(rng, 3, max_points=4)
+    payoff = Payoff.dense(random_payoff_table(rng, instance))
+    return json.loads(serialize_instance(InstanceDocument(instance, None, payoff, 1e-9)))
 
 
 def _straddle_overflow_doc():
@@ -206,11 +215,15 @@ def _dense_overflow_doc(table):
 
 
 class TestSolveCounts:
+    # solve-transport reads the three-hull-axis document: its marginals are
+    # checked against the primal's mixtures, with no LP per axis
     @pytest.mark.parametrize("command, solves, expansions", [
-        ("solve-mot", 1, 1), ("check-arbitrage", 1, 0), ("verify-duality", 1, 1)])
+        ("solve-mot", 1, 1), ("check-arbitrage", 1, 0), ("verify-duality", 1, 1),
+        ("solve-transport", 1, 1)])
     def test_each_lp_solved_once(self, runner, tmp_path, lp_calls, command, solves,
                                  expansions):
-        path = _write(tmp_path, "mot.json", _straddle_market_doc())
+        doc = _three_hull_doc() if command == "solve-transport" else _straddle_market_doc()
+        path = _write(tmp_path, "doc.json", doc)
         result = runner.invoke(main, [command, "-i", path])
         assert result.exit_code == 0, result.output
         assert lp_calls["solve"] == lp_calls["builders"] == solves
@@ -257,8 +270,8 @@ class TestSolveCounts:
 
 class TestDumpLp:
     # sha256 of the MPS text: the transport primal, the MOT primal, superhedge(0).
-    # The document's second axis is a hull axis, so the transport and MOT
-    # commands add one separation LP to their one duality solve.
+    # The document's second axis is a hull axis, whose marginal the transport
+    # and MOT commands check against the primal's own mixture, with no LP.
     DIGESTS = {
         "transport": "3f3ada6ddb6f7cc784c0b1bf79f6b5042cba2c016a92f5501b836c89895d5044",
         "mot": "c687a998da53d46e97ff65d38edca2949db224a557cafa0c3522803277a61db9",
@@ -266,11 +279,11 @@ class TestDumpLp:
     }
 
     @pytest.mark.parametrize("command, market, lp, solves, builders", [
-        ("solve-transport", False, "transport", 2, 2),
-        ("solve-transport", True, "transport", 2, 2),
-        ("verify-duality", False, "transport", 2, 2),
-        ("solve-mot", True, "mot", 2, 2), ("check-arbitrage", True, "superhedge", 1, 1),
-        ("verify-duality", True, "mot", 2, 2)])
+        ("solve-transport", False, "transport", 1, 1),
+        ("solve-transport", True, "transport", 1, 1),
+        ("verify-duality", False, "transport", 1, 1),
+        ("solve-mot", True, "mot", 1, 1), ("check-arbitrage", True, "superhedge", 1, 1),
+        ("verify-duality", True, "mot", 1, 1)])
     def test_dump_is_the_pinned_lp_and_costs_a_builder_only_when_asked(
             self, runner, tmp_path, lp_calls, command, market, lp, solves, builders):
         doc = _mixed_market_doc()
@@ -531,6 +544,25 @@ class TestSolveTransport:
         assert doc["values"]["primal_value"] == pytest.approx(1.0, abs=1e-8)
         assert doc["values"]["gap_within_tol"] is True
         assert doc["residuals"]["superreplication_min"] >= -1e-8
+
+    def test_marginal_separation_recomputes_from_the_payload(self, runner, tmp_path):
+        """Each axis's marginal of the printed coupling, less the printed
+        mixture of the document's vertex weights: the largest sum of positive
+        parts is the printed residual, bit for bit."""
+        doc = _three_hull_doc()
+        result = runner.invoke(main, ["solve-transport", "-i", _write(tmp_path, "h.json", doc)])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        shape = tuple(len(axis["points"]) for axis in doc["axes"])
+        tensor = np.reshape(payload["optimizers"]["coupling"], shape)
+        worst = 0.0
+        for pos, (con, lam) in enumerate(zip(doc["constraints"],
+                                             payload["optimizers"]["mixtures"])):
+            mu = tensor.sum(axis=tuple(k for k in range(len(shape)) if k != pos))
+            excess = mu - np.asarray(lam) @ np.asarray(con["weights"])
+            worst = max(worst, float(np.maximum(excess, 0.0).sum()))
+        assert worst > 0.0
+        assert payload["residuals"]["marginal_separation"] == worst
 
     def test_matches_verify_duality(self, runner, tmp_path):
         path = _write(tmp_path, "transport.json", _transport_doc())

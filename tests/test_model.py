@@ -142,7 +142,7 @@ class TestEvaluateExpectation:
         coupling = Coupling.product(inst)
         legs = [np.array([0.0, 1.0]), np.array([0.0, 1.0])]
         separable = Payoff.separable(legs)
-        dense = Payoff.dense(separable.table_for(inst))
+        dense = Payoff.dense(np.add.outer(*legs).ravel())
         fast = evaluate_expectation(coupling, separable)
         slow = evaluate_expectation(coupling, dense)
         assert fast == pytest.approx(1.0, abs=1e-12)

@@ -4,10 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motkit import transport
 from motkit.lp import LpError, phase_one, solve
 from motkit.model import (
+    VALUE_TOL,
     Coupling,
     DiscreteAxis,
     DiscreteMeasure,
@@ -24,6 +27,7 @@ from motkit.transport import (
     dual_transport,
     duality_report,
     functional_properties_check,
+    marginal_separation,
     primal_transport,
     verify_representation,
 )
@@ -189,6 +193,39 @@ class TestConjugateMembership:
             w = feasible_coupling(rng, inst)
             result = conjugate_membership(inst, Coupling(inst, w))
             assert result.is_zero
+
+
+def _separation_lp_value(instance, coupling):
+    """The largest separation LP value over the coupling's marginals."""
+    return max(transport._separation_value(con, marginal_of(coupling, ax.index).weights)[0]
+               for ax, con in zip(instance.axes, instance.constraints))
+
+
+class TestMarginalSeparation:
+    """The mixture residual sum_p (mu_n - lambda_n @ V_n)^+ against the
+    separation LP it replaced in the reports."""
+
+    @given(st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_the_separation_lp_for_any_mixture(self, seed, in_hull):
+        rng = np.random.default_rng(seed)
+        inst = random_hull_instance(rng, 1 + seed % 3, max_points=4)
+        w = feasible_coupling(rng, inst) if in_hull else rng.uniform(0.0, 1.0, inst.n_paths)
+        coupling = Coupling(inst, w / w.sum())
+        mixtures = [rng.dirichlet(np.ones(len(con.measures))) for con in inst.constraints]
+        assert (marginal_separation(inst, coupling, mixtures)
+                >= _separation_lp_value(inst, coupling) - 1e-12)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_small_report_residual_means_conjugate_zero(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = random_hull_instance(rng, 1 + seed % 3, max_points=4)
+        report = duality_report(inst, Payoff.dense(random_payoff_table(rng, inst)))
+        residual = report.residuals["marginal_separation"]
+        assert residual >= _separation_lp_value(inst, report.coupling) - 1e-12
+        if residual <= VALUE_TOL:
+            assert conjugate_membership(inst, report.coupling).is_zero
 
 
 class TestRepresentation:
