@@ -17,7 +17,7 @@ anyone can from a payload's `coupling` and `mixtures`, with no further LP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,10 +121,10 @@ def _residuals(table: np.ndarray, side: DualSide):
 
 
 def hedge(primal: PrimalLp, sol, table: np.ndarray):
-    """The dual side of the optimal primal `sol` of `table` and its residuals
-    (superreplication_min, cost identity), both from the side's own
-    `outcome()` and `cost()`: read off the multipliers and kept once its
-    cash and static legs are finite and `certified` passes, else
+    """The dual side of the optimal primal `sol` of `table`, with `sol`'s
+    mixtures, and its residuals (superreplication_min, cost identity) from
+    its own `outcome()` and `cost()`: read off the multipliers and kept once
+    its cash and static legs are finite and `certified` passes, else
     `solve_superhedge`, which weak duality leaves optimal (LpError if not)."""
     # the marginals are probabilities: each axis's free multipliers move
     # their minimum into the cash, leaving legs g_n >= 0
@@ -139,7 +139,7 @@ def hedge(primal: PrimalLp, sol, table: np.ndarray):
         residuals = _residuals(table, side)
         if certified(sol.value, side.value, *residuals):
             return side, residuals
-    side = solve_superhedge(primal)
+    side = replace(solve_superhedge(primal), mixtures=primal.mixtures(sol.x))
     if side.status != "optimal":
         raise LpError(f"superhedge LP {side.status} beside an optimal primal")
     return side, _residuals(table, side)

@@ -2,18 +2,18 @@
 
 Usage, from anywhere:
 
-    python3 tests/payload_diff.py PARENT CHANGE [--seeds 1 2 3] [--workloads NAME ...]
+    python3 tests/payload_diff.py PARENT CHANGE
 
 PARENT and CHANGE are the roots of two checkouts.  For every benchmark
-workload (`perfbench/workloads.py` of PARENT) and seed, the workload's
+workload (`perfbench/workloads.py` of PARENT) and seeds 1-3, the workload's
 documents are written once to a temporary directory; then every op runs
 in-process through each checkout's CLI (`perfbench/worker.py` of that
 checkout), in one child interpreter per checkout with BLAS pinned to one
 thread.  Per workload and seed it prints how many ops changed their exit
 code and their payload outside `meta`, and per differing field (list
 indices shown as `[]`) how many payloads moved, the largest absolute change
-of a number and the largest magnitude on either side.  `--list` also
-prints the documents of the ops whose payload moved.
+of a number and the largest magnitude on either side, then the commands
+and documents of the ops whose payload moved.
 
 The file name does not start with `test_`, so pytest does not collect it.
 """
@@ -29,6 +29,7 @@ import tempfile
 from collections import defaultdict
 from pathlib import Path
 
+SEEDS = (1, 2, 3)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -108,15 +109,12 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--workloads", nargs="+", default=None)
-    parser.add_argument("--list", action="store_true", help="name the moved payloads")
     args = parser.parse_args()
     sys.path.insert(0, str(args.parent.resolve() / "perfbench"))
     from workloads import WORKLOADS
 
-    for name in args.workloads or list(WORKLOADS):
-        for seed in args.seeds:
+    for name in WORKLOADS:
+        for seed in SEEDS:
             with tempfile.TemporaryDirectory() as tmp:
                 tmp = Path(tmp)
                 workload = WORKLOADS[name](seed)
@@ -131,7 +129,7 @@ def main() -> None:
             for field, (count, change, size, other) in sorted(fields.items()):
                 print(f"  {field}: {count} payloads, max |change| {change:.3g}, "
                       f"max |value| {size:.3g}, {other} non-numeric changes")
-            if args.list and payloads:
+            if payloads:
                 ops = workload.ops
                 print("  moved:", " ".join(f"{ops[i].command}:{ops[i].doc}" for i in payloads))
 
