@@ -1,17 +1,17 @@
 """Layout of every duality LP: which row and which column is which.
 
 The transport LPs are the market LPs with no market.  The primal holds one
-column per path and the marginal rows on them; a market adds one pricing
-row per prefix (martingale equalities, or ask and bid bands under costs).
+column per path and the marginal rows on them; a market adds pricing rows
+per prefix from its `Market.pricing_blocks` (martingale equalities, or ask
+and bid bands under costs), which alone write their coefficients.
 The superhedge LP is the primal's LP dual plus one free cash column: each
 primal row becomes a column (a static leg, a hull axis's price, a trading
 position) and each primal column a row (a path's superreplication row, a
 hull vertex's epigraph row), so it is laid out by index arithmetic on the
-primal and never assembled twice.  The primal's rows and columns are the
-only ids of a dual side: `superhedge_lp` returns the two maps that carry
-its point and duals back onto them, and `PrimalLp.side` reads the primal's
-multipliers and the superhedge LP's solution alike.  Nothing here solves
-an LP.
+primal and never assembled twice.  The primal's rows are the only ids of a
+dual side: `superhedge_lp` maps its point back onto them, `PrimalLp.side`
+reads the primal's multipliers and that point alike, and a side's mixtures
+come from a primal point only.  Nothing here solves an LP.
 """
 
 from __future__ import annotations
@@ -106,34 +106,24 @@ class TradingCatalog:
     @classmethod
     def pricing_rows(cls, builder: LpBuilder, market, path_vars: np.ndarray,
                      force_frictional: bool = False) -> "TradingCatalog":
-        """The MOT primal's pricing rows on the path columns.  ``force_frictional``
+        """Per prefix of each of the market's `pricing_blocks`, an "=" row (bid
+        None) or an ask and a bid "<=" row on the path columns.  ``force_frictional``
         gives zero-cost assets ask and bid rows (at eps 0) in place of the
         martingale rows; the LP value is unchanged (a maturity-N trade
         telescopes into one-step positions when trading is free), which is
         exactly the frictionless-reduction check."""
         instance = market.instance
-        s = market.price_paths()
         h_rows, trade_rows = {}, {}
-        for a in range(market.d):
-            e = market.epsilons[a]
-            if e == 0.0 and not force_frictional:
-                # one martingale row per prefix of every length n < T
-                for n in range(market.horizon):
-                    h_rows[(a, n + 1)] = builder.add_rows(
-                        instance.prefix_ids(n), path_vars, s[n + 1][:, a] - s[n][:, a],
-                        "=", np.zeros(instance.n_prefixes(n)))
+        for a, mat, n, ask, bid in market.pricing_blocks(force_frictional):
+            pid, zeros = instance.prefix_ids(n), np.zeros(instance.n_prefixes(n))
+            if bid is None:
+                h_rows[(a, mat)] = builder.add_rows(pid, path_vars, ask, "=", zeros)
                 continue
-            for mat in range(1, market.horizon + 1):
-                for n in range(mat):
-                    # the ask row (2p) and the bid row (2p + 1) of every prefix p
-                    pid = instance.prefix_ids(n)
-                    rows = builder.add_rows(
-                        np.concatenate([2 * pid, 2 * pid + 1]),
-                        np.concatenate([path_vars, path_vars]),
-                        np.concatenate([s[mat][:, a] - (1.0 + e) * s[n][:, a],
-                                        (1.0 - e) * s[n][:, a] - s[mat][:, a]]),
-                        "<=", np.zeros(2 * instance.n_prefixes(n)))
-                    trade_rows[(a, mat, n + 1)] = (rows[0::2], rows[1::2])
+            # the ask row (2p) and the bid row (2p + 1) of every prefix p
+            rows = builder.add_rows(np.concatenate([2 * pid, 2 * pid + 1]),
+                                    np.concatenate([path_vars, path_vars]),
+                                    np.concatenate([ask, bid]), "<=", np.r_[zeros, zeros])
+            trade_rows[(a, mat, n + 1)] = (rows[0::2], rows[1::2])
         return cls(market, h_rows, trade_rows)
 
     def extract_legs(self, x: np.ndarray) -> tuple[DynamicLeg, ...]:
@@ -149,10 +139,8 @@ class TradingCatalog:
                  for n in range(1, mat + 1)]
             u = [np.zeros_like(tab) for tab in h] if with_u else None
             empty = True
-            for (a, n), ids in self.h_vars.items():
-                if mat == t_horizon:
-                    h[n - 1][:, a] = x[ids]
-                    empty = empty and not np.any(x[ids])
+            for (a, n), ids in self.h_vars.items() if mat == t_horizon else ():
+                h[n - 1][:, a] = x[ids]
             for (a, m2, n), (buys, sells) in self.trade_vars.items():
                 if m2 != mat:
                     continue
@@ -202,13 +190,13 @@ class PrimalLp:
         return replace(self, lp=self.lp.with_objective(objective))
 
     def side(self, status: str, value: float, cash: float, rows: np.ndarray,
-             columns: np.ndarray | None) -> DualSide:
+             x: np.ndarray | None) -> DualSide:
         """The dual side with cash `cash` and multiplier rows[i] on primal row
         i: the legs g_n from the marginal rows, dynamic legs from the pricing
-        rows, and hull mixtures from the lambda entries of `columns`, a value
-        per primal column (None for a ray)."""
+        rows, and the `mixtures` of the primal point `x` (None if there is
+        none: a ray, or the superhedge LP's solution)."""
         legs = () if self.trading is None else self.trading.extract_legs(rows)
-        mixtures = None if columns is None else self.mixtures(columns)
+        mixtures = None if x is None else self.mixtures(x)
         market = None if self.trading is None else self.trading.market
         return DualSide(status, value, cash, tuple(rows[ids] for ids in self.marginal_rows),
                         mixtures, legs, self.instance, market)

@@ -16,7 +16,8 @@ strategies are reported as per-maturity position/turnover tables.
 
 The coupling side constrains, per asset, either per-prefix martingale
 equalities (eps_i = 0) or the full family of bid-ask bands
-(1-eps) S_n <= E[S_N | F_n] <= (1+eps) S_n for all N <= T, n < N.
+(1-eps) S_n <= E[S_N | F_n] <= (1+eps) S_n for all N <= T, n < N: the
+`Market.pricing_blocks` that the MOT primal's rows and `feasibility_residual` read.
 """
 
 from __future__ import annotations
@@ -98,6 +99,19 @@ class Market:
         return ([np.broadcast_to(self.s0, (self.instance.n_paths, self.d))]
                 + [self.instance.coordinate_values(pos) for pos in range(self.horizon)])
 
+    def pricing_blocks(self, force_frictional: bool = False):
+        """Blocks (a, N, n, ask, bid) in the MOT primal's row order, per prefix of
+        length n: E[ask | F_n] <= 0 and E[bid | F_n] <= 0, ask = S_N - (1+eps_a) S_n and
+        bid = (1-eps_a) S_n - S_N along every path.  An eps_a = 0 asset (unless forced)
+        has one-step blocks only, bid None: the martingale equality E[ask | F_n] = 0."""
+        s = self.price_paths()
+        for a, e in enumerate(self.epsilons):
+            one_step = e == 0.0 and not force_frictional
+            for mat in range(1, self.horizon + 1):
+                for n in range(mat - 1 if one_step else 0, mat):
+                    bid = None if one_step else (1.0 - e) * s[n][:, a] - s[mat][:, a]
+                    yield a, mat, n, s[mat][:, a] - (1.0 + e) * s[n][:, a], bid
+
 
 def superhedge_dual(market: Market, payoff: Payoff,
                     force_frictional: bool = False) -> DualSide:
@@ -128,24 +142,16 @@ def primal_mot(market: Market, payoff: Payoff) -> MotPrimalResult:
 
 def feasibility_residual(market: Market, coupling: Coupling, mixtures) -> float:
     """Worst of the coupling's mass error, its `marginal_separation` from the
-    axes' `mixtures` ([1.0] if exact) and its band/martingale violations."""
-    instance = market.instance
+    axes' `mixtures` ([1.0] if exact) and its violation of the market's
+    `pricing_blocks`: per prefix, |E[ask]| of a martingale block, else the
+    larger of E[ask] and E[bid] above 0."""
+    instance, w = market.instance, coupling.weights
     worst = max(abs(coupling.total_mass - 1.0), marginal_separation(instance, coupling, mixtures))
-    s = market.price_paths()
-    w = coupling.weights
-    for a in range(market.d):
-        e = market.epsilons[a]
-        for mat in range(1, market.horizon + 1):
-            for n in range(mat):
-                if e == 0.0 and mat != n + 1:
-                    continue  # one-step equalities imply the rest
-                up = w * (s[mat][:, a] - (1.0 + e) * s[n][:, a])
-                dn = w * ((1.0 - e) * s[n][:, a] - s[mat][:, a])
-                # the paths of a prefix are contiguous: one row per prefix
-                rows = (instance.n_prefixes(n), -1)
-                up, dn = up.reshape(rows).sum(axis=1), dn.reshape(rows).sum(axis=1)
-                worst = max(worst, float(np.abs(up).max() if e == 0.0
-                                         else max(up.max(), dn.max())))
+    for _, _, n, ask, bid in market.pricing_blocks():
+        # the paths of a prefix are contiguous: one sum per prefix
+        sums = [(w * c).reshape(instance.n_prefixes(n), -1).sum(axis=1) for c in (ask, bid)
+                if c is not None]
+        worst = max(worst, float(np.abs(sums[0]).max() if bid is None else np.max(sums)))
     return float(worst)
 
 

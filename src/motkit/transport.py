@@ -99,20 +99,17 @@ def solve_primal(instance: Instance, table: np.ndarray, market=None,
 def solve_superhedge(primal: PrimalLp) -> DualSide:
     """Solve the superhedge LP, the LP dual of `primal` plus cash: its optimal
     point, or its improving ray once `check_unbounded_ray` passes against
-    that LP (LpNumericalError if not), read onto the primal's rows and its
-    duals onto the primal's columns."""
-    lp, order, sources = superhedge_lp(primal)
+    that LP (LpNumericalError if not), read onto the primal's rows.  It has
+    no primal point, so no mixtures: `hedge` gives its side the primal's."""
+    lp, order, _ = superhedge_lp(primal)
     sol = solve(lp)
-    if sol.status == "optimal":
-        point, columns = sol.x, np.empty(primal.lp.n_variables)
-        columns[sources] = sol.duals
-    elif sol.status != "unbounded" or not check_unbounded_ray(lp, sol.ray) <= RESIDUAL_TOL:
+    point = sol.x if sol.status == "optimal" else sol.ray
+    if sol.status != "optimal" and not (sol.status == "unbounded"
+                                        and check_unbounded_ray(lp, point) <= RESIDUAL_TOL):
         raise LpNumericalError(f"superhedge LP {sol.status} with no checked improving ray")
-    else:
-        point, columns = sol.ray, None
     rows = np.empty(primal.lp.n_rows)
     rows[order] = point[1:]
-    return primal.side(sol.status, sol.value, float(point[0]), rows, columns)
+    return primal.side(sol.status, sol.value, float(point[0]), rows, None)
 
 
 def _residuals(table: np.ndarray, side: DualSide):

@@ -464,9 +464,10 @@ def test_only_primal_side_builds_a_dual_side():
     assert calls == [("assembly.py", True)]
 
 
-def _cli_calls(names):
-    """(enclosing def, callee) of each call in cli.py to a callee named in `names`."""
-    path = Path(motkit.__file__).resolve().parent / "cli.py"
+def _calls(names, module="cli.py"):
+    """(enclosing def, callee) of each call in `module` of the package to a
+    callee named in `names`."""
+    path = Path(motkit.__file__).resolve().parent / module
 
     def calls(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -480,10 +481,22 @@ def _cli_calls(names):
             if name.rsplit(".", 1)[-1] in names}
 
 
+def test_only_pricing_blocks_reads_the_price_paths():
+    """The pricing constraints are written once: outside `DynamicLeg.gains`,
+    which values a strategy's trades, only `Market.pricing_blocks` calls
+    `price_paths()`, and the MOT primal's rows and `feasibility_residual`
+    read its blocks."""
+    package = Path(motkit.__file__).resolve().parent
+    assert {(path.name, *call) for path in sorted(package.glob("*.py"))
+            for call in _calls(("price_paths",), path.name)} == {
+        ("assembly.py", "DynamicLeg.gains", "market.price_paths"),
+        ("martingale.py", "Market.pricing_blocks", "self.price_paths")}
+
+
 def test_one_result_path_in_the_cli():
     """Only `_Command.invoke` renders a result or exits with its status, and
     `_fail` exits 1 on an input error: no command callback does either."""
-    assert _cli_calls(("render_result", "exit", "SystemExit")) == {
+    assert _calls(("render_result", "exit", "SystemExit")) == {
         ("_Command.invoke", "render_result"), ("_Command.invoke", "sys.exit"),
         ("_fail", "sys.exit")}
 
@@ -492,7 +505,7 @@ def test_one_dump_and_one_duality_body_in_the_cli():
     """Only `_write` writes a file, only `_dump` writes an LP, and only
     `_duality` asks either duality report: the three duality commands share
     one body, which dumps before it solves."""
-    assert _cli_calls(("write_output", "write_mps", "duality_report",
+    assert _calls(("write_output", "write_mps", "duality_report",
                        "superhedging_duality_report")) == {
         ("_write", "write_output"), ("_dump", "write_mps"), ("_duality", "duality_report"),
         ("_duality", "superhedging_duality_report")}

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motkit import lp as lp_module
 from motkit import transport
@@ -29,7 +31,8 @@ from motkit.model import (
     MarginalConstraint,
     Payoff,
 )
-from motkit.transport import dual_transport, duality_report, verify_representation
+from motkit.transport import (dual_transport, duality_report, marginal_separation,
+                              verify_representation)
 
 from generators import (
     arbitrage_free_market,
@@ -122,6 +125,37 @@ class TestPrimalMot:
         res = primal_mot(market, Payoff.constant(0.0, market.instance))
         assert res.status == "optimal"
         assert feasibility_residual(market, res.coupling, [np.array([1.0])]) <= 1e-8
+
+
+class TestFeasibilityResidual:
+    @given(st.integers(0, 10_000), st.sampled_from([[0.0], [0.05], [0.0, 0.1]]),
+           st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_is_the_worst_of_mass_marginals_and_the_primal_pricing_rows(self, seed, eps,
+                                                                        share):
+        """At a primal point with mass moved between two paths, the residual is
+        the largest of the mass error, `marginal_separation` and the violation
+        of the MOT primal's own pricing rows."""
+        rng = np.random.default_rng(seed)
+        market = binomial_market(rng, 4 - len(eps), d=len(eps), epsilons=eps, hull_prob=0.3)
+        primal, sol = transport.solve_primal(
+            market.instance, random_payoff_table(rng, market.instance), market)
+        x = sol.x.copy()
+        src = primal.paths[rng.choice(np.flatnonzero(x[primal.paths] > 0))]
+        dst = primal.paths[rng.integers(primal.paths.size)]
+        moved = share * x[src]
+        x[src] -= moved
+        x[dst] += moved
+        lp, trading = primal.lp, primal.trading
+        rows = np.concatenate([*trading.h_vars.values(),
+                               *(np.r_[asks, bids] for asks, bids in trading.trade_vars.values())])
+        gap = lp.a[rows] @ x - lp.rhs[rows]
+        violation = np.where(lp.relation_codes[rows] == 0, np.abs(gap), gap).max()
+        coupling, mixtures = primal.coupling(x), primal.mixtures(x)
+        expected = max(abs(coupling.total_mass - 1.0), violation,
+                       marginal_separation(market.instance, coupling, mixtures))
+        value = feasibility_residual(market, coupling, mixtures)
+        assert abs(value - expected) <= 1e-14 * max(1.0, value)
 
 
 class TestClassifyArbitrage:
